@@ -59,6 +59,10 @@ corruption-smoke:
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkVoxelGrid|BenchmarkKDTreeBuild|BenchmarkKDTreeRadius' -benchmem -benchtime=10x ./internal/pointcloud/
 	$(GO) test -run=NONE -bench='BenchmarkCluster' -benchmem -benchtime=10x ./internal/nodes/lidardet/
+	$(GO) test -run=NONE -bench='BenchmarkCastRay' -benchmem -benchtime=1000x ./internal/world/
+	$(GO) test -run=NONE -bench='BenchmarkLiDARScan' -benchmem -benchtime=10x ./internal/sensor/
+	$(GO) test -run=NONE -bench='BenchmarkTrackerStep' -benchmem -benchtime=100x ./internal/nodes/tracking/
+	$(GO) test -run=NONE -bench='BenchmarkDirect7' -benchmem -benchtime=1000x ./internal/hdmap/
 	$(GO) test -run=NONE -bench='BenchmarkBusPublishFanout|BenchmarkQueuePush|BenchmarkRingSteadyState' -benchmem -benchtime=10x ./internal/ros/
 
 # Middleware perf trajectory: measure the transport benches against the

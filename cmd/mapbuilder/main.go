@@ -85,14 +85,14 @@ func info(args []string) {
 	fmt.Printf("%s:\n", *path)
 	fmt.Printf("  scans          %d\n", m.Scans)
 	fmt.Printf("  map points     %d\n", m.Cloud.Len())
-	fmt.Printf("  NDT leaf       %.1f m (%d voxels, %d usable)\n", m.NDTLeaf, len(m.NDT), usableVoxels(m))
+	fmt.Printf("  NDT leaf       %.1f m (%d voxels, %d usable)\n", m.NDTLeaf, m.NDT.Len(), usableVoxels(m))
 	fmt.Printf("  extent         %.0f x %.0f m\n", b.Size().X, b.Size().Y)
 	fmt.Printf("  route coverage %.0f%%\n", 100*m.Coverage(scen, 100))
 }
 
 func usableVoxels(m *hdmap.Map) int {
 	n := 0
-	for _, vs := range m.NDT {
+	for _, vs := range m.NDT.Voxels {
 		if vs.OK {
 			n++
 		}

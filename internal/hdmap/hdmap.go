@@ -52,7 +52,7 @@ func DefaultConfig() Config {
 // voxel grid derived from it.
 type Map struct {
 	Cloud   *pointcloud.Cloud
-	NDT     map[pointcloud.VoxelKey]*pointcloud.VoxelStats
+	NDT     *pointcloud.VoxelGrid
 	NDTLeaf float64
 	// Scans is the number of mapping sweeps that contributed.
 	Scans int
@@ -66,7 +66,10 @@ func Build(s *world.Scenario, cfg Config) (*Map, error) {
 		return nil, fmt.Errorf("hdmap: invalid config %+v", cfg)
 	}
 	lidar := sensor.NewLiDAR(cfg.LiDAR, s.City)
-	acc := pointcloud.New(1 << 16)
+	// The accumulator is thinned once it passes thinAt points, so one
+	// more scan always fits without regrowing it.
+	const thinAt = 1 << 20
+	acc := pointcloud.New(thinAt + cfg.LiDAR.Beams*cfg.LiDAR.AzimuthSteps)
 	scratch := pointcloud.New(0)
 
 	// Walk the route by time, emitting a scan every ScanSpacing meters.
@@ -94,9 +97,10 @@ func Build(s *world.Scenario, cfg Config) (*Map, error) {
 		// through a reused staging cloud.
 		wsc := scan.TransformInto(pose, scratch)
 		acc.Points = append(acc.Points, wsc.Points...)
-		// Thin periodically to bound memory.
-		if acc.Len() > 1<<20 {
-			acc, _ = pointcloud.VoxelDownsample(acc, cfg.MapLeaf)
+		// Thin periodically to bound memory, in place so the
+		// accumulator keeps its capacity.
+		if acc.Len() > thinAt {
+			pointcloud.VoxelDownsampleInto(acc, cfg.MapLeaf, acc)
 		}
 		scans++
 	}
@@ -117,7 +121,7 @@ func Build(s *world.Scenario, cfg Config) (*Map, error) {
 // VoxelAt returns the NDT statistics voxel containing p, or nil when the
 // voxel is unmapped or unusable.
 func (m *Map) VoxelAt(p geom.Vec3) *pointcloud.VoxelStats {
-	vs := m.NDT[pointcloud.KeyFor(p, m.NDTLeaf)]
+	vs := m.NDT.Lookup(pointcloud.KeyFor(p, m.NDTLeaf))
 	if vs == nil || !vs.OK {
 		return nil
 	}
@@ -140,7 +144,7 @@ func (m *Map) Direct7(p geom.Vec3, out []*pointcloud.VoxelStats) []*pointcloud.V
 		{X: base.X, Y: base.Y, Z: base.Z + 1},
 	}
 	for _, k := range keys {
-		if vs := m.NDT[k]; vs != nil && vs.OK {
+		if vs := m.NDT.Lookup(k); vs != nil && vs.OK {
 			out = append(out, vs)
 		}
 	}
@@ -157,7 +161,7 @@ func (m *Map) NeighborVoxels(p geom.Vec3) []*pointcloud.VoxelStats {
 		for dy := int32(-1); dy <= 1; dy++ {
 			for dz := int32(-1); dz <= 1; dz++ {
 				k := pointcloud.VoxelKey{X: base.X + dx, Y: base.Y + dy, Z: base.Z + dz}
-				if vs := m.NDT[k]; vs != nil && vs.OK {
+				if vs := m.NDT.Lookup(k); vs != nil && vs.OK {
 					out = append(out, vs)
 				}
 			}
@@ -198,7 +202,8 @@ func (m *Map) Coverage(s *world.Scenario, samples int) float64 {
 
 func (m *Map) nearestVoxelDist(p geom.Vec3) float64 {
 	best := math.Inf(1)
-	for _, vs := range m.NDT {
+	for i := range m.NDT.Voxels {
+		vs := &m.NDT.Voxels[i]
 		if !vs.OK {
 			continue
 		}

@@ -18,7 +18,7 @@ var (
 
 // sharedMap builds one map for all tests in the package (construction
 // sweeps the whole route and is the expensive part).
-func sharedMap(t *testing.T) (*Map, *world.Scenario) {
+func sharedMap(t testing.TB) (*Map, *world.Scenario) {
 	t.Helper()
 	testMapOnce.Do(func() {
 		testScen = world.NewScenario(world.DefaultScenarioConfig())
@@ -42,7 +42,7 @@ func TestBuildProducesMap(t *testing.T) {
 		t.Errorf("too few mapping scans: %d", m.Scans)
 	}
 	usable := 0
-	for _, vs := range m.NDT {
+	for _, vs := range m.NDT.Voxels {
 		if vs.OK {
 			usable++
 		}
@@ -144,8 +144,8 @@ func TestMapSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("metadata mismatch: %+v", loaded)
 	}
 	// The rebuilt NDT grid matches voxel for voxel.
-	if len(loaded.NDT) != len(m.NDT) {
-		t.Fatalf("voxel count %d != %d", len(loaded.NDT), len(m.NDT))
+	if loaded.NDT.Len() != m.NDT.Len() {
+		t.Fatalf("voxel count %d != %d", loaded.NDT.Len(), m.NDT.Len())
 	}
 	// And localization still works against the loaded map: probe the
 	// DIRECT7 neighborhood along the route.
@@ -168,5 +168,22 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadFile(path + "/missing"); err == nil {
 		t.Error("missing file should fail to load")
+	}
+}
+
+// BenchmarkDirect7 measures the NDT neighborhood lookup that
+// ndt_matching runs seven times per point per Gauss-Newton iteration.
+func BenchmarkDirect7(b *testing.B) {
+	m, s := sharedMap(b)
+	var probes []geom.Vec3
+	for t := 0.0; t < 60; t += 0.25 {
+		pose, _ := s.EgoRoute.At(t)
+		probes = append(probes, pose.Pos.Add(geom.V3(3, 1, 0.5)), pose.Pos.Add(geom.V3(-6, 2, 1.5)))
+	}
+	buf := make([]*pointcloud.VoxelStats, 0, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = m.Direct7(probes[i%len(probes)], buf[:0])
 	}
 }

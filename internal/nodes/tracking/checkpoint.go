@@ -65,9 +65,5 @@ func (m *IMM) Clone() *IMM {
 // Clone deep-copies one UKF.
 func (u *UKF) Clone() *UKF {
 	c := *u
-	c.X = u.X.Clone()
-	c.P = u.P.Clone()
-	c.wm = append(c.wm[:0:0], u.wm...)
-	c.wc = append(c.wc[:0:0], u.wc...)
 	return &c
 }

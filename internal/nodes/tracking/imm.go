@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/mathx"
 )
 
 // immTransition is the Markov model-switching matrix: rows are source
@@ -47,10 +46,10 @@ func (m *IMM) mix() {
 			cbar[j] = 1e-12
 		}
 	}
-	var mixedX [numModels]*mathx.Mat
-	var mixedP [numModels]*mathx.Mat
+	var mixedX [numModels]StateVec
+	var mixedP [numModels]StateMat
 	for j := 0; j < numModels; j++ {
-		x := mathx.NewMat(stateDim, 1)
+		x := &mixedX[j]
 		var sinSum, cosSum float64
 		for i := 0; i < numModels; i++ {
 			w := immTransition[i][j] * m.Mu[i] / cbar[j]
@@ -59,26 +58,28 @@ func (m *IMM) mix() {
 				if r == iyaw {
 					continue
 				}
-				x.AddAt(r, 0, w*fi.X.At(r, 0))
+				x[r] += w * fi.X[r]
 			}
-			sinSum += w * math.Sin(fi.X.At(iyaw, 0))
-			cosSum += w * math.Cos(fi.X.At(iyaw, 0))
+			sinSum += w * math.Sin(fi.X[iyaw])
+			cosSum += w * math.Cos(fi.X[iyaw])
 		}
-		x.Set(iyaw, 0, math.Atan2(sinSum, cosSum))
-		p := mathx.NewMat(stateDim, stateDim)
+		x[iyaw] = math.Atan2(sinSum, cosSum)
+		p := &mixedP[j]
 		for i := 0; i < numModels; i++ {
 			w := immTransition[i][j] * m.Mu[i] / cbar[j]
 			fi := m.Filters[i]
-			d := fi.X.Sub(x)
-			d.Set(iyaw, 0, geom.WrapAngle(d.At(iyaw, 0)))
+			var d StateVec
+			for r := range d {
+				d[r] = fi.X[r] - x[r]
+			}
+			d[iyaw] = geom.WrapAngle(d[iyaw])
 			for r := 0; r < stateDim; r++ {
 				for c := 0; c < stateDim; c++ {
-					p.AddAt(r, c, w*(fi.P.At(r, c)+d.At(r, 0)*d.At(c, 0)))
+					p[r][c] += w * (fi.P[r][c] + d[r]*d[c])
 				}
 			}
 		}
-		p.Symmetrize()
-		mixedX[j], mixedP[j] = x, p
+		symmetrize(p)
 	}
 	for j := 0; j < numModels; j++ {
 		m.Filters[j].X = mixedX[j]
@@ -99,7 +100,7 @@ func (m *IMM) Predict(dt float64) error {
 
 // Update applies the PDA update to each model filter and refreshes the
 // model probabilities with the per-model likelihoods.
-func (m *IMM) Update(stdMeas float64, zs []*mathx.Mat, betaFor func(mp *MeasurementPrediction) []float64) error {
+func (m *IMM) Update(stdMeas float64, zs []MeasVec, betaFor func(mp MeasurementPrediction) []float64) error {
 	var likes [numModels]float64
 	for j, f := range m.Filters {
 		mp, err := f.PredictMeasurement(stdMeas)
@@ -107,7 +108,7 @@ func (m *IMM) Update(stdMeas float64, zs []*mathx.Mat, betaFor func(mp *Measurem
 			return err
 		}
 		beta := betaFor(mp)
-		likes[j] = f.UpdatePDA(mp, zs, beta)
+		likes[j] = f.UpdatePDA(&mp, zs, beta)
 	}
 	// Model probability update.
 	var cbar [numModels]float64
@@ -146,8 +147,8 @@ func (m *IMM) best() *UKF {
 func (m *IMM) Pos() geom.Vec2 {
 	var x, y float64
 	for i, f := range m.Filters {
-		x += m.Mu[i] * f.X.At(ix, 0)
-		y += m.Mu[i] * f.X.At(iy, 0)
+		x += m.Mu[i] * f.X[ix]
+		y += m.Mu[i] * f.X[iy]
 	}
 	return geom.V2(x, y)
 }

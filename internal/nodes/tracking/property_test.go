@@ -14,24 +14,23 @@ import (
 // covarianceHealthy checks the UKF covariance invariants: finite,
 // symmetric, positive diagonal, and factorizable with at most tiny
 // jitter.
-func covarianceHealthy(p *mathx.Mat) bool {
-	for i := 0; i < p.Rows; i++ {
-		for j := 0; j < p.Cols; j++ {
-			v := p.At(i, j)
+func covarianceHealthy(p StateMat) bool {
+	for i := range p {
+		for j := range p[i] {
+			v := p[i][j]
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return false
 			}
-			if math.Abs(p.At(i, j)-p.At(j, i)) > 1e-6 {
+			if math.Abs(p[i][j]-p[j][i]) > 1e-6 {
 				return false
 			}
 		}
-		if p.At(i, i) <= 0 {
+		if p[i][i] <= 0 {
 			return false
 		}
+		p[i][i] += 1e-9
 	}
-	c := p.Clone()
-	c.AddDiag(1e-9)
-	_, err := c.Cholesky()
+	_, err := cholesky(&p)
 	return err == nil
 }
 
@@ -54,15 +53,13 @@ func TestUKFCovarianceInvariantProperty(t *testing.T) {
 			}
 			// Measurement near the predicted position with noise.
 			pos = u.Pos().Add(geom.V2(rng.NormScaled(0, 0.5), rng.NormScaled(0, 0.5)))
-			z := mathx.NewMat(measDim, 1)
-			z.Set(0, 0, pos.X)
-			z.Set(1, 0, pos.Y)
+			z := MeasVec{pos.X, pos.Y}
 			mp, err := u.PredictMeasurement(0.45)
 			if err != nil {
 				return false
 			}
 			beta := rng.Range(0.5, 0.99)
-			u.UpdatePDA(mp, []*mathx.Mat{z}, []float64{beta, 1 - beta})
+			u.UpdatePDA(&mp, []MeasVec{z}, []float64{beta, 1 - beta})
 			if !covarianceHealthy(u.P) {
 				return false
 			}
@@ -84,10 +81,8 @@ func TestIMMProbabilitiesSumToOneProperty(t *testing.T) {
 			if err := m.Predict(rng.Range(0.05, 0.3)); err != nil {
 				return false
 			}
-			z := mathx.NewMat(measDim, 1)
-			z.Set(0, 0, m.Pos().X+rng.NormScaled(0, 1))
-			z.Set(1, 0, m.Pos().Y+rng.NormScaled(0, 1))
-			err := m.Update(0.45, []*mathx.Mat{z}, func(mp *MeasurementPrediction) []float64 {
+			z := MeasVec{m.Pos().X + rng.NormScaled(0, 1), m.Pos().Y + rng.NormScaled(0, 1)}
+			err := m.Update(0.45, []MeasVec{z}, func(mp MeasurementPrediction) []float64 {
 				return []float64{0.9, 0.1}
 			})
 			if err != nil {

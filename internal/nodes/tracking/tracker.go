@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/mathx"
 	"repro/internal/msgs"
 	"repro/internal/nodes/fusion"
 	"repro/internal/ros"
@@ -70,6 +69,13 @@ type Tracker struct {
 	// stats of the last frame for work/µarch modeling
 	lastGateTests int
 	lastUpdated   int
+	// Per-frame scratch reused across Steps.
+	zs       []MeasVec
+	claimed  []bool
+	removed  []bool
+	gated    []MeasVec
+	gatedIdx []int
+	betas    []float64
 }
 
 // New builds the node.
@@ -117,14 +123,13 @@ func (t *Tracker) Step(objects []msgs.DetectedObject, stamp time.Duration) []*Tr
 	}
 
 	// Measurement vectors.
-	zs := make([]*mathx.Mat, len(objects))
-	for i, o := range objects {
-		z := mathx.NewMat(measDim, 1)
-		z.Set(0, 0, o.Pose.Pos.X)
-		z.Set(1, 0, o.Pose.Pos.Y)
-		zs[i] = z
+	zs := t.zs[:0]
+	for _, o := range objects {
+		zs = append(zs, MeasVec{o.Pose.Pos.X, o.Pose.Pos.Y})
 	}
-	claimed := make([]bool, len(objects))
+	t.zs = zs
+	claimed := append(t.claimed[:0], make([]bool, len(objects))...)
+	t.claimed = claimed
 
 	// Per-track gating and PDA update.
 	for _, tr := range t.tracks {
@@ -138,23 +143,22 @@ func (t *Tracker) Step(objects []msgs.DetectedObject, stamp time.Duration) []*Tr
 			tr.miss++
 			continue
 		}
-		var gated []*mathx.Mat
-		var gatedIdx []int
+		gated, gatedIdx := t.gated[:0], t.gatedIdx[:0]
 		for i, z := range zs {
 			t.lastGateTests++
-			d := z.Sub(mp.Z)
-			m := d.T().Mul(mp.SInv).Mul(d).At(0, 0)
+			m := mahalanobis2(MeasVec{z[0] - mp.Z[0], z[1] - mp.Z[1]}, &mp.SInv)
 			if m <= t.cfg.GateMahalanobis {
 				gated = append(gated, z)
 				gatedIdx = append(gatedIdx, i)
 			}
 		}
+		t.gated, t.gatedIdx = gated, gatedIdx
 		if len(gated) == 0 {
 			tr.miss++
 			continue
 		}
-		err = tr.IMM.Update(t.cfg.StdMeas, gated, func(mp *MeasurementPrediction) []float64 {
-			return t.pdaBetas(mp, gated)
+		err = tr.IMM.Update(t.cfg.StdMeas, gated, func(mp MeasurementPrediction) []float64 {
+			return t.pdaBetas(&mp, gated)
 		})
 		if err != nil {
 			tr.miss++
@@ -234,7 +238,8 @@ func (t *Tracker) Step(objects []msgs.DetectedObject, stamp time.Duration) []*Tr
 // confirmation is not reset by a merge.
 func (t *Tracker) mergeDuplicates() {
 	const mergeDist = 1.2
-	removed := make([]bool, len(t.tracks))
+	removed := append(t.removed[:0], make([]bool, len(t.tracks))...)
+	t.removed = removed
 	for i := 0; i < len(t.tracks); i++ {
 		if removed[i] {
 			continue
@@ -275,26 +280,26 @@ func (t *Tracker) mergeDuplicates() {
 
 // pdaBetas computes the PDA association weights for gated measurements
 // under a measurement prediction: one weight per measurement plus the
-// trailing no-detection weight.
-func (t *Tracker) pdaBetas(mp *MeasurementPrediction, zs []*mathx.Mat) []float64 {
-	likes := make([]float64, len(zs))
-	det := mp.S.At(0, 0)*mp.S.At(1, 1) - mp.S.At(0, 1)*mp.S.At(1, 0)
+// trailing no-detection weight. The result lives in the tracker's
+// scratch and is valid until the next call.
+func (t *Tracker) pdaBetas(mp *MeasurementPrediction, zs []MeasVec) []float64 {
+	det := mp.S[0][0]*mp.S[1][1] - mp.S[0][1]*mp.S[1][0]
 	norm := 1.0
 	if det > 0 {
 		norm = 1 / (2 * math.Pi * math.Sqrt(det))
 	}
+	beta := append(t.betas[:0], make([]float64, len(zs)+1)...)
+	t.betas = beta
 	sum := 0.0
 	for i, z := range zs {
-		d := z.Sub(mp.Z)
-		m := d.T().Mul(mp.SInv).Mul(d).At(0, 0)
-		likes[i] = t.cfg.DetectionProb * norm * math.Exp(-0.5*m)
-		sum += likes[i]
+		m := mahalanobis2(MeasVec{z[0] - mp.Z[0], z[1] - mp.Z[1]}, &mp.SInv)
+		beta[i] = t.cfg.DetectionProb * norm * math.Exp(-0.5*m)
+		sum += beta[i]
 	}
 	b0 := t.cfg.ClutterDensity * (1 - t.cfg.DetectionProb)
 	total := sum + b0
-	beta := make([]float64, len(zs)+1)
-	for i := range likes {
-		beta[i] = likes[i] / total
+	for i := range zs {
+		beta[i] /= total
 	}
 	beta[len(zs)] = b0 / total
 	return beta

@@ -22,9 +22,9 @@ func det(x, y float64, label msgs.ObjectLabel) msgs.DetectedObject {
 func TestUKFPredictStraightLine(t *testing.T) {
 	u := NewUKF(ModelCV, geom.V2(0, 0))
 	// Fix a moving state: 10 m/s heading east.
-	u.X.Set(iv, 0, 10)
-	u.X.Set(iyaw, 0, 0)
-	u.P = mathx.Identity(stateDim).Scale(0.01)
+	u.X[iv] = 10
+	u.X[iyaw] = 0
+	u.P = diagState(0.01)
 	if err := u.Predict(1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +35,9 @@ func TestUKFPredictStraightLine(t *testing.T) {
 
 func TestUKFPredictTurn(t *testing.T) {
 	u := NewUKF(ModelCTRV, geom.V2(0, 0))
-	u.X.Set(iv, 0, 10)
-	u.X.Set(iyawd, 0, 0.5)
-	u.P = mathx.Identity(stateDim).Scale(0.01)
+	u.X[iv] = 10
+	u.X[iyawd] = 0.5
+	u.P = diagState(0.01)
 	if err := u.Predict(1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +52,7 @@ func TestUKFPredictTurn(t *testing.T) {
 
 func TestUKFConvergesOnStationaryTarget(t *testing.T) {
 	u := NewUKF(ModelCV, geom.V2(5, 5))
-	z := mathx.NewMat(measDim, 1)
-	z.Set(0, 0, 6)
-	z.Set(1, 0, 4)
+	z := MeasVec{6, 4}
 	for i := 0; i < 20; i++ {
 		if err := u.Predict(0.1); err != nil {
 			t.Fatal(err)
@@ -63,14 +61,14 @@ func TestUKFConvergesOnStationaryTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u.UpdatePDA(mp, []*mathx.Mat{z}, []float64{0.95, 0.05})
+		u.UpdatePDA(&mp, []MeasVec{z}, []float64{0.95, 0.05})
 	}
 	if u.Pos().Dist(geom.V2(6, 4)) > 0.3 {
 		t.Errorf("did not converge: %v", u.Pos())
 	}
 	// Position variance should have shrunk well under the prior.
-	if u.P.At(ix, ix) > 0.5 {
-		t.Errorf("variance did not contract: %v", u.P.At(ix, ix))
+	if u.P[ix][ix] > 0.5 {
+		t.Errorf("variance did not contract: %v", u.P[ix][ix])
 	}
 }
 
@@ -81,13 +79,11 @@ func TestIMMPrefersCTRVWhileTurning(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		stamp += 0.1
 		ang := 0.3 * stamp
-		z := mathx.NewMat(measDim, 1)
-		z.Set(0, 0, 20*math.Sin(ang))
-		z.Set(1, 0, 20*(1-math.Cos(ang)))
+		z := MeasVec{20 * math.Sin(ang), 20 * (1 - math.Cos(ang))}
 		if err := m.Predict(0.1); err != nil {
 			t.Fatal(err)
 		}
-		err := m.Update(0.3, []*mathx.Mat{z}, func(mp *MeasurementPrediction) []float64 {
+		err := m.Update(0.3, []MeasVec{z}, func(mp MeasurementPrediction) []float64 {
 			return []float64{0.95, 0.05}
 		})
 		if err != nil {
@@ -208,10 +204,7 @@ func TestPDABetasSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z1 := mathx.NewMat(2, 1)
-	z2 := mathx.NewMat(2, 1)
-	z2.Set(0, 0, 0.5)
-	betas := tr.pdaBetas(mp, []*mathx.Mat{z1, z2})
+	betas := tr.pdaBetas(&mp, []MeasVec{{0, 0}, {0.5, 0}})
 	sum := 0.0
 	for _, b := range betas {
 		if b < 0 {
@@ -230,5 +223,67 @@ func TestModelNames(t *testing.T) {
 	}
 	if ModelName(99) != "model99" {
 		t.Error("unknown model name")
+	}
+}
+
+// diagState returns v times the identity.
+func diagState(v float64) StateMat {
+	var p StateMat
+	for i := range p {
+		p[i][i] = v
+	}
+	return p
+}
+
+// TestFilterAllocatesNothing pins the fixed-size filter math: predict,
+// measurement prediction and the PDA update run without touching the
+// heap, for one UKF and for the IMM bank.
+func TestFilterAllocatesNothing(t *testing.T) {
+	u := NewUKF(ModelCTRV, geom.V2(3, 4))
+	zs := []MeasVec{{3.2, 4.1}, {2.9, 3.8}}
+	beta := []float64{0.5, 0.3, 0.2}
+	if n := testing.AllocsPerRun(50, func() {
+		if err := u.Predict(0.1); err != nil {
+			t.Fatal(err)
+		}
+		mp, err := u.PredictMeasurement(0.45)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u.UpdatePDA(&mp, zs, beta)
+	}); n != 0 {
+		t.Errorf("UKF step allocates %v times", n)
+	}
+	m := NewIMM(geom.V2(3, 4))
+	if n := testing.AllocsPerRun(50, func() {
+		if err := m.Predict(0.1); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Update(0.45, zs, func(MeasurementPrediction) []float64 { return beta }); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("IMM step allocates %v times", n)
+	}
+}
+
+// BenchmarkTrackerStep measures one tracker frame over a steady scene
+// of a dozen moving objects.
+func BenchmarkTrackerStep(b *testing.B) {
+	tr := New(DefaultConfig())
+	objs := make([]msgs.DetectedObject, 12)
+	frame := func(i int) {
+		for k := range objs {
+			objs[k] = det(float64(k*10)+0.8*float64(i)*0.1, float64(k%3)*12, msgs.LabelCar)
+		}
+		tr.Step(objs, time.Duration(i)*100*time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		frame(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame(10 + i)
 	}
 }

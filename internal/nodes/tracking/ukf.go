@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/mathx"
 )
 
 // State indices of the CTRV state vector [x, y, v, yaw, yawRate].
@@ -48,18 +47,46 @@ func ModelName(m int) string {
 	}
 }
 
-// UKF is one unscented Kalman filter over the CTRV state.
+// numSigma is the number of unscented sigma points, 2n+1.
+const numSigma = 2*stateDim + 1
+
+// sigmaLambda is the unscented-transform spread: kappa = 2 keeps every
+// sigma weight positive for the 5-state filter, which makes the
+// reconstructed covariance positive semidefinite by construction (the
+// classic lambda = 3 - n choice goes negative for n > 3 and lets the
+// covariance drift indefinite over long prediction sequences).
+const sigmaLambda = 2
+
+// sigmaWeights are the mean and covariance weights of the sigma points
+// (the two coincide for this spread).
+var sigmaWeights = func() (w [numSigma]float64) {
+	w[0] = sigmaLambda / (sigmaLambda + float64(stateDim))
+	for i := 1; i < numSigma; i++ {
+		w[i] = 0.5 / (sigmaLambda + float64(stateDim))
+	}
+	return w
+}()
+
+// StateVec is a CTRV state [x, y, v, yaw, yawRate].
+type StateVec = [stateDim]float64
+
+// StateMat is a state covariance.
+type StateMat = [stateDim][stateDim]float64
+
+// MeasVec is an observed (x, y) position.
+type MeasVec = [measDim]float64
+
+// UKF is one unscented Kalman filter over the CTRV state. Its state and
+// covariance are fixed-size arrays, so filtering allocates nothing and
+// a struct copy is a deep copy.
 type UKF struct {
-	X *mathx.Mat // state (5x1)
-	P *mathx.Mat // covariance (5x5)
+	X StateVec // state
+	P StateMat // covariance
 	// Process noise spectral densities.
 	stdA    float64 // longitudinal acceleration noise
 	stdYawd float64 // yaw acceleration noise
 	// Model behavior switches.
 	model int
-	// Sigma point weights.
-	lambda float64
-	wm, wc []float64
 	// FPOps accumulates an architectural op estimate for work modeling.
 	FPOps float64
 }
@@ -67,18 +94,14 @@ type UKF struct {
 // NewUKF creates a filter for the given model, initialized at a
 // position with a generous prior.
 func NewUKF(model int, pos geom.Vec2) *UKF {
-	u := &UKF{
-		X:     mathx.NewMat(stateDim, 1),
-		P:     mathx.Identity(stateDim),
-		model: model,
-	}
-	u.X.Set(ix, 0, pos.X)
-	u.X.Set(iy, 0, pos.Y)
-	u.P.Set(ix, ix, 1)
-	u.P.Set(iy, iy, 1)
-	u.P.Set(iv, iv, 16) // unknown speed up to ~8 m/s within 2 sigma
-	u.P.Set(iyaw, iyaw, math.Pi*math.Pi)
-	u.P.Set(iyawd, iyawd, 0.3)
+	u := &UKF{model: model}
+	u.X[ix] = pos.X
+	u.X[iy] = pos.Y
+	u.P[ix][ix] = 1
+	u.P[iy][iy] = 1
+	u.P[iv][iv] = 16 // unknown speed up to ~8 m/s within 2 sigma
+	u.P[iyaw][iyaw] = math.Pi * math.Pi
+	u.P[iyawd][iyawd] = 0.3
 	switch model {
 	case ModelCV:
 		u.stdA, u.stdYawd = 1.5, 0.05
@@ -89,60 +112,49 @@ func NewUKF(model int, pos geom.Vec2) *UKF {
 	default:
 		panic("tracking: unknown model")
 	}
-	// Unscented-transform spread: kappa = 2 keeps every sigma weight
-	// positive for the 5-state filter, which makes the reconstructed
-	// covariance positive semidefinite by construction (the classic
-	// lambda = 3 - n choice goes negative for n > 3 and lets the
-	// covariance drift indefinite over long prediction sequences).
-	u.lambda = 2
-	n := 2*stateDim + 1
-	u.wm = make([]float64, n)
-	u.wc = make([]float64, n)
-	u.wm[0] = u.lambda / (u.lambda + float64(stateDim))
-	u.wc[0] = u.wm[0]
-	for i := 1; i < n; i++ {
-		u.wm[i] = 0.5 / (u.lambda + float64(stateDim))
-		u.wc[i] = u.wm[i]
-	}
 	return u
 }
 
 // sigmaPoints generates the 2n+1 unscented points of (X, P).
-func (u *UKF) sigmaPoints() ([]*mathx.Mat, error) {
-	scaled := u.P.Scale(u.lambda + float64(stateDim))
-	var l *mathx.Mat
+func (u *UKF) sigmaPoints() ([numSigma]StateVec, error) {
+	var pts [numSigma]StateVec
+	var scaled StateMat
+	for r := range scaled {
+		for c := range scaled[r] {
+			scaled[r][c] = u.P[r][c] * (sigmaLambda + float64(stateDim))
+		}
+	}
+	var l StateMat
 	var err error
 	for jitter := 0.0; jitter < 1; jitter = jitter*10 + 1e-9 {
-		p := scaled.Clone()
+		p := scaled
 		if jitter > 0 {
-			p.AddDiag(jitter)
+			for i := range p {
+				p[i][i] += jitter
+			}
 		}
-		l, err = p.Cholesky()
-		if err == nil {
+		if l, err = cholesky(&p); err == nil {
 			break
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("tracking: sigma-point factorization failed: %w", err)
+		return pts, fmt.Errorf("tracking: sigma-point factorization failed: %w", err)
 	}
-	pts := make([]*mathx.Mat, 2*stateDim+1)
-	pts[0] = u.X.Clone()
+	pts[0] = u.X
 	for i := 0; i < stateDim; i++ {
-		col := mathx.NewMat(stateDim, 1)
 		for r := 0; r < stateDim; r++ {
-			col.Set(r, 0, l.At(r, i))
+			pts[1+i][r] = u.X[r] + l[r][i]
+			pts[1+stateDim+i][r] = u.X[r] - l[r][i]
 		}
-		pts[1+i] = u.X.Add(col)
-		pts[1+stateDim+i] = u.X.Sub(col)
 	}
 	u.FPOps += float64(stateDim*stateDim*stateDim) + float64(4*stateDim*stateDim)
 	return pts, nil
 }
 
 // propagate advances one sigma point by dt under the filter's model.
-func (u *UKF) propagate(p *mathx.Mat, dt float64) *mathx.Mat {
-	x, y := p.At(ix, 0), p.At(iy, 0)
-	v, yaw, yawd := p.At(iv, 0), p.At(iyaw, 0), p.At(iyawd, 0)
+func (u *UKF) propagate(p *StateVec, dt float64) StateVec {
+	x, y := p[ix], p[iy]
+	v, yaw, yawd := p[iv], p[iyaw], p[iyawd]
 	switch u.model {
 	case ModelCV:
 		yawd = 0
@@ -157,14 +169,8 @@ func (u *UKF) propagate(p *mathx.Mat, dt float64) *mathx.Mat {
 		nx = x + v*dt*math.Cos(yaw)
 		ny = y + v*dt*math.Sin(yaw)
 	}
-	out := mathx.NewMat(stateDim, 1)
-	out.Set(ix, 0, nx)
-	out.Set(iy, 0, ny)
-	out.Set(iv, 0, v)
-	out.Set(iyaw, 0, geom.WrapAngle(yaw+yawd*dt))
-	out.Set(iyawd, 0, yawd)
 	u.FPOps += 40
-	return out
+	return StateVec{ix: nx, iy: ny, iv: v, iyaw: geom.WrapAngle(yaw + yawd*dt), iyawd: yawd}
 }
 
 // Predict advances the filter by dt seconds.
@@ -173,31 +179,35 @@ func (u *UKF) Predict(dt float64) error {
 	if err != nil {
 		return err
 	}
-	for i, p := range pts {
-		pts[i] = u.propagate(p, dt)
+	for i := range pts {
+		pts[i] = u.propagate(&pts[i], dt)
 	}
 	// Reconstruct mean with angular care on yaw.
-	mean := mathx.NewMat(stateDim, 1)
+	var mean StateVec
 	var sinSum, cosSum float64
-	for i, p := range pts {
+	for i := range pts {
+		p := &pts[i]
 		for r := 0; r < stateDim; r++ {
 			if r == iyaw {
 				continue
 			}
-			mean.AddAt(r, 0, u.wm[i]*p.At(r, 0))
+			mean[r] += sigmaWeights[i] * p[r]
 		}
-		sinSum += u.wm[i] * math.Sin(p.At(iyaw, 0))
-		cosSum += u.wm[i] * math.Cos(p.At(iyaw, 0))
+		sinSum += sigmaWeights[i] * math.Sin(p[iyaw])
+		cosSum += sigmaWeights[i] * math.Cos(p[iyaw])
 	}
-	mean.Set(iyaw, 0, math.Atan2(sinSum, cosSum))
+	mean[iyaw] = math.Atan2(sinSum, cosSum)
 	// Covariance.
-	cov := mathx.NewMat(stateDim, stateDim)
-	for i, p := range pts {
-		d := p.Sub(mean)
-		d.Set(iyaw, 0, geom.WrapAngle(d.At(iyaw, 0)))
+	var cov StateMat
+	for i := range pts {
+		var d StateVec
+		for r := range d {
+			d[r] = pts[i][r] - mean[r]
+		}
+		d[iyaw] = geom.WrapAngle(d[iyaw])
 		for r := 0; r < stateDim; r++ {
 			for c := 0; c < stateDim; c++ {
-				cov.AddAt(r, c, u.wc[i]*d.At(r, 0)*d.At(c, 0))
+				cov[r][c] += sigmaWeights[i] * d[r] * d[c]
 			}
 		}
 	}
@@ -205,12 +215,12 @@ func (u *UKF) Predict(dt float64) error {
 	dt2 := dt * dt
 	qa := u.stdA * u.stdA
 	qy := u.stdYawd * u.stdYawd
-	cov.AddAt(ix, ix, 0.25*dt2*dt2*qa)
-	cov.AddAt(iy, iy, 0.25*dt2*dt2*qa)
-	cov.AddAt(iv, iv, dt2*qa)
-	cov.AddAt(iyaw, iyaw, 0.25*dt2*dt2*qy)
-	cov.AddAt(iyawd, iyawd, dt2*qy)
-	cov.Symmetrize()
+	cov[ix][ix] += 0.25 * dt2 * dt2 * qa
+	cov[iy][iy] += 0.25 * dt2 * dt2 * qa
+	cov[iv][iv] += dt2 * qa
+	cov[iyaw][iyaw] += 0.25 * dt2 * dt2 * qy
+	cov[iyawd][iyawd] += dt2 * qy
+	symmetrize(&cov)
 	u.X = mean
 	u.P = cov
 	u.FPOps += float64((2*stateDim + 1) * stateDim * stateDim * 2)
@@ -220,101 +230,106 @@ func (u *UKF) Predict(dt float64) error {
 // MeasurementPrediction holds the predicted measurement distribution
 // and the cross covariance needed for the update.
 type MeasurementPrediction struct {
-	Z    *mathx.Mat // predicted measurement mean (2x1)
-	S    *mathx.Mat // innovation covariance (2x2)
-	SInv *mathx.Mat
-	T    *mathx.Mat // cross covariance (5x2)
+	Z    MeasVec                   // predicted measurement mean
+	S    [measDim][measDim]float64 // innovation covariance
+	SInv [measDim][measDim]float64
+	T    [stateDim][measDim]float64 // cross covariance
 }
 
 // PredictMeasurement projects the current belief into measurement space
 // with measurement noise stdMeas.
-func (u *UKF) PredictMeasurement(stdMeas float64) (*MeasurementPrediction, error) {
+func (u *UKF) PredictMeasurement(stdMeas float64) (MeasurementPrediction, error) {
+	var mp MeasurementPrediction
 	pts, err := u.sigmaPoints()
 	if err != nil {
-		return nil, err
+		return mp, err
 	}
-	zPts := make([]*mathx.Mat, len(pts))
-	zMean := mathx.NewMat(measDim, 1)
-	for i, p := range pts {
-		z := mathx.NewMat(measDim, 1)
-		z.Set(0, 0, p.At(ix, 0))
-		z.Set(1, 0, p.At(iy, 0))
-		zPts[i] = z
-		zMean.AddAt(0, 0, u.wm[i]*z.At(0, 0))
-		zMean.AddAt(1, 0, u.wm[i]*z.At(1, 0))
+	for i := range pts {
+		mp.Z[0] += sigmaWeights[i] * pts[i][ix]
+		mp.Z[1] += sigmaWeights[i] * pts[i][iy]
 	}
-	s := mathx.NewMat(measDim, measDim)
-	t := mathx.NewMat(stateDim, measDim)
-	for i, p := range pts {
-		dz := zPts[i].Sub(zMean)
-		dx := p.Sub(u.X)
-		dx.Set(iyaw, 0, geom.WrapAngle(dx.At(iyaw, 0)))
+	for i := range pts {
+		dz := MeasVec{pts[i][ix] - mp.Z[0], pts[i][iy] - mp.Z[1]}
+		var dx StateVec
+		for r := range dx {
+			dx[r] = pts[i][r] - u.X[r]
+		}
+		dx[iyaw] = geom.WrapAngle(dx[iyaw])
 		for r := 0; r < measDim; r++ {
 			for c := 0; c < measDim; c++ {
-				s.AddAt(r, c, u.wc[i]*dz.At(r, 0)*dz.At(c, 0))
+				mp.S[r][c] += sigmaWeights[i] * dz[r] * dz[c]
 			}
 		}
 		for r := 0; r < stateDim; r++ {
 			for c := 0; c < measDim; c++ {
-				t.AddAt(r, c, u.wc[i]*dx.At(r, 0)*dz.At(c, 0))
+				mp.T[r][c] += sigmaWeights[i] * dx[r] * dz[c]
 			}
 		}
 	}
-	s.AddAt(0, 0, stdMeas*stdMeas)
-	s.AddAt(1, 1, stdMeas*stdMeas)
-	sInv, err := s.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("tracking: singular innovation covariance: %w", err)
+	mp.S[0][0] += stdMeas * stdMeas
+	mp.S[1][1] += stdMeas * stdMeas
+	if mp.SInv, err = inverse2(mp.S); err != nil {
+		return mp, fmt.Errorf("tracking: singular innovation covariance: %w", err)
 	}
 	u.FPOps += float64((2*stateDim + 1) * (measDim*measDim + stateDim*measDim) * 2)
-	return &MeasurementPrediction{Z: zMean, S: s, SInv: sInv, T: t}, nil
+	return mp, nil
 }
 
 // UpdatePDA applies a probabilistic data association update with gated
-// measurements zs (2x1 each) and their association weights beta
-// (len(zs)+1 entries, last is the no-detection weight). It returns the
-// combined measurement likelihood for IMM model probability updates.
-func (u *UKF) UpdatePDA(mp *MeasurementPrediction, zs []*mathx.Mat, beta []float64) float64 {
+// measurements zs and their association weights beta (len(zs)+1
+// entries, last is the no-detection weight). It returns the combined
+// measurement likelihood for IMM model probability updates.
+func (u *UKF) UpdatePDA(mp *MeasurementPrediction, zs []MeasVec, beta []float64) float64 {
 	if len(beta) != len(zs)+1 {
 		panic("tracking: beta length mismatch")
 	}
-	k := mp.T.Mul(mp.SInv) // Kalman gain (5x2)
+	k := gain(&mp.T, &mp.SInv) // Kalman gain
 	// Combined innovation.
-	nu := mathx.NewMat(measDim, 1)
-	for i, z := range zs {
-		nu = nu.Add(z.Sub(mp.Z).Scale(beta[i]))
+	var nu MeasVec
+	for i := range zs {
+		for r := range nu {
+			nu[r] += (zs[i][r] - mp.Z[r]) * beta[i]
+		}
 	}
 	// Spread-of-innovations term for the PDA covariance.
-	spread := mathx.NewMat(measDim, measDim)
-	for i, z := range zs {
-		d := z.Sub(mp.Z)
+	var spread [measDim][measDim]float64
+	for i := range zs {
+		d := MeasVec{zs[i][0] - mp.Z[0], zs[i][1] - mp.Z[1]}
 		for r := 0; r < measDim; r++ {
 			for c := 0; c < measDim; c++ {
-				spread.AddAt(r, c, beta[i]*d.At(r, 0)*d.At(c, 0))
+				spread[r][c] += beta[i] * d[r] * d[c]
 			}
 		}
 	}
 	for r := 0; r < measDim; r++ {
 		for c := 0; c < measDim; c++ {
-			spread.AddAt(r, c, -nu.At(r, 0)*nu.At(c, 0))
+			spread[r][c] += -nu[r] * nu[c]
 		}
 	}
-	u.X = u.X.Add(k.Mul(nu))
-	u.X.Set(iyaw, 0, geom.WrapAngle(u.X.At(iyaw, 0)))
+	kn := gainVec(&k, &nu)
+	for r := range u.X {
+		u.X[r] += kn[r]
+	}
+	u.X[iyaw] = geom.WrapAngle(u.X[iyaw])
 	b0 := beta[len(beta)-1]
-	pc := u.P.Sub(k.Mul(mp.S).Mul(k.T()).Scale(1 - b0))
-	pc = pc.Add(k.Mul(spread).Mul(k.T()))
-	pc.Symmetrize()
-	pc.AddDiag(1e-9)
-	u.P = pc
+	shrink := sandwich(&k, &mp.S)
+	widen := sandwich(&k, &spread)
+	for r := range u.P {
+		for c := range u.P[r] {
+			u.P[r][c] = u.P[r][c] - shrink[r][c]*(1-b0) + widen[r][c]
+		}
+	}
+	symmetrize(&u.P)
+	for i := range u.P {
+		u.P[i][i] += 1e-9
+	}
 	u.FPOps += 400
 
 	// Mean gated likelihood (for IMM).
 	like := 1e-12
-	for _, z := range zs {
-		d := z.Sub(mp.Z)
-		m := d.T().Mul(mp.SInv).Mul(d).At(0, 0)
-		det := mp.S.At(0, 0)*mp.S.At(1, 1) - mp.S.At(0, 1)*mp.S.At(1, 0)
+	for i := range zs {
+		m := mahalanobis2(MeasVec{zs[i][0] - mp.Z[0], zs[i][1] - mp.Z[1]}, &mp.SInv)
+		det := mp.S[0][0]*mp.S[1][1] - mp.S[0][1]*mp.S[1][0]
 		if det > 0 {
 			like += math.Exp(-0.5*m) / (2 * math.Pi * math.Sqrt(det))
 		}
@@ -323,13 +338,13 @@ func (u *UKF) UpdatePDA(mp *MeasurementPrediction, zs []*mathx.Mat, beta []float
 }
 
 // Pos returns the estimated position.
-func (u *UKF) Pos() geom.Vec2 { return geom.V2(u.X.At(ix, 0), u.X.At(iy, 0)) }
+func (u *UKF) Pos() geom.Vec2 { return geom.V2(u.X[ix], u.X[iy]) }
 
 // Speed returns the estimated scalar speed.
-func (u *UKF) Speed() float64 { return u.X.At(iv, 0) }
+func (u *UKF) Speed() float64 { return u.X[iv] }
 
 // Yaw returns the estimated heading.
-func (u *UKF) Yaw() float64 { return u.X.At(iyaw, 0) }
+func (u *UKF) Yaw() float64 { return u.X[iyaw] }
 
 // YawRate returns the estimated turn rate.
-func (u *UKF) YawRate() float64 { return u.X.At(iyawd, 0) }
+func (u *UKF) YawRate() float64 { return u.X[iyawd] }

@@ -136,12 +136,12 @@ func TestBuildVoxelStats(t *testing.T) {
 		)})
 	}
 	stats := BuildVoxelStats(c, 10.0, 5)
-	if len(stats) == 0 {
+	if stats.Len() == 0 {
 		t.Fatal("no voxels")
 	}
 	var main *VoxelStats
-	for _, vs := range stats {
-		if main == nil || vs.N > main.N {
+	for i := range stats.Voxels {
+		if vs := &stats.Voxels[i]; main == nil || vs.N > main.N {
 			main = vs
 		}
 	}
@@ -162,7 +162,7 @@ func TestBuildVoxelStats(t *testing.T) {
 func TestBuildVoxelStatsMinPoints(t *testing.T) {
 	c := FromPositions([]geom.Vec3{geom.V3(0, 0, 0), geom.V3(0.1, 0, 0)})
 	stats := BuildVoxelStats(c, 1.0, 5)
-	for _, vs := range stats {
+	for _, vs := range stats.Voxels {
 		if vs.OK {
 			t.Error("voxel with 2 points should not be OK with minPoints=5")
 		}

@@ -23,11 +23,18 @@ type KDTree struct {
 	TraversalSteps int
 }
 
+// kdNode carries a copy of its point, so a query reads the node records
+// in pre-order and never chases an index into the positions slice.
 type kdNode struct {
+	pos         geom.Vec3
 	idx         int32 // index into pts
-	axis        int8  // 0=X 1=Y 2=Z
 	left, right int32 // node indices, -1 for none
+	axis        int8  // 0=X 1=Y 2=Z
 }
+
+// kdMaxDepth bounds the depth of a balanced tree over int32 indices,
+// and so the explicit stack of a query.
+const kdMaxDepth = 64
 
 // kdParallelMin is the smallest subtree handed to its own goroutine
 // during construction. Node slots are assigned by subrange — a pure
@@ -77,8 +84,8 @@ func (t *KDTree) Rebuild(pts []geom.Vec3) {
 // subtree builds write disjoint slots and produce the serial layout.
 func (t *KDTree) build(idx []int32, depth int, base int32) {
 	axis := depth % 3
-	sortIdxByAxis(t.pts, idx, axis)
 	mid := len(idx) / 2
+	selectIdxByAxis(t.pts, idx, mid, axis)
 	left, right := int32(-1), int32(-1)
 	if mid > 0 {
 		left = base + 1
@@ -86,7 +93,7 @@ func (t *KDTree) build(idx []int32, depth int, base int32) {
 	if mid+1 < len(idx) {
 		right = base + 1 + int32(mid)
 	}
-	t.nodes[base] = kdNode{idx: idx[mid], axis: int8(axis), left: left, right: right}
+	t.nodes[base] = kdNode{pos: t.pts[idx[mid]], idx: idx[mid], axis: int8(axis), left: left, right: right}
 	if left >= 0 && right >= 0 && len(idx) >= kdParallelMin && parallel.MaxWorkers() > 1 {
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -117,10 +124,14 @@ func kdLess(pts []geom.Vec3, a, b int32, axis int) bool {
 	return a < b
 }
 
-// sortIdxByAxis sorts idx by kdLess without the interface and closure
-// allocations of sort.Slice: median-of-three quicksort with insertion
-// sort below a threshold. Deterministic (total order, fixed pivoting).
-func sortIdxByAxis(pts []geom.Vec3, idx []int32, axis int) {
+// selectIdxByAxis partially orders idx by kdLess so that idx[k] holds
+// the element a full sort would put there, with smaller elements before
+// it and larger ones after: median-of-three quickselect, with insertion
+// sort below a threshold. A subtree depends only on the set of indices
+// on each side of its median, never on their order within a side, so
+// the tree equals the one a full sort per level would build.
+// Deterministic (total order, fixed pivoting) and allocation-free.
+func selectIdxByAxis(pts []geom.Vec3, idx []int32, k int, axis int) {
 	for len(idx) > 12 {
 		// Median-of-three pivot, moved to the end.
 		m := len(idx) / 2
@@ -144,13 +155,15 @@ func sortIdxByAxis(pts []geom.Vec3, idx []int32, axis int) {
 			}
 		}
 		idx[store], idx[hi] = idx[hi], idx[store]
-		// Recurse into the smaller side, loop on the larger.
-		if store < len(idx)-store-1 {
-			sortIdxByAxis(pts, idx[:store], axis)
-			idx = idx[store+1:]
-		} else {
-			sortIdxByAxis(pts, idx[store+1:], axis)
+		// Continue in the side that holds position k.
+		switch {
+		case k == store:
+			return
+		case k < store:
 			idx = idx[:store]
+		default:
+			idx = idx[store+1:]
+			k -= store + 1
 		}
 	}
 	// Insertion sort for small ranges.
@@ -178,35 +191,41 @@ func coord(v geom.Vec3, axis int) float64 {
 
 // Radius appends to out the indices of all points within r of q and
 // returns the extended slice. Passing a reused out slice avoids
-// allocation in the clustering hot loop.
+// allocation in the clustering hot loop. Points come out in depth-first
+// order, nearer subtree first, and each visited node counts one
+// traversal step.
 func (t *KDTree) Radius(q geom.Vec3, r float64, out []int32) []int32 {
 	if t.root < 0 {
 		return out
 	}
 	r2 := r * r
-	return t.radius(t.root, q, r, r2, out)
-}
-
-func (t *KDTree) radius(node int32, q geom.Vec3, r, r2 float64, out []int32) []int32 {
-	n := &t.nodes[node]
-	t.TraversalSteps++
-	p := t.pts[n.idx]
-	if p.DistSq(q) <= r2 {
-		out = append(out, n.idx)
+	// An explicit stack replaces recursion: pushing the far child before
+	// the near one visits nodes in the recursive order.
+	var stack [kdMaxDepth]int32
+	stack[0] = t.root
+	sp, steps := 1, 0
+	for sp > 0 {
+		sp--
+		n := &t.nodes[stack[sp]]
+		steps++
+		if n.pos.DistSq(q) <= r2 {
+			out = append(out, n.idx)
+		}
+		delta := coord(q, int(n.axis)) - coord(n.pos, int(n.axis))
+		near, far := n.right, n.left
+		if delta < 0 {
+			near, far = n.left, n.right
+		}
+		if far >= 0 && delta*delta <= r2 {
+			stack[sp] = far
+			sp++
+		}
+		if near >= 0 {
+			stack[sp] = near
+			sp++
+		}
 	}
-	delta := coord(q, int(n.axis)) - coord(p, int(n.axis))
-	var near, far int32
-	if delta < 0 {
-		near, far = n.left, n.right
-	} else {
-		near, far = n.right, n.left
-	}
-	if near >= 0 {
-		out = t.radius(near, q, r, r2, out)
-	}
-	if far >= 0 && delta*delta <= r2 {
-		out = t.radius(far, q, r, r2, out)
-	}
+	t.TraversalSteps += steps
 	return out
 }
 
@@ -226,7 +245,7 @@ func (t *KDTree) Nearest(q geom.Vec3) (int32, float64) {
 func (t *KDTree) nearest(node int32, q geom.Vec3, best *int32, bestD2 *float64, first *bool) {
 	n := &t.nodes[node]
 	t.TraversalSteps++
-	p := t.pts[n.idx]
+	p := n.pos
 	d2 := p.DistSq(q)
 	if *first || d2 < *bestD2 {
 		*best = n.idx

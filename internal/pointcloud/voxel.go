@@ -37,17 +37,18 @@ type voxelAcc struct {
 // voxelScratch is the reusable working set of one downsample pass: the
 // key -> slot index and the accumulator slots.
 type voxelScratch struct {
-	idx  map[VoxelKey]int32
+	idx  voxelIndex
 	accs []voxelAcc
 }
 
 var voxelScratchPool = sync.Pool{
-	New: func() any { return &voxelScratch{idx: make(map[VoxelKey]int32, 1024)} },
+	New: func() any { return new(voxelScratch) },
 }
 
-func getVoxelScratch() *voxelScratch {
+// getVoxelScratch returns an empty scratch sized for about hint cells.
+func getVoxelScratch(hint int) *voxelScratch {
 	s := voxelScratchPool.Get().(*voxelScratch)
-	clear(s.idx)
+	s.idx.reset(hint)
 	s.accs = s.accs[:0]
 	return s
 }
@@ -59,10 +60,8 @@ func (s *voxelScratch) accumulate(pts []Point, leaf float64) {
 	for i := range pts {
 		p := &pts[i]
 		k := KeyFor(p.Pos, leaf)
-		slot, ok := s.idx[k]
-		if !ok {
-			slot = int32(len(s.accs))
-			s.idx[k] = slot
+		slot, added := s.idx.insert(k, int32(len(s.accs)))
+		if added {
 			s.accs = append(s.accs, voxelAcc{key: k})
 		}
 		a := &s.accs[slot]
@@ -79,10 +78,8 @@ func (s *voxelScratch) accumulate(pts []Point, leaf float64) {
 func (s *voxelScratch) merge(o *voxelScratch) {
 	for i := range o.accs {
 		oa := &o.accs[i]
-		slot, ok := s.idx[oa.key]
-		if !ok {
-			slot = int32(len(s.accs))
-			s.idx[oa.key] = slot
+		slot, added := s.idx.insert(oa.key, int32(len(s.accs)))
+		if added {
 			s.accs = append(s.accs, *oa)
 			continue
 		}
@@ -109,7 +106,8 @@ func VoxelDownsample(c *Cloud, leaf float64) (*Cloud, int) {
 }
 
 // VoxelDownsampleInto is VoxelDownsample with a reusable destination
-// cloud (nil allocates). Output points appear in first-touch voxel
+// cloud (nil allocates); dst may be c itself, since every input point is
+// binned before the first output is written. Output points appear in first-touch voxel
 // order, so the result is a pure function of the input. Large clouds
 // are binned in fixed-size shards executed concurrently and merged in
 // shard order.
@@ -121,13 +119,13 @@ func VoxelDownsampleInto(c *Cloud, leaf float64, dst *Cloud) (*Cloud, int) {
 	shards := parallel.Shards(n, voxelShardSize)
 	var merged *voxelScratch
 	if shards <= 1 {
-		merged = getVoxelScratch()
+		merged = getVoxelScratch(n)
 		merged.accumulate(c.Points, leaf)
 	} else {
 		parts := make([]*voxelScratch, shards)
 		parallel.Run(shards, func(si int) {
 			lo, hi := parallel.ShardRange(si, voxelShardSize, n)
-			parts[si] = getVoxelScratch()
+			parts[si] = getVoxelScratch(hi - lo)
 			parts[si].accumulate(c.Points[lo:hi], leaf)
 		})
 		merged = parts[0]
@@ -168,9 +166,32 @@ type VoxelStats struct {
 	OK bool
 }
 
+// VoxelGrid is an NDT statistics grid: the per-voxel Gaussians of a
+// cloud stored by value in first-touch order, behind an open-addressed
+// key index. Lookups neither hash through the runtime nor chase a
+// pointer per voxel, and iteration order is a pure function of the
+// input cloud.
+type VoxelGrid struct {
+	// Voxels holds every occupied voxel, usable or not, in the order
+	// the cloud first touched it.
+	Voxels []VoxelStats
+	index  voxelIndex
+}
+
+// Len returns the number of occupied voxels.
+func (g *VoxelGrid) Len() int { return len(g.Voxels) }
+
+// Lookup returns the voxel with key k, or nil when it is unoccupied.
+func (g *VoxelGrid) Lookup(k VoxelKey) *VoxelStats {
+	if i, ok := g.index.find(k); ok {
+		return &g.Voxels[i]
+	}
+	return nil
+}
+
 // BuildVoxelStats accumulates per-voxel Gaussian statistics for a cloud.
 // Voxels with fewer than minPoints points are marked not OK.
-func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) map[VoxelKey]*VoxelStats {
+func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 	if leaf <= 0 {
 		panic("pointcloud: non-positive voxel leaf size")
 	}
@@ -180,14 +201,15 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) map[VoxelKey]*VoxelS
 		xx, xy, xz, yy, yz, zz float64
 		n                      int
 	}
-	cells := make(map[VoxelKey]*acc)
+	g := &VoxelGrid{}
+	g.index.reset(c.Len() / 8)
+	var cells []acc
 	for _, p := range c.Points {
-		k := KeyFor(p.Pos, leaf)
-		a := cells[k]
-		if a == nil {
-			a = &acc{}
-			cells[k] = a
+		slot, added := g.index.insert(KeyFor(p.Pos, leaf), int32(len(cells)))
+		if added {
+			cells = append(cells, acc{})
 		}
+		a := &cells[slot]
 		v := p.Pos
 		a.sum = a.sum.Add(v)
 		a.xx += v.X * v.X
@@ -198,36 +220,38 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) map[VoxelKey]*VoxelS
 		a.zz += v.Z * v.Z
 		a.n++
 	}
-	out := make(map[VoxelKey]*VoxelStats, len(cells))
-	for k, a := range cells {
-		vs := &VoxelStats{N: a.n}
+	g.Voxels = make([]VoxelStats, len(cells))
+	for i := range cells {
+		a := &cells[i]
+		vs := &g.Voxels[i]
+		vs.N = a.n
 		inv := 1 / float64(a.n)
 		m := a.sum.Scale(inv)
 		vs.Mean = m
-		if a.n >= minPoints {
-			cov := [3][3]float64{
-				{a.xx*inv - m.X*m.X, a.xy*inv - m.X*m.Y, a.xz*inv - m.X*m.Z},
-				{a.xy*inv - m.X*m.Y, a.yy*inv - m.Y*m.Y, a.yz*inv - m.Y*m.Z},
-				{a.xz*inv - m.X*m.Z, a.yz*inv - m.Y*m.Z, a.zz*inv - m.Z*m.Z},
-			}
-			// Regularize: NDT implementations inflate near-singular
-			// covariances so planar surfaces (rank-2 covariance) stay
-			// invertible while preserving the anisotropy that makes the
-			// match informative. The floor scales with the total spread
-			// of the cell, echoing PCL's eigenvalue clamping.
-			minVar := math.Max(1e-4, 0.004*(cov[0][0]+cov[1][1]+cov[2][2]))
-			for i := 0; i < 3; i++ {
-				cov[i][i] += minVar
-			}
-			vs.Cov = cov
-			if ic, ok := invert3(cov); ok {
-				vs.InvCov = ic
-				vs.OK = true
-			}
+		if a.n < minPoints {
+			continue
 		}
-		out[k] = vs
+		cov := [3][3]float64{
+			{a.xx*inv - m.X*m.X, a.xy*inv - m.X*m.Y, a.xz*inv - m.X*m.Z},
+			{a.xy*inv - m.X*m.Y, a.yy*inv - m.Y*m.Y, a.yz*inv - m.Y*m.Z},
+			{a.xz*inv - m.X*m.Z, a.yz*inv - m.Y*m.Z, a.zz*inv - m.Z*m.Z},
+		}
+		// Regularize: NDT implementations inflate near-singular
+		// covariances so planar surfaces (rank-2 covariance) stay
+		// invertible while preserving the anisotropy that makes the
+		// match informative. The floor scales with the total spread
+		// of the cell, echoing PCL's eigenvalue clamping.
+		minVar := math.Max(1e-4, 0.004*(cov[0][0]+cov[1][1]+cov[2][2]))
+		for i := 0; i < 3; i++ {
+			cov[i][i] += minVar
+		}
+		vs.Cov = cov
+		if ic, ok := invert3(cov); ok {
+			vs.InvCov = ic
+			vs.OK = true
+		}
 	}
-	return out
+	return g
 }
 
 // invert3 inverts a 3x3 matrix via the adjugate; ok is false when the

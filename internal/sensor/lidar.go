@@ -92,7 +92,7 @@ func (l *LiDAR) Scan(snap *world.Snapshot) *pointcloud.Cloud {
 		targets = append(targets, target{state: a, box: a.BodyBox()})
 	}
 
-	cloud := pointcloud.New(l.cfg.Beams * l.cfg.AzimuthSteps / 2)
+	cloud := pointcloud.New(l.cfg.Beams * l.cfg.AzimuthSteps)
 	for az := 0; az < l.cfg.AzimuthSteps; az++ {
 		theta := sensorPose.Yaw + 2*math.Pi*float64(az)/float64(l.cfg.AzimuthSteps)
 		sA, cA := math.Sincos(theta)

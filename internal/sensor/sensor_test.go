@@ -238,3 +238,19 @@ func TestImageAtSet(t *testing.T) {
 		t.Error("other channel affected")
 	}
 }
+
+// BenchmarkLiDARScan measures one full revolution through live traffic:
+// the ray cast against the city grid and the actor boxes.
+func BenchmarkLiDARScan(b *testing.B) {
+	s := testScenario()
+	l := NewLiDAR(DefaultLiDARConfig(), s.City)
+	snaps := make([]world.Snapshot, 8)
+	for i := range snaps {
+		snaps[i] = s.At(float64(5 + 10*i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Scan(&snaps[i%len(snaps)])
+	}
+}

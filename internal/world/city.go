@@ -2,6 +2,7 @@ package world
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/mathx"
@@ -18,10 +19,9 @@ type City struct {
 	// StreetWidth is the drivable width of each street.
 	StreetWidth float64
 	Buildings   []Building
-	// index is a coarse uniform grid over building indices for fast ray
-	// queries from the LiDAR model.
-	index     map[[2]int][]int32
-	indexCell float64
+	// grid is a coarse uniform grid over building indices for the ray
+	// queries of the LiDAR model.
+	grid buildingGrid
 }
 
 // CityConfig parameterizes city generation.
@@ -77,7 +77,6 @@ func BuildCity(cfg CityConfig) (*City, error) {
 		Blocks:      cfg.Blocks,
 		BlockSize:   cfg.BlockSize,
 		StreetWidth: cfg.StreetWidth,
-		indexCell:   cfg.BlockSize / 2,
 	}
 	inner := cfg.BlockSize - cfg.StreetWidth // usable block interior
 	lotsPerSide := 3
@@ -130,7 +129,7 @@ func BuildCity(cfg CityConfig) (*City, error) {
 			})
 		}
 	}
-	c.buildIndex()
+	c.grid = newBuildingGrid(c.Buildings, c.BlockSize/2)
 	return c, nil
 }
 
@@ -150,24 +149,6 @@ func (cfg CityConfig) Validate() error {
 	return nil
 }
 
-func (c *City) buildIndex() {
-	c.index = make(map[[2]int][]int32)
-	for i, b := range c.Buildings {
-		min := b.Box.Min
-		max := b.Box.Max
-		x0 := int(min.X / c.indexCell)
-		x1 := int(max.X / c.indexCell)
-		y0 := int(min.Y / c.indexCell)
-		y1 := int(max.Y / c.indexCell)
-		for x := x0; x <= x1; x++ {
-			for y := y0; y <= y1; y++ {
-				k := [2]int{x, y}
-				c.index[k] = append(c.index[k], int32(i))
-			}
-		}
-	}
-}
-
 // Size returns the total extent of the city per axis, meters.
 func (c *City) Size() float64 { return float64(c.Blocks) * c.BlockSize }
 
@@ -177,7 +158,16 @@ func (c *City) StreetCenter(i int) float64 { return float64(i) * c.BlockSize }
 
 // CastRay intersects a ray with the static environment (ground plane at
 // z=0 plus buildings) and returns the hit distance and whether anything
-// was hit within maxRange.
+// was hit within maxRange. It allocates nothing and only reads the
+// city, so concurrent scanners may share one.
+//
+// Buildings come from the grid cells under the ray's ground track,
+// visited nearest first; the walk stops at the first cell that starts
+// beyond the nearest hit so far. Every point of the track lies in a
+// visited cell (cell bounds are padded by gridPad against rounding),
+// and every building is listed in each cell its footprint overlaps, so
+// the result is the minimum over all buildings, exactly as a brute-force
+// scan would find it.
 func (c *City) CastRay(origin, dir geom.Vec3, maxRange float64) (float64, bool) {
 	best := maxRange
 	hit := false
@@ -189,27 +179,63 @@ func (c *City) CastRay(origin, dir geom.Vec3, maxRange float64) (float64, bool) 
 			hit = true
 		}
 	}
-	// Walk the coarse grid cells along the ray's ground projection.
-	// For simplicity and robustness we visit every cell in the bounding
-	// region of the clipped ray; rays are at most maxRange long.
+	g := &c.grid
+	if len(g.items) == 0 {
+		return best, hit
+	}
 	end := origin.Add(dir.Scale(best))
-	x0 := int(minf(origin.X, end.X) / c.indexCell)
-	x1 := int(maxf(origin.X, end.X) / c.indexCell)
-	y0 := int(minf(origin.Y, end.Y) / c.indexCell)
-	y1 := int(maxf(origin.Y, end.Y) / c.indexCell)
-	seen := make(map[int32]struct{}, 8)
-	for x := x0; x <= x1; x++ {
-		for y := y0; y <= y1; y++ {
-			for _, bi := range c.index[[2]int{x, y}] {
-				if _, dup := seen[bi]; dup {
-					continue
+	xmin, xmax := minf(origin.X, end.X)-gridPad, maxf(origin.X, end.X)+gridPad
+	ymin, ymax := minf(origin.Y, end.Y)-gridPad, maxf(origin.Y, end.Y)+gridPad
+	cx, cxEnd, cxStep, ok := g.span(xmin, xmax, g.x0, g.w, dir.X)
+	if !ok {
+		return best, hit
+	}
+	alongX := math.Abs(dir.X) >= rayAxisEps
+	alongY := math.Abs(dir.Y) >= rayAxisEps
+	for ; ; cx += cxStep {
+		// The track's y-extent inside column cx.
+		ya, yb := ymin, ymax
+		if alongX {
+			lo := float64(cx) * g.cell
+			xa, xb := maxf(xmin, lo-gridPad), minf(xmax, lo+g.cell+gridPad)
+			near := xa
+			if dir.X < 0 {
+				near = xb
+			}
+			if (near-origin.X)/dir.X > best {
+				break
+			}
+			ya = origin.Y + (xa-origin.X)*dir.Y/dir.X
+			yb = origin.Y + (xb-origin.X)*dir.Y/dir.X
+			if ya > yb {
+				ya, yb = yb, ya
+			}
+			ya, yb = maxf(ya-gridPad, ymin), minf(yb+gridPad, ymax)
+		}
+		if cy, cyEnd, cyStep, ok := g.span(ya, yb, g.y0, g.h, dir.Y); ok {
+			for ; ; cy += cyStep {
+				if alongY {
+					near := float64(cy)*g.cell - gridPad
+					if dir.Y < 0 {
+						near += g.cell + 2*gridPad
+					}
+					if (near-origin.Y)/dir.Y > best {
+						break
+					}
 				}
-				seen[bi] = struct{}{}
-				if t, ok := c.Buildings[bi].Box.RayHit(origin, dir, best); ok && t < best {
-					best = t
-					hit = true
+				for _, bi := range g.cellItems(cx, cy) {
+					if t, ok := c.Buildings[bi].Box.RayHit(origin, dir, best); ok && t < best {
+						best = t
+						hit = true
+					}
+				}
+				if cy == cyEnd {
+					break
 				}
 			}
+		}
+		if cx == cxEnd {
+			break
 		}
 	}
 	return best, hit
