@@ -1,10 +1,13 @@
 package autoware
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/platform"
 	"repro/internal/testenv"
+	"repro/internal/work"
 )
 
 // buildTestStack assembles a stack on the shared fixtures.
@@ -37,6 +40,42 @@ func TestFullStackProducesAllNodeSamples(t *testing.T) {
 	for _, p := range s.Recorder.PathNames() {
 		if s.Recorder.PathLatency(p).Count == 0 {
 			t.Errorf("path %s has no samples", p)
+		}
+	}
+}
+
+// TestRecorderNodeWorkSumsCPUCounters: a node's lifetime work total is
+// the sum of the CPU counters of its post-warmup callbacks, and holds no
+// kernels, however many frames launched some.
+func TestRecorderNodeWorkSumsCPUCounters(t *testing.T) {
+	s := buildTestStack(t, DetectorSSD512, ModeFull)
+	sums := map[string]work.Work{}
+	prev := s.Executor.OnDone
+	s.Executor.OnDone = func(d platform.DoneInfo) {
+		prev(d)
+		if d.Finished < s.Recorder.Warmup {
+			return
+		}
+		w := sums[d.Node]
+		w.IntOps += d.Work.IntOps
+		w.FPOps += d.Work.FPOps
+		w.LoadOps += d.Work.LoadOps
+		w.StoreOps += d.Work.StoreOps
+		w.BranchOps += d.Work.BranchOps
+		w.BytesTouched += d.Work.BytesTouched
+		sums[d.Node] = w
+	}
+	s.Run(10 * time.Second)
+	if sums[VisionNodeName].CPUOps() == 0 {
+		t.Fatal("the detector reported no work")
+	}
+	for _, node := range s.Executor.NodeNames() {
+		got := s.Recorder.NodeWork(node)
+		if len(got.Kernels) != 0 {
+			t.Errorf("%s: NodeWork holds %d kernels, want none", node, len(got.Kernels))
+		}
+		if !reflect.DeepEqual(got, sums[node]) {
+			t.Errorf("%s: NodeWork = %+v, want %+v", node, got, sums[node])
 		}
 	}
 }

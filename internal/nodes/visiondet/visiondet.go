@@ -12,6 +12,7 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/msgs"
 	"repro/internal/ros"
+	"repro/internal/work"
 )
 
 // Topic names owned by this package.
@@ -42,8 +43,10 @@ type Node struct {
 	det *dnn.Detector
 	// lastDetections is kept for tests/inspection.
 	lastDetections []dnn.Detection
-	// tin is the reused input tensor the camera frame is staged into.
-	tin dnn.Tensor
+	// work is the full-size architecture's cost of one frame, the same
+	// for every frame. Its kernel slice is clipped to its length, so an
+	// append by any consumer copies instead of writing into it.
+	work work.Work
 }
 
 // New builds the node.
@@ -54,7 +57,10 @@ func New(cfg Config) *Node {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1
 	}
-	return &Node{cfg: cfg, det: dnn.NewDetector(cfg.Arch, cfg.Seed)}
+	w := cfg.Arch.CPUWork()
+	k := cfg.Arch.GPUKernels()
+	w.Kernels = k[:len(k):len(k)]
+	return &Node{cfg: cfg, det: dnn.NewDetector(cfg.Arch, cfg.Seed), work: w}
 }
 
 // Name implements ros.Node. The paper's plots label this node
@@ -95,9 +101,14 @@ func (n *Node) Process(in *ros.Message, _ time.Duration) ros.Result {
 	if !ok {
 		return ros.Result{}
 	}
-	tensor := n.tin.Reshape(3, img.Frame.Image.H, img.Frame.Image.W)
-	copy(tensor.Data, img.Frame.Image.Pix)
-	dets := n.det.Infer(tensor)
+	// Infer only reads its input, so the frame's pixels are used in place.
+	// A frame whose pixel count disagrees with its size (possible from a
+	// recorded bag) is dropped like a payload of the wrong type.
+	im := img.Frame.Image
+	if im.W <= 0 || im.H <= 0 || len(im.Pix) != 3*im.W*im.H {
+		return ros.Result{}
+	}
+	dets := n.det.Infer(&dnn.Tensor{C: 3, H: im.H, W: im.W, Data: im.Pix})
 	n.lastDetections = dets
 
 	objects := make([]msgs.DetectedObject, 0, len(dets))
@@ -114,17 +125,13 @@ func (n *Node) Process(in *ros.Message, _ time.Duration) ros.Result {
 		})
 	}
 
-	// Cost: full-size architecture — host-side pre/post work plus the
-	// GPU kernel chain.
-	w := n.cfg.Arch.CPUWork()
-	w.Kernels = n.cfg.Arch.GPUKernels()
 	return ros.Result{
 		Outputs: []ros.Output{{
 			Topic:   TopicObjects,
 			Payload: &msgs.DetectedObjectArray{Objects: objects},
 			FrameID: "camera",
 		}},
-		Work: w,
+		Work: n.work,
 	}
 }
 

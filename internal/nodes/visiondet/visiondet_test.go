@@ -1,17 +1,19 @@
 package visiondet
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dnn"
 	"repro/internal/geom"
 	"repro/internal/msgs"
 	"repro/internal/ros"
+	"repro/internal/sensor"
 	"repro/internal/testenv"
 	"repro/internal/world"
 )
 
-func frameWithActorAhead(t *testing.T, kind world.ActorKind, dist float64) *msgs.CameraImage {
+func frameWithActorAhead(t testing.TB, kind world.ActorKind, dist float64) *msgs.CameraImage {
 	t.Helper()
 	s := testenv.Scenario()
 	snap := s.At(0)
@@ -98,8 +100,42 @@ func TestNames(t *testing.T) {
 
 func TestIgnoresWrongPayload(t *testing.T) {
 	n := NewSSD300()
-	if res := n.Process(&ros.Message{Payload: 42}, 0); len(res.Outputs) != 0 {
-		t.Error("wrong payload should produce nothing")
+	short := &msgs.CameraImage{Frame: &sensor.Frame{Image: &sensor.Image{W: 4, H: 4, Pix: make([]float32, 3*4*4-1)}}}
+	for _, p := range []any{42, short} {
+		if res := n.Process(&ros.Message{Payload: p}, 0); len(res.Outputs) != 0 || res.Work.CPUOps() != 0 {
+			t.Errorf("payload %T should produce nothing", p)
+		}
+	}
+}
+
+// TestProcessWorkIsArchitectureCost: every frame reports the full-size
+// architecture's cost, equal to a freshly built one, even after a
+// consumer appended to the kernel list of an earlier frame's Work.
+func TestProcessWorkIsArchitectureCost(t *testing.T) {
+	img := frameWithActorAhead(t, world.KindCar, 15)
+	for _, n := range []*Node{NewSSD300(), NewSSD512(), NewYOLOv3()} {
+		want := n.cfg.Arch.CPUWork()
+		want.Kernels = n.cfg.Arch.GPUKernels()
+		for i := 0; i < 3; i++ {
+			res := n.Process(&ros.Message{Payload: img}, 0)
+			if !reflect.DeepEqual(res.Work, want) {
+				t.Fatalf("%s frame %d: Work differs from the architecture's cost", n.ArchName(), i)
+			}
+			res.Work.Kernels = append(res.Work.Kernels, res.Work.Kernels[0])
+		}
+	}
+}
+
+// BenchmarkVisionProcess times the SSD512 node on one camera frame:
+// inference, message assembly and the work report.
+func BenchmarkVisionProcess(b *testing.B) {
+	n := NewSSD512()
+	msg := &ros.Message{Topic: TopicImageRaw, Payload: frameWithActorAhead(b, world.KindCar, 12)}
+	n.Process(msg, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Process(msg, 0)
 	}
 }
 

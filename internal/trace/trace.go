@@ -370,8 +370,9 @@ func (r *Recorder) OnDone(d platform.DoneInfo) {
 	r.workSum[d.Node] = ws
 }
 
-// NodeWork returns the accumulated Work a node reported across all its
-// callbacks — the measured instruction mix source for Fig. 7/Table VII.
+// NodeWork returns the CPU counters a node reported, summed across all
+// its callbacks — the measured instruction mix source for Fig. 7/Table
+// VII. Its kernel list is empty (see work.Work.Add).
 func (r *Recorder) NodeWork(node string) work.Work { return r.workSum[node] }
 
 // OnPublish closes computation paths that terminate on this topic.

@@ -41,7 +41,9 @@ type Work struct {
 	Kernels []GPUKernel
 }
 
-// Add accumulates o into w.
+// Add accumulates o's CPU counters into w. Kernels are not summed: a
+// running total kept over a node's lifetime would otherwise hold every
+// kernel of every frame, and its readers need only the CPU counters.
 func (w *Work) Add(o Work) {
 	w.IntOps += o.IntOps
 	w.FPOps += o.FPOps
@@ -49,7 +51,6 @@ func (w *Work) Add(o Work) {
 	w.StoreOps += o.StoreOps
 	w.BranchOps += o.BranchOps
 	w.BytesTouched += o.BytesTouched
-	w.Kernels = append(w.Kernels, o.Kernels...)
 }
 
 // CPUOps returns the total CPU operation count.
