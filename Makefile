@@ -130,10 +130,10 @@ docs-lint:
 	if [ -n "$$missing" ]; then echo "missing package comment in:$$missing"; exit 1; fi
 	@echo "docs-lint clean"
 
-# Hammer the MPSC shim and the lock-free ring under the race detector:
-# concurrent producers plus the burst-generator republish path on a
-# shared bus, then the queue-burst chaos scenario end to end.
+# Transport stress: race-run the executor's reference-accounting table
+# (FIFO and EDF dispatch under no verdict, deadline shed, crash-drop and
+# stall — the pool must drain to zero and every frame be accounted for),
+# then the queue-burst chaos scenario end to end.
 bus-stress:
-	$(GO) test -race -count=1 -run='TestBusStressConcurrentBurst|TestQueueConcurrent|TestRingSPSCConcurrent' ./internal/ros/
 	$(GO) test -race -count=1 -run='TestExecutorPoolDrainsToZero' ./internal/platform/
 	$(GO) run ./cmd/characterize -faults queue-burst -duration 12s -out /dev/null

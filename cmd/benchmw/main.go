@@ -76,11 +76,10 @@ func benchFanout(subs int) func(*testing.B) {
 	}
 }
 
-// benchQueuePush measures the bus-edge queue in push/pop steady state
-// on the exclusive (simulator hot) path — the seed transport paid a
-// mutex here on every edge.
+// benchQueuePush measures the bus-edge queue in push/pop steady state;
+// the seed transport paid a mutex here on every edge.
 func benchQueuePush(b *testing.B) {
-	q := ros.NewExclusiveQueue(4)
+	q := ros.NewQueue(4)
 	msgs := make([]*ros.Message, 8)
 	for i := range msgs {
 		msgs[i] = &ros.Message{Topic: "/t", Header: ros.Header{Stamp: time.Duration(i)}}

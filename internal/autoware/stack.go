@@ -269,10 +269,10 @@ func (s *Stack) every(offset, period time.Duration, fn func(*world.Snapshot)) {
 }
 
 // Run advances the simulation by the given virtual duration (cumulative
-// across calls).
+// across calls): RunContext without cancellation.
 func (s *Stack) Run(d time.Duration) {
-	s.ran += d
-	s.Sim.Run(s.ran)
+	// A background context never ends, so RunContext cannot fail.
+	_ = s.RunContext(context.Background(), d)
 }
 
 // ErrCancelled is the sentinel RunContext wraps when the context ends
@@ -281,18 +281,18 @@ func (s *Stack) Run(d time.Duration) {
 var ErrCancelled = errors.New("autoware: run cancelled")
 
 // runSlice is the virtual-time granularity at which RunContext polls
-// the context. Event order is identical to one uninterrupted Run — the
-// event loop pops strictly by (time, seq) either way — so slicing
-// changes cancellation latency, never a reported number.
+// the context. Event order is identical to one uninterrupted
+// Sim.Run — the event loop pops strictly by (time, seq) either way —
+// so slicing changes cancellation latency, never a reported number.
 const runSlice = 100 * time.Millisecond
 
-// RunContext is Run with cooperative cancellation: it advances the
-// drive in runSlice virtual steps, checking ctx between steps, and
+// RunContext advances the simulation by the given virtual duration
+// (cumulative across calls) with cooperative cancellation: it advances
+// the drive in runSlice virtual steps, checking ctx between steps, and
 // returns an error wrapping both ErrCancelled and ctx.Err() if the
 // context ends first. A fleet job deadline therefore stops in-flight
 // simulation within one slice of wall clock instead of leaking the
-// vehicle until drive end. Identical inputs run to completion produce
-// results byte-identical to Run.
+// vehicle until drive end.
 func (s *Stack) RunContext(ctx context.Context, d time.Duration) error {
 	target := s.ran + d
 	for s.ran < target {

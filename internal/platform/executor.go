@@ -117,8 +117,6 @@ type Executor struct {
 	// the fault-injection point for node stalls and crash windows. It
 	// runs after the input message is dequeued.
 	CallbackFilter func(node string, m *ros.Message, now time.Duration) CallbackVerdict
-	// OnCallbackDrop observes inputs consumed by a crash verdict.
-	OnCallbackDrop func(node string, m *ros.Message)
 
 	// ShedBudget, when positive, enables deadline-aware load shedding:
 	// at dispatch, a frame whose earliest sensor origin is already more
@@ -127,8 +125,6 @@ type Executor struct {
 	// it would only drag the tail further (COLA-style shedding). Shed
 	// counts surface per topic in the bus's TopicStats.
 	ShedBudget time.Duration
-	// OnShed observes frames consumed by the deadline shedder.
-	OnShed func(node string, m *ros.Message)
 
 	// Sched, when non-nil, enables the deadline scheduler: dispatch
 	// picks the ready (node, message) candidate with the earliest
@@ -376,7 +372,7 @@ func (e *Executor) schedDispatch() {
 		// Progress is guaranteed: every iteration either consumes the
 		// picked message (run, shed, drop) or marks the node busy
 		// (stall), and pickReady skips busy nodes.
-		e.startScheduled(rt, sub)
+		e.start(rt, sub.Queue.Pop())
 	}
 }
 
@@ -415,83 +411,54 @@ func (e *Executor) pickReady() (*nodeRuntime, *ros.Subscription) {
 	return bestRT, bestSub
 }
 
-// startScheduled pops the chosen input and runs the shed check (per-node
-// budget, falling back to the global one), the callback filter, and the
-// callback itself. Shed and drop verdicts consume the input and leave
-// the node idle; a stall marks it busy until the callback runs.
-func (e *Executor) startScheduled(rt *nodeRuntime, sub *ros.Subscription) {
-	msg := sub.Queue.Pop()
-	budget := e.Sched.NodeShedBudget(rt.node.Name())
-	if budget <= 0 {
-		budget = e.ShedBudget
+// tryDispatch starts the next callback on an idle node with input,
+// taking the oldest message across the node's queues (by publish
+// stamp). Shed and crash-drop verdicts leave the node idle, so it
+// keeps taking inputs until a callback starts or its queues are empty.
+func (e *Executor) tryDispatch(rt *nodeRuntime) {
+	for !rt.busy {
+		var bestSub *ros.Subscription
+		for _, sub := range rt.subs {
+			m := sub.Queue.Peek()
+			if m == nil {
+				continue
+			}
+			if bestSub == nil || m.Header.Stamp < bestSub.Queue.Peek().Header.Stamp {
+				bestSub = sub
+			}
+		}
+		if bestSub == nil {
+			return
+		}
+		e.start(rt, bestSub.Queue.Pop())
+	}
+}
+
+// start is the dispatch tail both dispatchers share, run on an input
+// just popped for an idle node: the deadline shed check (against the
+// scheduler's per-node budget when it sets one, else ShedBudget), then
+// the callback filter's crash-drop and stall verdicts, then the
+// callback. The popped message carries the queue's reference, and
+// every path ends in exactly one Release: here for shed and crash-drop
+// verdicts, which leave the node idle, in completeCallback once a
+// callback ran. A stall marks the node busy until the callback runs.
+func (e *Executor) start(rt *nodeRuntime, msg *ros.Message) {
+	name := rt.node.Name()
+	budget := e.ShedBudget
+	if e.Sched != nil {
+		if b := e.Sched.NodeShedBudget(name); b > 0 {
+			budget = b
+		}
 	}
 	if budget > 0 && e.overBudget(msg, budget) {
 		e.Bus.RecordShed(msg.Topic)
-		if e.OnShed != nil {
-			e.OnShed(rt.node.Name(), msg)
-		}
 		msg.Release()
 		return
 	}
 	if e.CallbackFilter != nil {
-		v := e.CallbackFilter(rt.node.Name(), msg, e.Sim.Now())
+		v := e.CallbackFilter(name, msg, e.Sim.Now())
 		if v.Drop {
-			if e.OnCallbackDrop != nil {
-				e.OnCallbackDrop(rt.node.Name(), msg)
-			}
 			msg.Release()
-			return
-		}
-		if v.Stall > 0 {
-			rt.busy = true
-			e.Sim.After(v.Stall, func() { e.runCallback(rt, msg) })
-			return
-		}
-	}
-	rt.busy = true
-	e.runCallback(rt, msg)
-}
-
-// tryDispatch starts the next callback on an idle node with input.
-func (e *Executor) tryDispatch(rt *nodeRuntime) {
-	if rt.busy {
-		return
-	}
-	// Oldest message across the node's queues (by publish stamp).
-	var bestSub *ros.Subscription
-	for _, sub := range rt.subs {
-		m := sub.Queue.Peek()
-		if m == nil {
-			continue
-		}
-		if bestSub == nil || m.Header.Stamp < bestSub.Queue.Peek().Header.Stamp {
-			bestSub = sub
-		}
-	}
-	if bestSub == nil {
-		return
-	}
-	// Pop transfers the queue's reference on the message to us; every
-	// path below must end in exactly one Release — here for shed and
-	// crash-drop verdicts, in completeCallback once a callback ran.
-	msg := bestSub.Queue.Pop()
-	if e.ShedBudget > 0 && e.overBudget(msg, e.ShedBudget) {
-		e.Bus.RecordShed(msg.Topic)
-		if e.OnShed != nil {
-			e.OnShed(rt.node.Name(), msg)
-		}
-		msg.Release()
-		e.tryDispatch(rt) // the next queued input, if any
-		return
-	}
-	if e.CallbackFilter != nil {
-		v := e.CallbackFilter(rt.node.Name(), msg, e.Sim.Now())
-		if v.Drop {
-			if e.OnCallbackDrop != nil {
-				e.OnCallbackDrop(rt.node.Name(), msg)
-			}
-			msg.Release()
-			e.tryDispatch(rt) // the next queued input, if any
 			return
 		}
 		if v.Stall > 0 {

@@ -3,7 +3,6 @@ package ros
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -30,11 +29,9 @@ type Subscription struct {
 //
 // Delivery is zero-copy: one pooled envelope per publication, shared
 // by pointer across every subscriber queue with one reference each
-// (see Pool). A Bus from NewBus is exclusive — owned by the
-// single-threaded simulator, its edges lock-free SPSC rings with no
-// synchronization at all. NewSharedBus yields a fabric safe for
-// concurrent publishers (the MPSC shim): publications serialize
-// through a bus mutex and edges use mutex-shimmed queues.
+// (see Pool). A Bus is owned by one goroutine — the single-threaded
+// simulator that publishes into it and drains it — so neither the bus
+// nor its queues synchronize.
 type Bus struct {
 	topics map[string]*topicState
 	// subsByNode indexes subscriptions per subscriber for executors.
@@ -49,9 +46,7 @@ type Bus struct {
 	// stats, when enabled, accumulates per-topic traffic counters.
 	stats *statsCollector
 
-	pool   *Pool
-	shared bool
-	mu     sync.Mutex
+	pool *Pool
 }
 
 type topicState struct {
@@ -69,30 +64,14 @@ func NewBus() *Bus {
 	}
 }
 
-// NewSharedBus creates a fabric safe for concurrent publishers and
-// consumers — the MPSC shim the fault injector's burst generator uses
-// when pushing from outside the simulator goroutine.
-func NewSharedBus() *Bus {
-	return &Bus{
-		topics:     make(map[string]*topicState),
-		subsByNode: make(map[string][]*Subscription),
-		pool:       NewSharedPool(),
-		shared:     true,
-	}
-}
-
 // Subscribe registers a subscriber queue on a topic, creating the topic
 // on first use.
 func (b *Bus) Subscribe(nodeName string, spec SubSpec) *Subscription {
-	if b.shared {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-	}
 	ts := b.topic(spec.Topic)
 	sub := &Subscription{
 		Topic:      spec.Topic,
 		Subscriber: nodeName,
-		Queue:      newQueue(spec.Depth, b.shared),
+		Queue:      NewQueue(spec.Depth),
 	}
 	ts.subs = append(ts.subs, sub)
 	b.subsByNode[nodeName] = append(b.subsByNode[nodeName], sub)
@@ -128,10 +107,6 @@ func (b *Bus) Publish(topic string, stamp time.Duration, payload any, origins []
 // once, and each subscriber queue holds one reference to the shared
 // envelope. The caller's reference from NewMessage is consumed.
 func (b *Bus) PublishMessage(m *Message) int {
-	if b.shared {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-	}
 	b.pool.advance()
 	ts := b.topic(m.Topic)
 	ts.seq++
@@ -168,10 +143,6 @@ func (b *Bus) PoolStats() PoolStats { return b.pool.Stats() }
 // queues across all topics — the transport's own outstanding
 // references.
 func (b *Bus) QueuedMessages() int {
-	if b.shared {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-	}
 	n := 0
 	for _, ts := range b.topics {
 		for _, sub := range ts.subs {
@@ -181,19 +152,12 @@ func (b *Bus) QueuedMessages() int {
 	return n
 }
 
-// SetObservers installs delivery/drop hooks (either may be nil),
-// replacing any previously installed. Layers that must coexist (tracing,
-// fault injection, watchdogs) should use Tap instead.
-func (b *Bus) SetObservers(onDeliver func(*Subscription, *Message), onDrop func(*Subscription, *Message)) {
-	b.onDeliver = onDeliver
-	b.onDrop = onDrop
-}
-
-// Tap registers additional delivery/drop observers that run after any
-// already installed, so independent layers can observe traffic without
-// clobbering each other. Either argument may be nil. Note onDeliver
-// fires once per (message, subscription) pair; observers that want one
-// event per publication should de-duplicate by header sequence number.
+// Tap registers delivery/drop observers that run after any already
+// installed, so independent layers (tracing, fault injection,
+// watchdogs) can observe traffic without clobbering each other. Either
+// argument may be nil. Note onDeliver fires once per (message,
+// subscription) pair; observers that want one event per publication
+// should de-duplicate by header sequence number.
 func (b *Bus) Tap(onDeliver func(*Subscription, *Message), onDrop func(*Subscription, *Message)) {
 	if onDeliver != nil {
 		prev := b.onDeliver
@@ -255,16 +219,6 @@ func (b *Bus) DropReports() []DropReport {
 		}
 		return out[i].Subscriber < out[j].Subscriber
 	})
-	return out
-}
-
-// Topics returns the sorted list of known topic names.
-func (b *Bus) Topics() []string {
-	out := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -85,10 +85,6 @@ func (m *Message) Retain() {
 	if p == nil {
 		return
 	}
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
 	if m.refs <= 0 {
 		panic(fmt.Sprintf("ros: retain of already-released message on topic %q (seq %d)", m.Topic, m.Header.Seq))
 	}
@@ -105,10 +101,6 @@ func (m *Message) Release() {
 	p := m.pool
 	if p == nil {
 		return
-	}
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
 	}
 	if m.refs <= 0 {
 		panic(fmt.Sprintf("ros: double release of message on topic %q (seq %d)", m.Topic, m.Header.Seq))
@@ -127,10 +119,6 @@ func (m *Message) addRefs(n int) {
 	p := m.pool
 	if p == nil || n == 0 {
 		return
-	}
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
 	}
 	m.refs += int32(n)
 	p.liveRefs += int64(n)

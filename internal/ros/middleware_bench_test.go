@@ -53,37 +53,25 @@ func BenchmarkBusPublishFanout(b *testing.B) {
 }
 
 // BenchmarkQueuePush measures a single bus-edge queue in push/pop
-// steady state. "exclusive" is the simulator hot path (what every bus
-// edge runs: no lock, no atomic read-modify-write); "shared" is the
-// MPSC shim paying a mutex per operation, measured uncontended. The
-// pre-rewrite queue paid the shared-mode cost on every edge even
-// though the simulator is single-threaded.
+// steady state: no lock, no atomic read-modify-write. The pre-rewrite
+// queue paid a mutex per operation on every edge even though the
+// simulator is single-threaded.
 func BenchmarkQueuePush(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		mk   func(int) *Queue
-	}{
-		{"exclusive", NewExclusiveQueue},
-		{"shared", NewQueue},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			q := mode.mk(4)
-			msgs := make([]*Message, 8)
-			for i := range msgs {
-				msgs[i] = &Message{Topic: "/t", Header: Header{Stamp: time.Duration(i)}}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Push(msgs[i%len(msgs)])
-				q.Pop()
-			}
-		})
+	q := NewQueue(4)
+	msgs := make([]*Message, 8)
+	for i := range msgs {
+		msgs[i] = &Message{Topic: "/t", Header: Header{Stamp: time.Duration(i)}}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Push(msgs[i%len(msgs)])
+		q.Pop()
 	}
 }
 
-// BenchmarkRingSteadyState measures the bare SPSC ring cycling through
-// wraparound — the primitive cost floor under every queue mode.
+// BenchmarkRingSteadyState measures the bare ring cycling through
+// wraparound — the primitive cost floor under every queue.
 func BenchmarkRingSteadyState(b *testing.B) {
 	var r ring
 	r.init(8)
@@ -96,10 +84,10 @@ func BenchmarkRingSteadyState(b *testing.B) {
 	}
 }
 
-// TestQueuePushZeroAlloc pins the exclusive fast path at zero
-// allocations per push/pop cycle — the simulator's per-message floor.
+// TestQueuePushZeroAlloc pins the queue at zero allocations per
+// push/pop cycle — the simulator's per-message floor.
 func TestQueuePushZeroAlloc(t *testing.T) {
-	q := NewExclusiveQueue(4)
+	q := NewQueue(4)
 	msgs := make([]*Message, 8)
 	for i := range msgs {
 		msgs[i] = &Message{Topic: "/t", Header: Header{Stamp: time.Duration(i)}}
@@ -110,7 +98,7 @@ func TestQueuePushZeroAlloc(t *testing.T) {
 		q.Pop()
 		i++
 	}); n != 0 {
-		t.Fatalf("exclusive Push/Pop allocated %v per op, want 0", n)
+		t.Fatalf("Push/Pop allocated %v per op, want 0", n)
 	}
 }
 

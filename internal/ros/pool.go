@@ -1,9 +1,6 @@
 package ros
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Pool recycles Message envelopes so the steady-state publish path
 // allocates nothing: the topic string, header, origin storage and
@@ -23,15 +20,9 @@ import (
 // during the publication that released it (an observer tap, a peeked
 // queue head) never sees the envelope rewritten mid-event.
 //
-// A Pool created by NewBus is exclusive: single-goroutine, zero
-// synchronization, matching the deterministic simulator. NewSharedBus
-// creates a shared pool whose reference operations serialize through a
-// mutex — the MPSC shim concurrent producers (the burst-republish race
-// tests) require.
+// A Pool belongs to its bus's goroutine and does no synchronization,
+// matching the deterministic simulator.
 type Pool struct {
-	shared bool
-	mu     sync.Mutex
-
 	free  []*Message
 	limbo [limboGenerations][]*Message
 	epoch uint64
@@ -46,11 +37,8 @@ type Pool struct {
 // so with rotation one spare bucket is needed.
 const limboGenerations = 3
 
-// NewPool creates an exclusive (single-goroutine) pool.
+// NewPool creates an empty pool.
 func NewPool() *Pool { return &Pool{} }
-
-// NewSharedPool creates a pool safe for concurrent use.
-func NewSharedPool() *Pool { return &Pool{shared: true} }
 
 // PoolStats is a point-in-time accounting snapshot.
 type PoolStats struct {
@@ -70,10 +58,6 @@ type PoolStats struct {
 
 // Stats returns the pool's accounting snapshot.
 func (p *Pool) Stats() PoolStats {
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
 	idle := len(p.free)
 	for _, g := range p.limbo {
 		idle += len(g)
@@ -91,10 +75,6 @@ func (p *Pool) Stats() PoolStats {
 // populated and the origin lineage copied into pool-owned storage (so
 // the envelope never aliases a caller slice across recycling).
 func (p *Pool) get(topic string, stamp time.Duration, payload any, origins []Origin) *Message {
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
 	var m *Message
 	if n := len(p.free); n > 0 {
 		m = p.free[n-1]
@@ -120,10 +100,6 @@ func (p *Pool) get(topic string, stamp time.Duration, payload any, origins []Ori
 // advance rotates the reclamation epoch: envelopes retired two epochs
 // ago rejoin the free list.
 func (p *Pool) advance() {
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
 	p.epoch++
 	b := (p.epoch + 1) % limboGenerations
 	if len(p.limbo[b]) > 0 {
@@ -136,7 +112,7 @@ func (p *Pool) advance() {
 }
 
 // retire parks a zero-reference envelope in the current limbo
-// generation. Caller holds the pool lock in shared mode.
+// generation.
 func (p *Pool) retire(m *Message) {
 	p.liveMsgs--
 	m.Payload = nil

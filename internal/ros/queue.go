@@ -1,7 +1,5 @@
 package ros
 
-import "sync"
-
 // Queue is a bounded queue of messages with ROS subscriber semantics:
 // when a new message arrives at a full queue, the oldest queued message
 // is dropped to make room. Dropped and delivered counts feed the
@@ -14,27 +12,16 @@ import "sync"
 // arrival order among equals), so Peek/Pop always yield the oldest
 // stamp and drop-oldest always evicts it. For in-order streams this is
 // plain FIFO at O(1); it only differs — and only deterministically —
-// when stamps arrive out of order (skewed clocks, concurrent pushers),
+// when stamps arrive out of order (skewed clocks, uneven transport delays),
 // where arrival-order FIFO used to let a newer frame block an older one
 // and drop-oldest could evict the wrong frame.
 //
-// The storage is a lock-free SPSC ring (see ring.go). Two constructors
-// select the synchronization mode:
-//
-//   - NewQueue keeps the historical "safe for concurrent use" contract
-//     by serializing every operation through a mutex — the MPSC shim
-//     that lets multiple goroutines (the burst-republish race tests,
-//     external tools) push into one subscriber.
-//   - NewExclusiveQueue is the simulator hot path: a single goroutine
-//     owns both ends, so push/pop run with no lock and no atomic
-//     read-modify-write at all — the fix for the old queue paying a
-//     mutex acquire/release per message on a single-threaded run.
+// The storage is a ring buffer (see ring.go) owned, like the bus, by a
+// single goroutine: push and pop take no lock and run no atomic
+// instruction.
 type Queue struct {
 	r     ring
 	depth int // 0 = unbounded
-
-	shared bool
-	mu     sync.Mutex
 
 	delivered uint64 // total pushes that ultimately got consumed or queued
 	dropped   uint64 // messages evicted before consumption
@@ -42,15 +29,8 @@ type Queue struct {
 }
 
 // NewQueue creates a queue with the given depth; 0 means unbounded.
-// Negative depths panic. The queue is safe for concurrent use.
-func NewQueue(depth int) *Queue { return newQueue(depth, true) }
-
-// NewExclusiveQueue creates a queue owned by a single goroutine: all
-// operations run without synchronization. The deterministic simulator
-// uses this mode for every bus edge.
-func NewExclusiveQueue(depth int) *Queue { return newQueue(depth, false) }
-
-func newQueue(depth int, shared bool) *Queue {
+// Negative depths panic.
+func NewQueue(depth int) *Queue {
 	if depth < 0 {
 		panic("ros: queue depth must be >= 0")
 	}
@@ -58,7 +38,7 @@ func newQueue(depth int, shared bool) *Queue {
 	if depth == 0 {
 		capacity = 8 // initial storage for the unbounded case
 	}
-	q := &Queue{depth: depth, shared: shared}
+	q := &Queue{depth: depth}
 	q.r.init(capacity)
 	return q
 }
@@ -69,16 +49,6 @@ func newQueue(depth int, shared bool) *Queue {
 // by the evicted message; the bus releases it after the drop observers
 // have run.
 func (q *Queue) Push(m *Message) *Message {
-	if q.shared {
-		q.mu.Lock()
-		evicted := q.push(m)
-		q.mu.Unlock()
-		return evicted
-	}
-	return q.push(m)
-}
-
-func (q *Queue) push(m *Message) *Message {
 	q.arrived++
 	var evicted *Message
 	if q.depth > 0 {
@@ -89,7 +59,7 @@ func (q *Queue) push(m *Message) *Message {
 	} else if q.r.full() {
 		q.r.grow()
 	}
-	// In-order arrival (the overwhelmingly common case) is a plain SPSC
+	// In-order arrival (the overwhelmingly common case) is a plain
 	// append; only out-of-order stamps pay for the sorted insert.
 	if last := q.r.newest(); last == nil || last.Header.Stamp <= m.Header.Stamp {
 		q.r.tryPush(m)
@@ -103,16 +73,6 @@ func (q *Queue) push(m *Message) *Message {
 // queue's reference to a pooled message transfers to the caller, who
 // must Release it when done.
 func (q *Queue) Pop() *Message {
-	if q.shared {
-		q.mu.Lock()
-		m := q.pop()
-		q.mu.Unlock()
-		return m
-	}
-	return q.pop()
-}
-
-func (q *Queue) pop() *Message {
 	m := q.r.pop()
 	if m != nil {
 		q.delivered++
@@ -122,45 +82,21 @@ func (q *Queue) pop() *Message {
 
 // Peek returns the oldest message without removing it, or nil. The
 // queue keeps its reference; the returned message is a borrow.
-func (q *Queue) Peek() *Message {
-	if q.shared {
-		q.mu.Lock()
-		m := q.r.peek()
-		q.mu.Unlock()
-		return m
-	}
-	return q.r.peek()
-}
+func (q *Queue) Peek() *Message { return q.r.peek() }
 
 // Len returns the number of queued messages.
-func (q *Queue) Len() int {
-	if q.shared {
-		q.mu.Lock()
-		n := q.r.len()
-		q.mu.Unlock()
-		return n
-	}
-	return q.r.len()
-}
+func (q *Queue) Len() int { return q.r.len() }
 
 // Depth returns the configured capacity (0 = unbounded).
 func (q *Queue) Depth() int { return q.depth }
 
 // Stats returns (arrived, delivered, dropped) counts.
 func (q *Queue) Stats() (arrived, delivered, dropped uint64) {
-	if q.shared {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-	}
 	return q.arrived, q.delivered, q.dropped
 }
 
 // DropRate returns dropped/arrived in [0, 1]; 0 when nothing arrived.
 func (q *Queue) DropRate() float64 {
-	if q.shared {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-	}
 	if q.arrived == 0 {
 		return 0
 	}

@@ -1,26 +1,19 @@
 package ros
 
-import "sync/atomic"
-
-// ring is a Lamport single-producer/single-consumer ring buffer of
-// messages: a power-of-two slot array indexed by two monotonically
-// increasing cursors. The producer owns tail, the consumer owns head,
-// and each side publishes its cursor with an atomic store after it is
-// done touching slots — no lock, no compare-and-swap, no fetch-and-add
-// anywhere on the push/pop path. That makes push/pop safe across two
-// goroutines (one per role) and free of contention when, as in the
-// single-threaded simulator, both roles are the same goroutine.
+// ring is the slot store under a subscriber queue: a power-of-two
+// array of messages indexed by two monotonically increasing cursors,
+// head (next slot to pop) and tail (next slot to fill). The cursors
+// only ever grow, so wraparound is a mask, and len is tail-head.
 //
-// The extended operations a ROS subscriber queue needs — drop-oldest
-// eviction, stamp-ordered insertion, unbounded growth — rewrite
-// interior slots or move both cursors, so they are exclusive-access
-// only: either both roles belong to one goroutine (the simulator hot
-// path) or the caller serializes externally (the Queue's MPSC shim).
+// Beyond FIFO push/pop, a ROS subscriber queue needs drop-oldest
+// eviction, stamp-ordered insertion and unbounded growth; those
+// rewrite interior slots or move both cursors. Like the queue that
+// wraps it, a ring is owned by one goroutine.
 type ring struct {
 	buf  []*Message
 	mask uint64
-	head atomic.Uint64 // consumer cursor: next slot to pop
-	tail atomic.Uint64 // producer cursor: next slot to fill
+	head uint64 // next slot to pop
+	tail uint64 // next slot to fill
 }
 
 // init sizes the ring to hold at least capacity elements.
@@ -34,68 +27,56 @@ func (r *ring) init(capacity int) {
 }
 
 // len reports the number of queued elements.
-func (r *ring) len() int { return int(r.tail.Load() - r.head.Load()) }
+func (r *ring) len() int { return int(r.tail - r.head) }
 
 // full reports whether every slot is occupied.
-func (r *ring) full() bool { return r.tail.Load()-r.head.Load() == uint64(len(r.buf)) }
+func (r *ring) full() bool { return r.tail-r.head == uint64(len(r.buf)) }
 
-// tryPush appends m. Producer-side; returns false when the ring is
-// full. The slot write happens before the tail store, so a consumer
-// that observes the new tail also observes the slot.
+// tryPush appends m; it returns false when the ring is full.
 func (r *ring) tryPush(m *Message) bool {
-	t := r.tail.Load()
-	if t-r.head.Load() == uint64(len(r.buf)) {
+	if r.full() {
 		return false
 	}
-	r.buf[t&r.mask] = m
-	r.tail.Store(t + 1)
+	r.buf[r.tail&r.mask] = m
+	r.tail++
 	return true
 }
 
-// pop removes and returns the oldest element, or nil when empty.
-// Consumer-side; the slot is cleared before the head store, so a
-// producer that observes the advanced head may safely reuse the slot.
+// pop removes and returns the oldest element, or nil when empty. The
+// slot is cleared so the ring keeps no stale pointer alive.
 func (r *ring) pop() *Message {
-	h := r.head.Load()
-	if h == r.tail.Load() {
+	if r.head == r.tail {
 		return nil
 	}
-	m := r.buf[h&r.mask]
-	r.buf[h&r.mask] = nil
-	r.head.Store(h + 1)
+	m := r.buf[r.head&r.mask]
+	r.buf[r.head&r.mask] = nil
+	r.head++
 	return m
 }
 
-// peek returns the oldest element without removing it. Consumer-side.
+// peek returns the oldest element without removing it.
 func (r *ring) peek() *Message {
-	h := r.head.Load()
-	if h == r.tail.Load() {
+	if r.head == r.tail {
 		return nil
 	}
-	return r.buf[h&r.mask]
+	return r.buf[r.head&r.mask]
 }
 
 // newest returns the most recently pushed element, or nil when empty.
-// Exclusive access only: the newest slot is exactly the one a
-// concurrent consumer could be clearing when the ring holds a single
-// element.
 func (r *ring) newest() *Message {
-	t := r.tail.Load()
-	if t == r.head.Load() {
+	if r.head == r.tail {
 		return nil
 	}
-	return r.buf[(t-1)&r.mask]
+	return r.buf[(r.tail-1)&r.mask]
 }
 
 // insertSorted places m before every queued element with a strictly
 // later stamp — the out-of-order arrival path of the stamp-ordered
 // queue contract (stable for equal stamps: insertion stops at <=).
-// Exclusive access only. The caller ensures the ring is not full.
+// The caller ensures the ring is not full.
 func (r *ring) insertSorted(m *Message) {
-	h := r.head.Load()
-	t := r.tail.Load()
-	i := t
-	for i > h {
+	i := r.tail
+	for i > r.head {
 		prev := r.buf[(i-1)&r.mask]
 		if prev.Header.Stamp <= m.Header.Stamp {
 			break
@@ -104,22 +85,20 @@ func (r *ring) insertSorted(m *Message) {
 		i--
 	}
 	r.buf[i&r.mask] = m
-	r.tail.Store(t + 1)
+	r.tail++
 }
 
 // grow doubles the slot array, unrolling so the oldest element lands
-// at index 0 — the unbounded (queue_size=0) growth path. Exclusive
-// access only.
+// at index 0 — the unbounded (queue_size=0) growth path.
 func (r *ring) grow() {
 	old := r.buf
-	h := r.head.Load()
-	n := r.tail.Load() - h
+	n := r.tail - r.head
 	next := make([]*Message, 2*len(old))
 	for i := uint64(0); i < n; i++ {
-		next[i] = old[(h+i)&r.mask]
+		next[i] = old[(r.head+i)&r.mask]
 	}
 	r.buf = next
 	r.mask = uint64(len(next) - 1)
-	r.head.Store(0)
-	r.tail.Store(n)
+	r.head = 0
+	r.tail = n
 }

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// FuzzRingPushPop drives an exclusive queue (the ring plus its
+// FuzzRingPushPop drives a queue (the ring plus its
 // drop-oldest / stamp-sort / unbounded-growth extensions) against a
 // straight-line slice model of the ROS subscriber contract, with
 // op-stream-controlled stamps so sorted inserts, equal-stamp
@@ -20,7 +20,7 @@ func FuzzRingPushPop(f *testing.F) {
 	f.Add([]byte{8, 8, 8, 8, 2, 1, 8, 8}, uint8(1))             // depth-1 churn
 	f.Fuzz(func(t *testing.T, ops []byte, depthRaw uint8) {
 		depth := int(depthRaw % 9) // 0..8
-		q := newQueue(depth, false)
+		q := NewQueue(depth)
 		var model []*Message
 		var seq uint64
 		for _, op := range ops {

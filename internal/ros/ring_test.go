@@ -1,8 +1,6 @@
 package ros
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -107,46 +105,5 @@ func TestRingGrow(t *testing.T) {
 		if got := r.pop(); got != want {
 			t.Fatalf("pop = %v, want %v", got, want)
 		}
-	}
-}
-
-// TestRingSPSCConcurrent proves the lock-free claim under the race
-// detector: one producer goroutine, one consumer goroutine, no
-// synchronization beyond the ring's own cursors. Every message must
-// arrive exactly once, in order.
-func TestRingSPSCConcurrent(t *testing.T) {
-	var r ring
-	r.init(8)
-	const n = 100000
-	msgs := make([]*Message, n)
-	for i := range msgs {
-		msgs[i] = &Message{Header: Header{Seq: uint64(i)}}
-	}
-	done := make(chan string, 1)
-	go func() {
-		for i := 0; i < n; {
-			m := r.pop()
-			if m == nil {
-				runtime.Gosched() // spin: producer is behind
-				continue
-			}
-			if m.Header.Seq != uint64(i) {
-				done <- fmt.Sprintf("out of order: got seq %d at position %d", m.Header.Seq, i)
-				return
-			}
-			i++
-		}
-		done <- ""
-	}()
-	for _, m := range msgs {
-		for !r.tryPush(m) {
-			runtime.Gosched() // spin: consumer is behind
-		}
-	}
-	if err := <-done; err != "" {
-		t.Fatal(err)
-	}
-	if r.len() != 0 {
-		t.Fatalf("residual len = %d", r.len())
 	}
 }

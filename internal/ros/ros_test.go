@@ -150,7 +150,7 @@ func TestBusObservers(t *testing.T) {
 	b := NewBus()
 	b.Subscribe("n", SubSpec{Topic: "/t", Depth: 1})
 	var delivers, drops int
-	b.SetObservers(
+	b.Tap(
 		func(sub *Subscription, m *Message) { delivers++ },
 		func(sub *Subscription, m *Message) { drops++ },
 	)

@@ -1,12 +1,13 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/autoware"
-	"repro/internal/hdmap"
 	"repro/internal/parallel"
+	"repro/internal/testenv"
 	"repro/internal/world"
 )
 
@@ -66,13 +67,7 @@ func TestGeneratedScenarioWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		scen, err := world.BuildScenario(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		mc := hdmap.DefaultConfig()
-		mc.ScanSpacing = 10
-		m, err := hdmap.Build(scen, mc)
+		scen, m, err := buildEnv(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -95,5 +90,34 @@ func TestGeneratedScenarioWorkerInvariance(t *testing.T) {
 				t.Errorf("seed %d: fingerprint diverged between 1 and %d workers", seed, workers)
 			}
 		}
+	}
+}
+
+// TestBuildEnvUsesSpecWorld pins the environment the self-building
+// entry points (Run, Tune) drive in: a pinned generated scenario gets
+// the city and HD map of its own world config, never the scripted
+// default's — a fault profile pinned on a generated city means nothing
+// applied to another one.
+func TestBuildEnvUsesSpecWorld(t *testing.T) {
+	spec, err := ByName("gen-fog-stall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scen, m, err := buildEnv(spec.worldConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := world.BuildScenario(*spec.World)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scen.City, want.City) {
+		t.Errorf("%s: environment city differs from its world config's city", spec.Name)
+	}
+	if reflect.DeepEqual(scen.City, testenv.Scenario().City) {
+		t.Errorf("%s: environment is the scripted default city", spec.Name)
+	}
+	if m.Scans == testenv.Map().Scans && m.Cloud.Len() == testenv.Map().Cloud.Len() {
+		t.Errorf("%s: HD map matches the scripted default city's map", spec.Name)
 	}
 }

@@ -58,8 +58,9 @@ type Spec struct {
 	// World, when non-nil, replaces the scripted default drive with a
 	// procedurally generated parameterization (see world.Generate and
 	// internal/search): traffic mix, pedestrian bursts, weather, city
-	// topology. Run builds the environment from it; RunWithEnv callers
-	// must pass an environment built from the same config.
+	// topology. Run and Tune build the environment from it; RunWithEnv
+	// and TuneWithEnv callers must pass an environment built from the
+	// same config.
 	World *world.ScenarioConfig
 }
 
@@ -374,19 +375,31 @@ func (r *Result) NodeStat(node string) (NodeStat, bool) {
 	return NodeStat{}, false
 }
 
-// Run executes the scenario over a freshly built environment. Building
-// the scenario's HD map dominates wall time; tests with a cached
-// environment should use RunWithEnv.
-func Run(spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
-	scen, err := world.BuildScenario(spec.worldConfig())
+// buildEnv builds the environment a drive parameterization resolves
+// to: its world and the HD map surveyed from it. Every entry point that
+// builds its own environment goes through here, so a spec's world
+// config always reaches the city its stacks drive in.
+func buildEnv(wcfg world.ScenarioConfig) (*world.Scenario, *hdmap.Map, error) {
+	scen, err := world.BuildScenario(wcfg)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: building world: %w", err)
+		return nil, nil, fmt.Errorf("scenario: building world: %w", err)
 	}
 	mc := hdmap.DefaultConfig()
 	mc.ScanSpacing = 10
 	m, err := hdmap.Build(scen, mc)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: building map: %w", err)
+		return nil, nil, fmt.Errorf("scenario: building map: %w", err)
+	}
+	return scen, m, nil
+}
+
+// Run executes the scenario over a freshly built environment. Building
+// the scenario's HD map dominates wall time; tests with a cached
+// environment should use RunWithEnv.
+func Run(spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
+	scen, m, err := buildEnv(spec.worldConfig())
+	if err != nil {
+		return nil, err
 	}
 	return RunWithEnv(scen, m, spec, det, duration)
 }

@@ -130,15 +130,9 @@ func TestTransportGoldenReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range generated {
-		scen, err := world.BuildScenario(*spec.World)
+		scen, m, err := buildEnv(*spec.World)
 		if err != nil {
-			t.Fatalf("%s: building world: %v", spec.Name, err)
-		}
-		mc := hdmap.DefaultConfig()
-		mc.ScanSpacing = 10
-		m, err := hdmap.Build(scen, mc)
-		if err != nil {
-			t.Fatalf("%s: building map: %v", spec.Name, err)
+			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		genBaseline, err := buildStack(scen, m, autoware.DetectorSSD300, false, 0, spec.worldConfig())
 		if err != nil {

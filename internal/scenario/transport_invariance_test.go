@@ -12,7 +12,7 @@ import (
 )
 
 // TestTransportWorkerInvariance pins the determinism contract of the
-// lock-free transport under the one knob that changes real parallelism:
+// zero-copy transport under the one knob that changes real parallelism:
 // the worker budget. The queue-burst scenario (guard and supervisor on,
 // faults active) must produce a bit-exact trace — every node and path
 // latency sample, plus the rendered report — whether the compute

@@ -62,12 +62,9 @@ type TuneReport struct {
 // candidate schedules and report the one minimizing worst-path p99.
 // Building the HD map dominates wall time; see TuneWithEnv for reuse.
 func Tune(spec Spec, det autoware.Detector, duration time.Duration, searchSeed uint64) (*TuneReport, error) {
-	scen := world.NewScenario(world.DefaultScenarioConfig())
-	mc := hdmap.DefaultConfig()
-	mc.ScanSpacing = 10
-	m, err := hdmap.Build(scen, mc)
+	scen, m, err := buildEnv(spec.worldConfig())
 	if err != nil {
-		return nil, fmt.Errorf("scenario: building map: %w", err)
+		return nil, err
 	}
 	return TuneWithEnv(scen, m, spec, det, duration, searchSeed)
 }
