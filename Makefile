@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench-smoke fuzz-smoke chaos-smoke corruption-smoke bench-middleware bus-stress sched-smoke search-smoke fleet-smoke journal-smoke docs-lint
+.PHONY: build test race vet bench-check bench-smoke fuzz-smoke chaos-smoke corruption-smoke bench-middleware bus-stress sched-smoke search-smoke fleet-smoke journal-smoke docs-lint
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Vet and test the benchmark. cmd/bench is a nested module, so the
+# root build, vet and test never compile it; without this target a
+# change to an export it uses would break only the benchmark.
+bench-check:
+	cd cmd/bench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test -count=1 ./...
 
 # Short fuzzing pass over the repo's codecs: rosbag, ring, guard
 # payloads, and the scenario-params line (seed corpora are checked in

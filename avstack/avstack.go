@@ -6,6 +6,11 @@
 // utilization, power, message drops — plus the one-call characterizer
 // that regenerates every table and figure.
 //
+// Run-time layers — fault injection, supervision, deadline shedding,
+// the graceful-degradation watchdog and the deadline scheduler — are
+// installed by AttachLayers, the one place that wires them, in the
+// order the executor's chained hooks depend on.
+//
 // Quick start:
 //
 //	sys, err := avstack.NewSystem(avstack.DetectorSSD512)
@@ -22,7 +27,6 @@ import (
 	"repro/internal/autoware"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/faults"
 	"repro/internal/geom"
 	"repro/internal/mathx"
 	"repro/internal/msgs"
@@ -67,6 +71,11 @@ type Options struct {
 	// pedestrian bursts, weather profile, city topology. Nil keeps the
 	// scripted default. See world.Generate and world.ParseParams.
 	Scenario *world.ScenarioConfig
+	// Guard builds the input-integrity layer into the stack: payload
+	// validation and time sanitization at the bus boundary quarantine
+	// corrupted frames before any node sees them. On clean input it
+	// changes nothing — reports stay byte-identical to an unguarded run.
+	Guard bool
 }
 
 // System is an assembled, runnable stack.
@@ -105,6 +114,7 @@ func NewSystemWithOptions(det Detector, opts Options) (*System, error) {
 		cfg.Scenario.LeadVehicle = true
 	}
 	cfg.MapFile = opts.MapFile
+	cfg.Guard = opts.Guard
 	stack, err := autoware.Build(cfg)
 	if err != nil {
 		return nil, err
@@ -161,27 +171,33 @@ func (s *System) Utilization() []power.UtilizationRow {
 // DegradedInterval is one recorded graceful-degradation window.
 type DegradedInterval = trace.DegradedInterval
 
-// AttachFaults wires a fault injector into the running system. Call
-// before Run; the injector's schedule then perturbs the drive
-// deterministically (see internal/faults). Message-losing verdicts
-// (drop, crash) are recorded in the trace so reports can distinguish
-// "dropped by an injected fault" from "never produced".
-func (s *System) AttachFaults(in *faults.Injector) {
-	in.SetLossRecorder(s.stack.Recorder)
-	in.Attach(s.stack.Executor, s.stack.Bus)
-}
-
-// AttachWatchdog installs the graceful-degradation layer and starts it.
-func (s *System) AttachWatchdog(cfg WatchdogConfig) *Watchdog {
-	w := NewWatchdog(s.stack, cfg)
-	w.Attach()
-	return w
-}
-
 // DegradedIntervals returns recorded degradation windows (empty without
 // an attached watchdog).
 func (s *System) DegradedIntervals() []DegradedInterval {
 	return s.stack.Recorder.DegradedIntervals()
+}
+
+// Outage is one recorded node outage: detection, restarts, frames lost,
+// recovery, and checkpoint restoration.
+type Outage = trace.Outage
+
+// Outages returns recorded node outages (empty without supervision).
+func (s *System) Outages() []Outage { return s.stack.Recorder.Outages() }
+
+// FaultLoss is one aggregate of fault-induced message losses.
+type FaultLoss = trace.FaultLoss
+
+// FaultLosses returns aggregate fault-induced message losses (empty
+// without injected faults).
+func (s *System) FaultLosses() []FaultLoss { return s.stack.Recorder.FaultLosses() }
+
+// IntegrityEvent is one aggregated quarantine record from the trace.
+type IntegrityEvent = trace.IntegrityEvent
+
+// IntegrityEvents returns the aggregated quarantine record (empty
+// without the guard or on clean input).
+func (s *System) IntegrityEvents() []IntegrityEvent {
+	return s.stack.Recorder.IntegrityEvents()
 }
 
 // DropReport is one dropped-message statistic row.

@@ -73,6 +73,17 @@ func TestSystemPerceptionState(t *testing.T) {
 	}
 }
 
+func TestAttachLayersZeroAndInvalid(t *testing.T) {
+	s := system(t)
+	if inj, err := s.AttachLayers(Layers{}); inj != nil || err != nil {
+		t.Errorf("zero Layers = %v, %v; want no injector and no error", inj, err)
+	}
+	bad := Layers{Watch: WatchdogConfig{Policies: []WatchPolicy{{Node: "n", Timeout: time.Second}}}}
+	if _, err := s.AttachLayers(bad); err == nil {
+		t.Error("a watch policy without a topic was accepted")
+	}
+}
+
 func TestOptionsValidation(t *testing.T) {
 	if _, err := NewSystemWithOptions(DetectorSSD300, Options{VisionOnly: true, WithPlanning: true}); err == nil {
 		t.Error("conflicting options should fail")

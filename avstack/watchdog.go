@@ -1,6 +1,7 @@
 package avstack
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/autoware"
@@ -52,11 +53,11 @@ type WatchdogConfig struct {
 	Policies []WatchPolicy
 }
 
-// Watchdog is the graceful-degradation layer: it detects stale node
+// watchdog is the graceful-degradation layer: it detects stale node
 // outputs via header stamps, applies per-node fallback policies while
 // the fault persists, and records recovery once fresh output resumes.
 // Degraded intervals are surfaced through the stack's trace recorder.
-type Watchdog struct {
+type watchdog struct {
 	stack  *autoware.Stack
 	period time.Duration
 	states []*watchState
@@ -76,30 +77,27 @@ type watchState struct {
 	degraded bool
 }
 
-// NewWatchdog builds the layer over an assembled stack. Call Attach to
-// start it; policies with an empty topic or node are invalid and panic.
-func NewWatchdog(stack *autoware.Stack, cfg WatchdogConfig) *Watchdog {
+// attachWatchdog builds the layer over a stack, taps the bus and starts
+// the periodic staleness check. A policy without a node, topic or
+// timeout is an error.
+func attachWatchdog(stack *autoware.Stack, cfg WatchdogConfig) error {
 	period := cfg.Period
 	if period <= 0 {
 		period = 100 * time.Millisecond
 	}
-	w := &Watchdog{stack: stack, period: period}
-	for _, p := range cfg.Policies {
+	w := &watchdog{stack: stack, period: period}
+	for i, p := range cfg.Policies {
 		if p.Node == "" || p.Topic == "" || p.Timeout <= 0 {
-			panic("avstack: watch policy needs node, topic and timeout")
+			return fmt.Errorf("avstack: watch policy %d needs node, topic and timeout", i)
 		}
 		w.states = append(w.states, &watchState{
 			policy:  p,
 			pending: make(map[any]int),
 		})
 	}
-	return w
-}
-
-// Attach taps the bus and starts the periodic staleness check.
-func (w *Watchdog) Attach() {
-	w.stack.Bus.Tap(w.observeDeliver, nil)
-	w.stack.Sim.After(w.period, w.tick)
+	stack.Bus.Tap(w.observeDeliver, nil)
+	stack.Sim.After(w.period, w.tick)
+	return nil
 }
 
 // observeDeliver tracks fresh publications on watched topics,
@@ -110,7 +108,7 @@ func (w *Watchdog) Attach() {
 // of the tap; this method copies out the stamp and the payload pointer
 // (payloads are never pooled or recycled, so lastGood stays valid) and
 // must never retain m itself without m.Retain().
-func (w *Watchdog) observeDeliver(sub *ros.Subscription, m *ros.Message) {
+func (w *watchdog) observeDeliver(sub *ros.Subscription, m *ros.Message) {
 	for _, st := range w.states {
 		if st.policy.Topic != sub.Topic || m.Header.Seq == st.lastSeq {
 			continue
@@ -131,7 +129,7 @@ func (w *Watchdog) observeDeliver(sub *ros.Subscription, m *ros.Message) {
 }
 
 // tick runs one staleness check over every watched node.
-func (w *Watchdog) tick() {
+func (w *watchdog) tick() {
 	now := w.stack.Sim.Now()
 	rec := w.stack.Recorder
 	for _, st := range w.states {
@@ -156,7 +154,7 @@ func (w *Watchdog) tick() {
 
 // substitute publishes one fallback output per check period while
 // degraded (except under skip-frame, which stays silent).
-func (w *Watchdog) substitute(st *watchState) {
+func (w *watchdog) substitute(st *watchState) {
 	if st.policy.Policy == FallbackSkipFrame || st.lastGood == nil {
 		return
 	}
@@ -167,9 +165,4 @@ func (w *Watchdog) substitute(st *watchState) {
 	st.pending[payload]++
 	w.stack.Executor.Publish(st.policy.Topic, payload)
 	w.stack.Recorder.OnSubstitute(st.policy.Node)
-}
-
-// DegradedIntervals returns the recorded degradation windows.
-func (w *Watchdog) DegradedIntervals() []DegradedInterval {
-	return w.stack.Recorder.DegradedIntervals()
 }

@@ -59,7 +59,6 @@ import (
 	"time"
 
 	"repro/avstack"
-	"repro/internal/faults"
 	"repro/internal/parallel"
 	"repro/internal/scenario"
 	"repro/internal/world"
@@ -137,57 +136,30 @@ func main() {
 	}
 
 	fmt.Println("assembling stack (map synthesis takes a few seconds)...")
+	guarded := *guardFlag || spec.Guard
 	sys, err := avstack.NewSystemWithOptions(avstack.Detector(*detector), avstack.Options{
 		WithPlanning: *planning,
 		Scenario:     wcfg,
+		Guard:        guarded,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "avsim:", err)
 		os.Exit(1)
 	}
-
-	guarded := *guardFlag || spec.Guard
 	if guarded {
-		sys.EnableGuard(avstack.GuardConfig{})
 		fmt.Println("input-integrity guard attached")
 	}
 
-	var injector *faults.Injector
-	if *faultsFlag != "" {
-		injector, err = faults.New(spec.Schedule())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "avsim:", err)
-			os.Exit(1)
-		}
-		sys.AttachFaults(injector)
-		if len(spec.Watch) > 0 {
-			sys.AttachWatchdog(avstack.WatchdogConfig{
-				Period:   spec.WatchPeriod,
-				Policies: spec.Watch,
-			})
-		}
-		fmt.Printf("chaos scenario %q armed:\n", spec.Name)
-		for _, f := range spec.Faults {
-			fmt.Printf("  %s\n", f)
-		}
+	// The spec's layers; -supervise and -sched add theirs, and a -shed
+	// budget replaces the spec's.
+	layers := avstack.Layers{
+		Faults:     spec.Schedule(),
+		Supervise:  *supervise || spec.Supervise,
+		ShedBudget: *shed,
+		Watch:      avstack.WatchdogConfig{Period: spec.WatchPeriod, Policies: spec.Watch},
 	}
-
-	// Spec-requested supervision/shedding unless overridden by flags.
-	if *supervise || spec.Supervise {
-		// After AttachFaults, so the supervisor observes crash verdicts.
-		if _, err := sys.Supervise(spec.Seed); err != nil {
-			fmt.Fprintln(os.Stderr, "avsim:", err)
-			os.Exit(1)
-		}
-		fmt.Println("supervision layer attached")
-	}
-	budget := *shed
-	if budget == 0 {
-		budget = spec.ShedBudget
-	}
-	if budget > 0 {
-		sys.EnableShedding(budget)
-		fmt.Printf("deadline shedding armed: budget=%v\n", budget)
+	if layers.ShedBudget == 0 {
+		layers.ShedBudget = spec.ShedBudget
 	}
 	if *schedFlag || spec.Sched != nil {
 		knobs := scenario.ContentionTunedKnobs()
@@ -196,9 +168,28 @@ func main() {
 		}
 		// Single-stack run: no profiling leg, so criticality is nil and
 		// the priority tie-break degrades to registration order.
-		sys.AttachScheduler(nil, knobs)
+		layers.Sched = &knobs
+	}
+	injector, err := sys.AttachLayers(layers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "avsim:", err)
+		os.Exit(1)
+	}
+	if injector != nil {
+		fmt.Printf("chaos scenario %q armed:\n", spec.Name)
+		for _, f := range spec.Faults {
+			fmt.Printf("  %s\n", f)
+		}
+	}
+	if layers.Supervise {
+		fmt.Println("supervision layer attached")
+	}
+	if layers.ShedBudget > 0 {
+		fmt.Printf("deadline shedding armed: budget=%v\n", layers.ShedBudget)
+	}
+	if k := layers.Sched; k != nil {
 		fmt.Printf("deadline scheduler attached: priorities=%t shed=%v max_inflight=%d\n",
-			knobs.UsePriorities, knobs.ShedBudget, knobs.MaxInflight)
+			k.UsePriorities, k.ShedBudget, k.MaxInflight)
 	}
 
 	for elapsed := time.Duration(0); elapsed < *duration; {
@@ -285,7 +276,7 @@ func main() {
 		}
 	}
 
-	if *supervise || spec.Supervise {
+	if layers.Supervise {
 		fmt.Println("\n--- supervised outages ---")
 		outages := sys.Outages()
 		if len(outages) == 0 {
@@ -301,7 +292,7 @@ func main() {
 		}
 	}
 
-	if budget > 0 {
+	if layers.ShedBudget > 0 {
 		fmt.Println("\n--- deadline-shed frames ---")
 		any := false
 		for _, t := range sys.Topics() {

@@ -14,7 +14,8 @@ import (
 // burst and contention activity off the simulation clock. All of its
 // decisions are functions of (schedule, seed, dispatch order), so a
 // deterministic simulation stays deterministic with the injector
-// attached.
+// attached. avstack.AttachLayers installs it as the first run-time
+// layer, so every later layer's filter chains in front of its verdicts.
 type Injector struct {
 	sched Schedule
 	sim   *platform.Sim

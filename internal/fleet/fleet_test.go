@@ -559,6 +559,15 @@ func TestFleetParamsJobs(t *testing.T) {
 	if got.Seed != 9 {
 		t.Errorf("params job seed %d, want 9", got.Seed)
 	}
+	// The resolved spec injects no faults; the production runner must
+	// still drive it and render a report.
+	out, err := defaultRunner().Run(context.Background(), got, autoware.DetectorSSD300, 4*time.Second)
+	if err != nil {
+		t.Fatalf("params job through the production runner: %v", err)
+	}
+	if len(out.Report) == 0 {
+		t.Error("params job through the production runner rendered an empty report")
+	}
 
 	bad, err := svc.Submit(Job{Tenant: "p", Params: "not a params line"})
 	if err != nil {

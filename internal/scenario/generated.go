@@ -17,7 +17,7 @@ import (
 // scenario like the builtins — runnable via -faults, hashed by the
 // transport golden net, and checked for worker invariance. The stack
 // they measure is the hardened one the search measured: guard and
-// supervision forced on, mirroring the golden harness.
+// supervision forced on.
 
 //go:embed testdata/gen_*.scenario
 var generatedFS embed.FS

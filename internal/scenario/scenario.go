@@ -59,8 +59,7 @@ type Spec struct {
 	// procedurally generated parameterization (see world.Generate and
 	// internal/search): traffic mix, pedestrian bursts, weather, city
 	// topology. Run and Tune build the environment from it; RunWithEnv
-	// and TuneWithEnv callers must pass an environment built from the
-	// same config.
+	// callers must pass an environment built from the same config.
 	World *world.ScenarioConfig
 }
 
@@ -76,6 +75,20 @@ func (s Spec) worldConfig() world.ScenarioConfig {
 // Schedule bundles the spec's faults with its seed.
 func (s Spec) Schedule() faults.Schedule {
 	return faults.Schedule{Seed: s.Seed, Faults: s.Faults}
+}
+
+// validate rejects a malformed fault schedule (a spec without faults
+// is a clean drive, not a malformed one) and a drive too short for it.
+func (s Spec) validate(duration time.Duration) error {
+	if len(s.Faults) > 0 {
+		if err := s.Schedule().Validate(); err != nil {
+			return err
+		}
+	}
+	if min := s.MinDuration(); duration < min {
+		return fmt.Errorf("scenario: duration %v shorter than scenario horizon %v", duration, min)
+	}
+	return nil
 }
 
 // MinDuration returns the shortest drive that covers every fault window
@@ -405,8 +418,8 @@ func Run(spec Spec, det autoware.Detector, duration time.Duration) (*Result, err
 }
 
 // RunWithEnv executes the scenario over an existing environment: one
-// fault-free baseline run, one run with the injector (and any watch
-// policies) attached. Identical inputs produce identical Results.
+// fault-free baseline run, one faulted run with every layer the spec
+// arms. Identical inputs produce identical Results.
 func RunWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
 	return RunWithEnvContext(context.Background(), scen, m, spec, det, duration)
 }
@@ -417,11 +430,8 @@ func RunWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Dete
 // instead of leaking the vehicle until drive end. Run to completion it
 // is byte-identical to RunWithEnv.
 func RunWithEnvContext(ctx context.Context, scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
-	if err := spec.Schedule().Validate(); err != nil {
+	if err := spec.validate(duration); err != nil {
 		return nil, err
-	}
-	if min := spec.MinDuration(); duration < min {
-		return nil, fmt.Errorf("scenario: duration %v shorter than scenario horizon %v", duration, min)
 	}
 
 	baseline, err := buildStack(scen, m, det, false, 0, spec.worldConfig())
@@ -437,48 +447,46 @@ func RunWithEnvContext(ctx context.Context, scen *world.Scenario, m *hdmap.Map, 
 	if err := baseline.RunContext(ctx, duration); err != nil {
 		return nil, fmt.Errorf("scenario: baseline leg: %w", err)
 	}
+	var crit *sched.Criticality
+	if chains != nil {
+		crit = sched.Analyze(chains.Chains())
+	}
 
+	faulted, inj, err := runFaulted(ctx, scen, m, spec, det, duration, crit)
+	if err != nil {
+		return nil, err
+	}
+	return collect(spec, det, duration, baseline, faulted, inj), nil
+}
+
+// runFaulted runs a spec's faulted leg: the stack built with the spec's
+// guard and its scheduler knobs' queue depth, then every run-time layer
+// the spec arms, attached by avstack.AttachLayers. crit is the
+// criticality profile a scheduled spec breaks ties with.
+func runFaulted(ctx context.Context, scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration, crit *sched.Criticality) (*autoware.Stack, *faults.Injector, error) {
 	depth := 0
 	if spec.Sched != nil {
 		depth = spec.Sched.QueueDepth
 	}
-	faulted, err := buildStack(scen, m, det, spec.Guard, depth, spec.worldConfig())
+	st, err := buildStack(scen, m, det, spec.Guard, depth, spec.worldConfig())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	inj, err := faults.New(spec.Schedule())
+	inj, err := avstack.AttachLayers(st, avstack.Layers{
+		Faults:      spec.Schedule(),
+		Supervise:   spec.Supervise,
+		ShedBudget:  spec.ShedBudget,
+		Watch:       avstack.WatchdogConfig{Period: spec.WatchPeriod, Policies: spec.Watch},
+		Sched:       spec.Sched,
+		Criticality: crit,
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	inj.SetLossRecorder(faulted.Recorder)
-	inj.Attach(faulted.Executor, faulted.Bus)
-	if spec.Supervise {
-		// After the injector, so the supervisor's filter runs in front
-		// of it and observes its crash verdicts.
-		if _, err := avstack.AttachDefaultSupervision(faulted, spec.Seed); err != nil {
-			return nil, err
-		}
+	if err := st.RunContext(ctx, duration); err != nil {
+		return nil, nil, fmt.Errorf("scenario: faulted leg: %w", err)
 	}
-	if spec.ShedBudget > 0 {
-		faulted.Executor.ShedBudget = spec.ShedBudget
-	}
-	if len(spec.Watch) > 0 {
-		wd := avstack.NewWatchdog(faulted, avstack.WatchdogConfig{
-			Period:   spec.WatchPeriod,
-			Policies: spec.Watch,
-		})
-		wd.Attach()
-	}
-	if spec.Sched != nil {
-		// Last, matching the hook ordering: the scheduler only ever
-		// picks among candidates every layer above let through.
-		avstack.AttachScheduler(faulted, sched.Analyze(chains.Chains()), *spec.Sched)
-	}
-	if err := faulted.RunContext(ctx, duration); err != nil {
-		return nil, fmt.Errorf("scenario: faulted leg: %w", err)
-	}
-
-	return collect(spec, det, duration, baseline, faulted, inj), nil
+	return st, inj, nil
 }
 
 // buildStack assembles one stack over the shared environment. depth > 0
@@ -497,19 +505,22 @@ func buildStack(scen *world.Scenario, m *hdmap.Map, det autoware.Detector, guard
 	return autoware.BuildWithMap(cfg, scen, m)
 }
 
-// collect assembles the Result from two completed runs.
+// collect assembles the Result from two completed runs. inj is nil
+// when the spec injects no faults.
 func collect(spec Spec, det autoware.Detector, duration time.Duration, baseline, faulted *autoware.Stack, inj *faults.Injector) *Result {
 	r := &Result{
 		Spec:      spec,
 		Detector:  det,
 		Duration:  duration,
-		Events:    inj.Events(),
 		Degraded:  faulted.Recorder.DegradedIntervals(),
 		Drops:     faulted.Bus.DropReports(),
 		Outages:   faulted.Recorder.Outages(),
 		Losses:    faulted.Recorder.FaultLosses(),
 		Topics:    faulted.Bus.TopicStats(),
 		Integrity: faulted.Recorder.IntegrityEvents(),
+	}
+	if inj != nil {
+		r.Events = inj.Events()
 	}
 
 	nodeSet := map[string]bool{}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/autoware"
 	"repro/internal/faults"
 	"repro/internal/guard"
+	"repro/internal/sched"
 	"repro/internal/testenv"
 	"repro/internal/trace"
 )
@@ -120,6 +121,25 @@ func TestCameraStallDegradesAndRecovers(t *testing.T) {
 	// Downstream stayed fed: fusion kept producing during the run.
 	if ns, ok := res.NodeStat("range_vision_fusion"); !ok || ns.Faulted.Count == 0 {
 		t.Error("fusion produced nothing on the faulted run despite last-good substitution")
+	}
+
+	// The tuner's scheduler-off candidate 0 is this faulted leg, watchdog
+	// included: it must score exactly the worst path the report shows.
+	got, err := evalCandidate(testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, duration, nil, sched.Candidate{Disabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want sched.Eval
+	for _, ps := range res.Paths {
+		f := ps.Faulted
+		want.Samples += f.Count
+		if f.Count > 0 && (want.Path == "" || f.P99 > want.P99 || f.P99 == want.P99 && ps.Path < want.Path) {
+			want.Path, want.P50, want.P99 = ps.Path, f.Median, f.P99
+		}
+	}
+	if got != want {
+		t.Errorf("tuner candidate 0 = %s p99 %.2f ms over %d samples, faulted leg = %s p99 %.2f ms over %d",
+			got.Path, got.P99, got.Samples, want.Path, want.P99, want.Samples)
 	}
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -10,9 +11,10 @@ import (
 
 	"repro/avstack"
 	"repro/internal/autoware"
-	"repro/internal/faults"
 	"repro/internal/hdmap"
+	"repro/internal/sched"
 	"repro/internal/testenv"
+	"repro/internal/trace"
 	"repro/internal/world"
 )
 
@@ -34,50 +36,26 @@ const transportGoldenDuration = 10 * time.Second
 const transportGoldenFile = "testdata/transport_goldens.txt"
 
 // runTransportScenario executes one spec's faulted leg with guard and
-// supervision forced on, mirroring RunWithEnv's attach order exactly
-// (injector, then supervisor, then shedding, then watchdog, then
-// scheduler). scen and m are the environment the spec's world resolves
-// to (the shared testenv for builtins; a spec-owned build for generated
-// scenarios). chains is the lineage log observed on the matching
-// baseline run; only sched-enabled specs consult it.
-func runTransportScenario(t *testing.T, spec Spec, scen *world.Scenario, m *hdmap.Map, baseline *autoware.Stack, chains *avstack.ChainLog) (*Result, *autoware.Stack) {
+// supervision forced on, through the same runFaulted the scenario
+// entry points use. scen and m are the environment the spec's world
+// resolves to (the shared testenv for builtins; a spec-owned build for
+// generated scenarios). chains is the lineage log observed on the
+// matching baseline run; only sched-enabled specs consult it.
+func runTransportScenario(t *testing.T, spec Spec, scen *world.Scenario, m *hdmap.Map, baseline *autoware.Stack, chains *trace.ChainLog) (*Result, *autoware.Stack) {
 	t.Helper()
 	spec.Guard = true
 	spec.Supervise = true
 	if min := spec.MinDuration(); transportGoldenDuration < min {
 		t.Fatalf("%s: golden duration %v below scenario horizon %v", spec.Name, transportGoldenDuration, min)
 	}
-	depth := 0
+	var crit *sched.Criticality
 	if spec.Sched != nil {
-		depth = spec.Sched.QueueDepth
+		crit = sched.Analyze(chains.Chains())
 	}
-	faulted, err := buildStack(scen, m, autoware.DetectorSSD300, true, depth, spec.worldConfig())
+	faulted, inj, err := runFaulted(context.Background(), scen, m, spec, autoware.DetectorSSD300, transportGoldenDuration, crit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faults.New(spec.Schedule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.SetLossRecorder(faulted.Recorder)
-	inj.Attach(faulted.Executor, faulted.Bus)
-	if _, err := avstack.AttachDefaultSupervision(faulted, spec.Seed); err != nil {
-		t.Fatal(err)
-	}
-	if spec.ShedBudget > 0 {
-		faulted.Executor.ShedBudget = spec.ShedBudget
-	}
-	if len(spec.Watch) > 0 {
-		wd := avstack.NewWatchdog(faulted, avstack.WatchdogConfig{
-			Period:   spec.WatchPeriod,
-			Policies: spec.Watch,
-		})
-		wd.Attach()
-	}
-	if spec.Sched != nil {
-		avstack.AttachScheduler(faulted, avstack.AnalyzeCriticality(chains.Chains()), *spec.Sched)
-	}
-	faulted.Run(transportGoldenDuration)
 	return collect(spec, autoware.DetectorSSD300, transportGoldenDuration, baseline, faulted, inj), faulted
 }
 

@@ -1,12 +1,11 @@
 package scenario
 
 import (
-	"fmt"
+	"context"
 	"time"
 
 	"repro/avstack"
 	"repro/internal/autoware"
-	"repro/internal/faults"
 	"repro/internal/hdmap"
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -57,30 +56,19 @@ type TuneReport struct {
 	Candidates        []TuneCandidate `json:"candidates"`
 }
 
-// Tune runs the deterministic auto-tuner on a scenario's faulted leg:
-// profile criticality on a clean drive, then evaluate the seeded
-// candidate schedules and report the one minimizing worst-path p99.
-// Building the HD map dominates wall time; see TuneWithEnv for reuse.
+// Tune runs the deterministic auto-tuner on a scenario's faulted leg.
+// It builds the spec's environment, runs one clean profiling drive
+// (lineage chains → criticality), then one faulted leg per seeded
+// candidate schedule (none for the Disabled baseline), and reports the
+// candidate minimizing worst-path p99. Everything underneath is
+// deterministic, so the same inputs always elect the same winner.
 func Tune(spec Spec, det autoware.Detector, duration time.Duration, searchSeed uint64) (*TuneReport, error) {
+	if err := spec.validate(duration); err != nil {
+		return nil, err
+	}
 	scen, m, err := buildEnv(spec.worldConfig())
 	if err != nil {
 		return nil, err
-	}
-	return TuneWithEnv(scen, m, spec, det, duration, searchSeed)
-}
-
-// TuneWithEnv is Tune over an existing environment. It runs one clean
-// profiling drive (lineage chains → criticality), then one faulted
-// drive per candidate: injector attached, scheduler attached with the
-// candidate's knobs (none for the Disabled baseline), identical
-// duration. Everything underneath is deterministic, so the same inputs
-// always elect the same winner.
-func TuneWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration, searchSeed uint64) (*TuneReport, error) {
-	if err := spec.Schedule().Validate(); err != nil {
-		return nil, err
-	}
-	if min := spec.MinDuration(); duration < min {
-		return nil, fmt.Errorf("scenario: duration %v shorter than scenario horizon %v", duration, min)
 	}
 
 	profile, err := buildStack(scen, m, det, false, 0, spec.worldConfig())
@@ -122,51 +110,20 @@ func TuneWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Det
 }
 
 // evalCandidate runs the spec's faulted leg under one candidate
-// schedule and measures the worst path. Sched specs are tuned from
-// scratch: the candidate's knobs replace (not compose with) whatever
-// Spec.Sched pins.
+// schedule and measures the worst path. The candidate's knobs replace
+// (not compose with) whatever Spec.Sched pins; the Disabled baseline
+// runs unscheduled, so for a spec without a pinned schedule candidate 0
+// is exactly the scenario's own faulted leg.
 func evalCandidate(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration, crit *sched.Criticality, c sched.Candidate) (sched.Eval, error) {
-	depth := 0
+	spec.Sched = nil
 	if !c.Disabled {
-		depth = c.Knobs.QueueDepth
+		spec.Sched = &c.Knobs
 	}
-	st, err := buildStack(scen, m, det, spec.Guard, depth, spec.worldConfig())
+	st, _, err := runFaulted(context.Background(), scen, m, spec, det, duration, crit)
 	if err != nil {
 		return sched.Eval{}, err
 	}
-	inj, err := faults.New(spec.Schedule())
-	if err != nil {
-		return sched.Eval{}, err
-	}
-	inj.Attach(st.Executor, st.Bus)
-	if spec.Supervise {
-		if _, err := avstack.AttachDefaultSupervision(st, spec.Seed); err != nil {
-			return sched.Eval{}, err
-		}
-	}
-	if spec.ShedBudget > 0 {
-		st.Executor.ShedBudget = spec.ShedBudget
-	}
-	if !c.Disabled {
-		avstack.AttachScheduler(st, crit, c.Knobs)
-	}
-	st.Run(duration)
-
-	// Worst path by p99 (ties to name order — PathNames is sorted), with
-	// the sample floor taken over every path's total so a schedule
-	// cannot hide a path it starved.
-	var ev sched.Eval
-	for _, p := range st.Recorder.PathNames() {
-		s := st.Recorder.PathLatency(p)
-		ev.Samples += s.Count
-		if s.Count == 0 {
-			continue
-		}
-		if ev.Path == "" || s.P99 > ev.P99 {
-			ev.Path, ev.P50, ev.P99 = p, s.Median, s.P99
-		}
-	}
-	return ev, nil
+	return sched.WorstPath(st.Recorder), nil
 }
 
 func toTuneCandidate(o sched.Outcome) TuneCandidate {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ros"
 	"repro/internal/trace"
 )
 
@@ -222,6 +223,31 @@ func TestTunePicksBestFeasible(t *testing.T) {
 	// A non-disabled first candidate is a programmer error.
 	if _, _, err := Tune(cands[1:], 0, nil); err == nil {
 		t.Fatal("Tune accepted a non-baseline first candidate")
+	}
+}
+
+// TestWorstPath pins how the tuner scores a finished run: the highest
+// p99 wins, an exact tie goes to the earlier path name whatever the
+// recorder's path order, and Samples counts every path.
+func TestWorstPath(t *testing.T) {
+	rec := trace.NewRecorder([]trace.PathSpec{
+		{Name: "b", Origin: "/o", Terminal: "/b"},
+		{Name: "a", Origin: "/o", Terminal: "/a"},
+		{Name: "fast", Origin: "/o", Terminal: "/fast"},
+		{Name: "idle", Origin: "/o", Terminal: "/idle"},
+	})
+	for _, lat := range []int{20, 40, 60} {
+		for topic, l := range map[string]int{"/b": lat, "/a": lat, "/fast": lat / 2} {
+			rec.OnPublish(topic, ros.Header{Stamp: ms(1000 + l), Origins: []ros.Origin{{Topic: "/o", Stamp: ms(1000)}}})
+		}
+	}
+	a := rec.PathLatency("a")
+	want := Eval{Path: "a", P50: a.Median, P99: a.P99, Samples: 9}
+	if got := WorstPath(rec); got != want {
+		t.Errorf("WorstPath = %+v, want %+v", got, want)
+	}
+	if empty := WorstPath(trace.NewRecorder(nil)); empty != (Eval{}) {
+		t.Errorf("WorstPath of a recorder without paths = %+v, want zero", empty)
 	}
 }
 

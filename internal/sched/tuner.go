@@ -3,9 +3,11 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/mathx"
+	"repro/internal/trace"
 )
 
 // Candidate is one point in the tuner's search space.
@@ -28,6 +30,24 @@ type Eval struct {
 	P50     float64 `json:"p50_ms"`
 	P99     float64 `json:"p99_ms"`
 	Samples int     `json:"samples"`
+}
+
+// WorstPath measures a finished run the way the tuner scores it: the
+// computation path with the highest p99, ties to the earlier path name,
+// with Samples summed over every path so a schedule cannot hide a path
+// it starved.
+func WorstPath(rec *trace.Recorder) Eval {
+	names := rec.PathNames()
+	sort.Strings(names)
+	var ev Eval
+	for _, p := range names {
+		s := rec.PathLatency(p)
+		ev.Samples += s.Count
+		if s.Count > 0 && (ev.Path == "" || s.P99 > ev.P99) {
+			ev.Path, ev.P50, ev.P99 = p, s.Median, s.P99
+		}
+	}
+	return ev
 }
 
 // Outcome pairs a candidate with its measurement and feasibility.

@@ -51,14 +51,12 @@ type Config struct {
 }
 
 // Eval is one candidate's measurement: the worst computation path's
-// latency, plus the criticality attribution of that run — which node
-// carried the largest share of end-to-end latency across the lineage
-// chains, per sched.Analyze.
+// latency, scored as the scheduler tuner scores it (sched.WorstPath),
+// plus the criticality attribution of that run — which node carried the
+// largest share of end-to-end latency across the lineage chains, per
+// sched.Analyze.
 type Eval struct {
-	Path     string  `json:"path"`
-	P50      float64 `json:"p50_ms"`
-	P99      float64 `json:"p99_ms"`
-	Samples  int     `json:"samples"`
+	sched.Eval
 	TopNode  string  `json:"top_node,omitempty"`
 	TopShare float64 `json:"top_share,omitempty"`
 }
@@ -293,10 +291,10 @@ func (h *harness) mapFor(cfg world.ScenarioConfig, scen *world.Scenario) (*hdmap
 }
 
 // eval runs one candidate: generated world, guard attached (the search
-// measures the hardened stack, matching the pinned-scenario harness),
-// the candidate's fault schedule injected, default supervision seeded
-// from the fault seed, full drive, then worst-path extraction and
-// lineage criticality attribution.
+// measures the hardened stack, as the pinned scenarios do), the
+// candidate's fault schedule injected, default supervision seeded from
+// the fault seed, full drive, then worst-path extraction and lineage
+// criticality attribution.
 func (h *harness) eval(c Candidate) (Eval, error) {
 	scen, err := world.BuildScenario(c.World)
 	if err != nil {
@@ -314,37 +312,14 @@ func (h *harness) eval(c Candidate) (Eval, error) {
 		return Eval{}, err
 	}
 	chains := avstack.AttachChainLog(st)
-	if len(c.Faults) > 0 {
-		if err := c.Schedule().Validate(); err != nil {
-			return Eval{}, err
-		}
-		inj, err := faults.New(c.Schedule())
-		if err != nil {
-			return Eval{}, err
-		}
-		inj.SetLossRecorder(st.Recorder)
-		inj.Attach(st.Executor, st.Bus)
-	}
-	if _, err := avstack.AttachDefaultSupervision(st, c.FaultSeed); err != nil {
+	if _, err := avstack.AttachLayers(st, avstack.Layers{Faults: c.Schedule(), Supervise: true}); err != nil {
 		return Eval{}, err
 	}
 	if err := st.RunContext(h.ctx, h.duration); err != nil {
 		return Eval{}, err
 	}
 
-	// Worst path by p99 (ties to name order — PathNames is sorted),
-	// sample floor over every path's total, matching the tuner.
-	var ev Eval
-	for _, p := range st.Recorder.PathNames() {
-		s := st.Recorder.PathLatency(p)
-		ev.Samples += s.Count
-		if s.Count == 0 {
-			continue
-		}
-		if ev.Path == "" || s.P99 > ev.P99 {
-			ev.Path, ev.P50, ev.P99 = p, s.Median, s.P99
-		}
-	}
+	ev := Eval{Eval: sched.WorstPath(st.Recorder)}
 	if crit := sched.Analyze(chains.Chains()); crit.Chains() > 0 {
 		if nodes := crit.Nodes(); len(nodes) > 0 {
 			ev.TopNode, ev.TopShare = nodes[0].Node, nodes[0].Share

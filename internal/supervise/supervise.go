@@ -185,9 +185,7 @@ type Supervisor struct {
 	order  []string
 }
 
-// New prepares a supervisor. Attach wires it into a stack; the fault
-// layer (if any) must already be attached so the supervisor's filter
-// runs in front of it and observes its crash verdicts.
+// New prepares a supervisor; Attach wires it into a stack.
 func New(cfg Config) (*Supervisor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -205,7 +203,10 @@ func New(cfg Config) (*Supervisor, error) {
 }
 
 // Attach wires the supervisor into an executor, bus and trace recorder
-// and starts the periodic liveness/checkpoint tick. rec may be nil.
+// and starts the periodic liveness/checkpoint tick. rec may be nil. Its
+// callback filter chains in front of whatever filter is installed, so
+// it observes crash verdicts only from layers attached before it;
+// avstack.AttachLayers attaches it right after the fault injector.
 func (s *Supervisor) Attach(ex *platform.Executor, bus *ros.Bus, rec *trace.Recorder) {
 	s.sim = ex.Sim
 	s.rec = rec
