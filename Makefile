@@ -3,13 +3,21 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench-check bench-smoke fuzz-smoke chaos-smoke corruption-smoke bench-middleware bus-stress sched-smoke search-smoke fleet-smoke journal-smoke docs-lint
+.PHONY: build test test-times race vet bench-check bench-smoke fuzz-smoke chaos-smoke corruption-smoke bench-middleware bus-stress sched-smoke search-smoke fleet-smoke journal-smoke docs-lint
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Tier-1 timings, not a gate (timings are noisy): run the suite once
+# with -json and record each package's elapsed time, the 20 slowest
+# tests, the Go version and nproc in BENCH_tier1.json under
+# TIMES_LABEL, keeping the other labels' records.
+TIMES_LABEL ?= change
+test-times:
+	$(GO) test -count=1 -json ./... | $(GO) run ./cmd/testtimes -label $(TIMES_LABEL)
 
 # Race-check the library packages, including the parallel experiment
 # engine and the intra-frame shard loops.
@@ -86,7 +94,7 @@ bench-middleware:
 # worker counts. The JSON search record lands in BENCH_sched.json.
 sched-smoke:
 	$(GO) run ./cmd/characterize -exp tune -duration 12s -seed 1 -bench BENCH_sched.json -out /dev/null
-	$(GO) test -count=1 -run='TestContentionTunedImprovesP99|TestSchedWorkerInvariance' ./internal/scenario/
+	$(GO) test -count=1 -run='TestContentionTunedImprovesP99|TestChainLogCleanLegByteIdentical|TestSchedWorkerInvariance' ./internal/scenario/
 	$(GO) test -count=1 ./internal/sched/
 
 # Adversarial latency search smoke: run a tiny seeded search twice over

@@ -80,8 +80,10 @@ func sharedEnv(cfg world.ScenarioConfig) (*world.Scenario, *hdmap.Map, error) {
 }
 
 // scenarioRunner is the production Runner: resolve the spec's world to
-// a cached environment, run both legs under the attempt context, and
-// render the report. Environment construction is not context-aware
+// a cached environment, run the scenario under the attempt context, and
+// render the report. Jobs over one cached environment share their
+// fault-free leg through the scenario layer's memo, so most jobs run
+// only their faulted leg. Environment construction is not context-aware
 // (it is CPU-bound and cached); only the simulation legs observe
 // cancellation.
 type scenarioRunner struct{}

@@ -2,6 +2,7 @@ package pointcloud
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -44,22 +45,24 @@ func withWorkers(t *testing.T, n int, fn func()) {
 func voxelFingerprint(c *Cloud, leaf float64) string {
 	dst := New(0)
 	out, kept := VoxelDownsampleInto(c, leaf, dst)
-	s := fmt.Sprintf("kept=%d\n", kept)
+	var b strings.Builder
+	fmt.Fprintf(&b, "kept=%d\n", kept)
 	for _, p := range out.Points {
-		s += fmt.Sprintf("%x %x %x %x %d\n",
+		fmt.Fprintf(&b, "%x %x %x %x %d\n",
 			p.Pos.X, p.Pos.Y, p.Pos.Z, p.Intensity, p.Ring)
 	}
-	return s
+	return b.String()
 }
 
 // kdFingerprint renders the built tree's full node array — structure,
 // split axes and point order — with exact bit formatting.
 func kdFingerprint(t *KDTree) string {
-	s := fmt.Sprintf("root=%d n=%d\n", t.root, len(t.nodes))
+	var b strings.Builder
+	fmt.Fprintf(&b, "root=%d n=%d\n", t.root, len(t.nodes))
 	for i, n := range t.nodes {
-		s += fmt.Sprintf("%d: idx=%d axis=%d l=%d r=%d\n", i, n.idx, n.axis, n.left, n.right)
+		fmt.Fprintf(&b, "%d: idx=%d axis=%d l=%d r=%d\n", i, n.idx, n.axis, n.left, n.right)
 	}
-	return s
+	return b.String()
 }
 
 // TestVoxelDownsampleWorkerInvariance pins the property the simulator's

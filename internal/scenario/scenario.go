@@ -2,11 +2,12 @@
 // twice over the same environment — once fault-free, once under a
 // named, seeded fault schedule with the graceful-degradation watchdog
 // attached — and reports the resulting latency distributions side by
-// side. Because every layer underneath is deterministic, the same
-// scenario, seed and duration always produce a byte-identical report,
-// which is what turns the paper's accidental tail phenomena (contention
-// inflation, message drops, stale inputs) into regression-testable
-// behaviors.
+// side. The fault-free leg depends only on the environment, detector
+// and duration, so runs over one environment share it. Because every
+// layer underneath is deterministic, the same scenario, seed and
+// duration always produce a byte-identical report, which is what turns
+// the paper's accidental tail phenomena (contention inflation, message
+// drops, stale inputs) into regression-testable behaviors.
 package scenario
 
 import (
@@ -417,8 +418,8 @@ func Run(spec Spec, det autoware.Detector, duration time.Duration) (*Result, err
 	return RunWithEnv(scen, m, spec, det, duration)
 }
 
-// RunWithEnv executes the scenario over an existing environment: one
-// fault-free baseline run, one faulted run with every layer the spec
+// RunWithEnv executes the scenario over an existing environment: a
+// fault-free baseline leg beside a faulted leg with every layer the spec
 // arms. Identical inputs produce identical Results.
 func RunWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
 	return RunWithEnvContext(context.Background(), scen, m, spec, det, duration)
@@ -429,34 +430,35 @@ func RunWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Dete
 // in-flight simulation promptly (the error wraps autoware.ErrCancelled)
 // instead of leaking the vehicle until drive end. Run to completion it
 // is byte-identical to RunWithEnv.
+//
+// The baseline leg depends only on the environment, the detector and
+// the duration, so it runs once per environment: later runs over the
+// same world and map take it from a process-wide memo and run only
+// their faulted leg.
 func RunWithEnvContext(ctx context.Context, scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
-	if err := spec.validate(duration); err != nil {
-		return nil, err
-	}
+	res, _, err := runWith(ctx, &cleanLegs, scen, m, spec, det, duration)
+	return res, err
+}
 
-	baseline, err := buildStack(scen, m, det, false, 0, spec.worldConfig())
+// runWith is RunWithEnvContext over the clean legs of one memo. It also
+// returns the faulted stack.
+func runWith(ctx context.Context, legs *cleanMemo, scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, *autoware.Stack, error) {
+	if err := spec.validate(duration); err != nil {
+		return nil, nil, err
+	}
+	clean, err := legs.clean(ctx, scen, m, det, duration, spec.worldConfig())
 	if err != nil {
-		return nil, err
-	}
-	var chains *trace.ChainLog
-	if spec.Sched != nil {
-		// Observer only: lineage recording never touches virtual time,
-		// so the baseline report stays byte-identical with or without it.
-		chains = avstack.AttachChainLog(baseline)
-	}
-	if err := baseline.RunContext(ctx, duration); err != nil {
-		return nil, fmt.Errorf("scenario: baseline leg: %w", err)
+		return nil, nil, err
 	}
 	var crit *sched.Criticality
-	if chains != nil {
-		crit = sched.Analyze(chains.Chains())
+	if spec.Sched != nil {
+		crit = clean.crit
 	}
-
 	faulted, inj, err := runFaulted(ctx, scen, m, spec, det, duration, crit)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return collect(spec, det, duration, baseline, faulted, inj), nil
+	return collect(spec, det, duration, clean, faulted, inj), faulted, nil
 }
 
 // runFaulted runs a spec's faulted leg: the stack built with the spec's
@@ -505,9 +507,9 @@ func buildStack(scen *world.Scenario, m *hdmap.Map, det autoware.Detector, guard
 	return autoware.BuildWithMap(cfg, scen, m)
 }
 
-// collect assembles the Result from two completed runs. inj is nil
-// when the spec injects no faults.
-func collect(spec Spec, det autoware.Detector, duration time.Duration, baseline, faulted *autoware.Stack, inj *faults.Injector) *Result {
+// collect assembles the Result from a clean leg and a completed faulted
+// run. inj is nil when the spec injects no faults.
+func collect(spec Spec, det autoware.Detector, duration time.Duration, clean *cleanLeg, faulted *autoware.Stack, inj *faults.Injector) *Result {
 	r := &Result{
 		Spec:      spec,
 		Detector:  det,
@@ -524,7 +526,7 @@ func collect(spec Spec, det autoware.Detector, duration time.Duration, baseline,
 	}
 
 	nodeSet := map[string]bool{}
-	for _, n := range baseline.Recorder.NodeNames() {
+	for n := range clean.nodes {
 		nodeSet[n] = true
 	}
 	for _, n := range faulted.Recorder.NodeNames() {
@@ -538,16 +540,13 @@ func collect(spec Spec, det autoware.Detector, duration time.Duration, baseline,
 	for _, n := range nodes {
 		r.Nodes = append(r.Nodes, NodeStat{
 			Node:     n,
-			Baseline: baseline.Recorder.NodeLatency(n),
+			Baseline: clean.nodes[n],
 			Faulted:  faulted.Recorder.NodeLatency(n),
 		})
 	}
-	for _, p := range baseline.Recorder.PathNames() {
-		r.Paths = append(r.Paths, PathStat{
-			Path:     p,
-			Baseline: baseline.Recorder.PathLatency(p),
-			Faulted:  faulted.Recorder.PathLatency(p),
-		})
+	for _, ps := range clean.paths {
+		ps.Faulted = faulted.Recorder.PathLatency(ps.Path)
+		r.Paths = append(r.Paths, ps)
 	}
 	return r
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,7 +16,8 @@ import (
 	"repro/internal/trace"
 )
 
-// runScenario executes a named scenario over the shared test fixtures.
+// runScenario executes a named scenario over the shared test fixtures,
+// through the public entry point and its process-wide clean-leg memo.
 func runScenario(t *testing.T, name string, duration time.Duration) *Result {
 	t.Helper()
 	spec, err := ByName(name)
@@ -23,6 +25,22 @@ func runScenario(t *testing.T, name string, duration time.Duration) *Result {
 		t.Fatal(err)
 	}
 	res, err := RunWithEnv(testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runScenarioCold is runScenario with a fresh clean-leg memo, so both
+// legs run: the second half of a determinism pair, which must not be
+// served the first half's clean leg.
+func runScenarioCold(t *testing.T, name string, duration time.Duration) *Result {
+	t.Helper()
+	spec, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := runWith(context.Background(), new(cleanMemo), testenv.Scenario(), testenv.Map(), spec, autoware.DetectorSSD300, duration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +80,7 @@ func TestContentionReproducesF1(t *testing.T) {
 	}
 
 	// Determinism: an identical second run renders the identical report.
-	b := runScenario(t, NameContention, duration)
+	b := runScenarioCold(t, NameContention, duration)
 	var ra, rb bytes.Buffer
 	a.WriteReport(&ra)
 	b.WriteReport(&rb)
@@ -219,7 +237,7 @@ func TestCrashRecoverBoundedRecovery(t *testing.T) {
 	}
 
 	// Determinism: an identical second run renders the identical report.
-	b := runScenario(t, NameCrashRecover, duration)
+	b := runScenarioCold(t, NameCrashRecover, duration)
 	var ra, rb bytes.Buffer
 	a.WriteReport(&ra)
 	b.WriteReport(&rb)
@@ -419,7 +437,7 @@ func TestCorruptLidarQuarantined(t *testing.T) {
 	}
 
 	// Determinism: an identical second run renders the identical report.
-	b := runScenario(t, NameCorruptLidar, duration)
+	b := runScenarioCold(t, NameCorruptLidar, duration)
 	var ra, rb bytes.Buffer
 	a.WriteReport(&ra)
 	b.WriteReport(&rb)
@@ -464,7 +482,7 @@ func TestClockSkewSanitized(t *testing.T) {
 	}
 
 	// Determinism.
-	b := runScenario(t, NameClockSkew, duration)
+	b := runScenarioCold(t, NameClockSkew, duration)
 	var ra, rb bytes.Buffer
 	a.WriteReport(&ra)
 	b.WriteReport(&rb)
@@ -501,7 +519,7 @@ func TestDupStormQuarantined(t *testing.T) {
 	}
 
 	// Determinism.
-	b := runScenario(t, NameDupStorm, duration)
+	b := runScenarioCold(t, NameDupStorm, duration)
 	var ra, rb bytes.Buffer
 	a.WriteReport(&ra)
 	b.WriteReport(&rb)

@@ -9,12 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/avstack"
 	"repro/internal/autoware"
 	"repro/internal/hdmap"
-	"repro/internal/sched"
 	"repro/internal/testenv"
-	"repro/internal/trace"
 	"repro/internal/world"
 )
 
@@ -35,28 +32,20 @@ const transportGoldenDuration = 10 * time.Second
 
 const transportGoldenFile = "testdata/transport_goldens.txt"
 
-// runTransportScenario executes one spec's faulted leg with guard and
-// supervision forced on, through the same runFaulted the scenario
-// entry points use. scen and m are the environment the spec's world
-// resolves to (the shared testenv for builtins; a spec-owned build for
-// generated scenarios). chains is the lineage log observed on the
-// matching baseline run; only sched-enabled specs consult it.
-func runTransportScenario(t *testing.T, spec Spec, scen *world.Scenario, m *hdmap.Map, baseline *autoware.Stack, chains *trace.ChainLog) (*Result, *autoware.Stack) {
+// runTransportScenario executes one spec with guard and supervision
+// forced on, through the same path RunWithEnvContext takes: the clean
+// leg from legs, then the faulted leg. scen and m are the environment
+// the spec's world resolves to (the shared testenv for builtins; a
+// spec-owned build for generated scenarios).
+func runTransportScenario(t *testing.T, legs *cleanMemo, spec Spec, scen *world.Scenario, m *hdmap.Map) (*Result, *autoware.Stack) {
 	t.Helper()
 	spec.Guard = true
 	spec.Supervise = true
-	if min := spec.MinDuration(); transportGoldenDuration < min {
-		t.Fatalf("%s: golden duration %v below scenario horizon %v", spec.Name, transportGoldenDuration, min)
-	}
-	var crit *sched.Criticality
-	if spec.Sched != nil {
-		crit = sched.Analyze(chains.Chains())
-	}
-	faulted, inj, err := runFaulted(context.Background(), scen, m, spec, autoware.DetectorSSD300, transportGoldenDuration, crit)
+	res, faulted, err := runWith(context.Background(), legs, scen, m, spec, autoware.DetectorSSD300, transportGoldenDuration)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", spec.Name, err)
 	}
-	return collect(spec, autoware.DetectorSSD300, transportGoldenDuration, baseline, faulted, inj), faulted
+	return res, faulted
 }
 
 // checkPoolBalance asserts the pool's reference ledger closes at the
@@ -79,19 +68,9 @@ func checkPoolBalance(t *testing.T, name string, stack *autoware.Stack) {
 }
 
 func TestTransportGoldenReports(t *testing.T) {
-	baseline, err := buildStack(testenv.Scenario(), testenv.Map(), autoware.DetectorSSD300, false, 0, world.DefaultScenarioConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The chain log is a pure observer: with it attached the baseline
-	// report — and therefore every pre-scheduler golden hash — is
-	// byte-identical to the pre-lineage recording.
-	chains := avstack.AttachChainLog(baseline)
-	baseline.Run(transportGoldenDuration)
-
 	var got bytes.Buffer
 	for _, spec := range builtins() {
-		res, faulted := runTransportScenario(t, spec, testenv.Scenario(), testenv.Map(), baseline, chains)
+		res, faulted := runTransportScenario(t, &cleanLegs, spec, testenv.Scenario(), testenv.Map())
 		var rep bytes.Buffer
 		res.WriteReport(&rep)
 		fmt.Fprintf(&got, "%-14s sha256=%x\n", spec.Name, sha256.Sum256(rep.Bytes()))
@@ -99,9 +78,9 @@ func TestTransportGoldenReports(t *testing.T) {
 	}
 
 	// The pinned search winners run over their own generated worlds:
-	// each builds its environment and its own fault-free baseline leg,
-	// then hashes the same side-by-side report. Their lines append after
-	// the builtins, so pinning a new worst case never perturbs the
+	// each builds its environment, so its clean leg is its own, then
+	// hashes the same side-by-side report. Their lines append after the
+	// builtins, so pinning a new worst case never perturbs the
 	// pre-existing golden prefix.
 	generated, err := Generated()
 	if err != nil {
@@ -112,12 +91,7 @@ func TestTransportGoldenReports(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		genBaseline, err := buildStack(scen, m, autoware.DetectorSSD300, false, 0, spec.worldConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		genBaseline.Run(transportGoldenDuration)
-		res, faulted := runTransportScenario(t, spec, scen, m, genBaseline, nil)
+		res, faulted := runTransportScenario(t, &cleanLegs, spec, scen, m)
 		var rep bytes.Buffer
 		res.WriteReport(&rep)
 		fmt.Fprintf(&got, "%-14s sha256=%x\n", spec.Name, sha256.Sum256(rep.Bytes()))

@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/avstack"
-	"repro/internal/autoware"
 	"repro/internal/parallel"
 	"repro/internal/testenv"
-	"repro/internal/world"
 )
 
 // TestTransportWorkerInvariance pins the determinism contract of the
@@ -33,13 +30,8 @@ func TestTransportWorkerInvariance(t *testing.T) {
 		prev := parallel.MaxWorkers()
 		parallel.SetMaxWorkers(workers)
 		defer parallel.SetMaxWorkers(prev)
-		baseline, err := buildStack(testenv.Scenario(), testenv.Map(), autoware.DetectorSSD300, false, 0, world.DefaultScenarioConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		chains := avstack.AttachChainLog(baseline)
-		baseline.Run(transportGoldenDuration)
-		res, faulted := runTransportScenario(t, spec, testenv.Scenario(), testenv.Map(), baseline, chains)
+		// A fresh memo per worker count: the clean leg reruns too.
+		res, faulted := runTransportScenario(t, new(cleanMemo), spec, testenv.Scenario(), testenv.Map())
 		var rep bytes.Buffer
 		res.WriteReport(&rep)
 		return outcome{report: rep.String(), fingerprint: faulted.Recorder.Fingerprint()}
@@ -73,13 +65,9 @@ func TestSchedWorkerInvariance(t *testing.T) {
 		prev := parallel.MaxWorkers()
 		parallel.SetMaxWorkers(workers)
 		defer parallel.SetMaxWorkers(prev)
-		baseline, err := buildStack(testenv.Scenario(), testenv.Map(), autoware.DetectorSSD300, false, 0, world.DefaultScenarioConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		chains := avstack.AttachChainLog(baseline)
-		baseline.Run(transportGoldenDuration)
-		_, faulted := runTransportScenario(t, spec, testenv.Scenario(), testenv.Map(), baseline, chains)
+		// A fresh memo per worker count: the clean leg, whose chains
+		// set the scheduler's priorities, reruns too.
+		_, faulted := runTransportScenario(t, new(cleanMemo), spec, testenv.Scenario(), testenv.Map())
 		return faulted.Recorder.Fingerprint()
 	}
 

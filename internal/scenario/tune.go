@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/avstack"
 	"repro/internal/autoware"
 	"repro/internal/hdmap"
 	"repro/internal/platform"
@@ -57,11 +56,12 @@ type TuneReport struct {
 }
 
 // Tune runs the deterministic auto-tuner on a scenario's faulted leg.
-// It builds the spec's environment, runs one clean profiling drive
-// (lineage chains → criticality), then one faulted leg per seeded
-// candidate schedule (none for the Disabled baseline), and reports the
-// candidate minimizing worst-path p99. Everything underneath is
-// deterministic, so the same inputs always elect the same winner.
+// It builds the spec's environment, takes the criticality profile from
+// the drive's clean leg (the same memoized leg the scenario runs use),
+// then runs one faulted leg per seeded candidate schedule (none for the
+// Disabled baseline), and reports the candidate minimizing worst-path
+// p99. Everything underneath is deterministic, so the same inputs
+// always elect the same winner.
 func Tune(spec Spec, det autoware.Detector, duration time.Duration, searchSeed uint64) (*TuneReport, error) {
 	if err := spec.validate(duration); err != nil {
 		return nil, err
@@ -71,17 +71,14 @@ func Tune(spec Spec, det autoware.Detector, duration time.Duration, searchSeed u
 		return nil, err
 	}
 
-	profile, err := buildStack(scen, m, det, false, 0, spec.worldConfig())
+	clean, err := cleanLegs.clean(context.Background(), scen, m, det, duration, spec.worldConfig())
 	if err != nil {
 		return nil, err
 	}
-	chains := avstack.AttachChainLog(profile)
-	profile.Run(duration)
-	crit := sched.Analyze(chains.Chains())
 
 	cands := sched.DefaultCandidates(searchSeed, platform.DefaultCPUConfig().Cores)
 	best, outcomes, err := sched.Tune(cands, tuneMinSamplesFrac, func(c sched.Candidate) (sched.Eval, error) {
-		return evalCandidate(scen, m, spec, det, duration, crit, c)
+		return evalCandidate(scen, m, spec, det, duration, clean.crit, c)
 	})
 	if err != nil {
 		return nil, err
