@@ -14,13 +14,16 @@ test:
 # Tier-1 timings, not a gate (timings are noisy): run the suite once
 # with -json and record each package's elapsed time, the 20 slowest
 # tests, the Go version and nproc in BENCH_tier1.json under
-# TIMES_LABEL, keeping the other labels' records.
+# TIMES_LABEL, keeping the other labels' records. The first command
+# compiles every test binary without running a test, so the timed run
+# does not compile packages while other packages' tests run.
 TIMES_LABEL ?= change
 test-times:
+	$(GO) test -count=1 -run '^$$' ./... >/dev/null
 	$(GO) test -count=1 -json ./... | $(GO) run ./cmd/testtimes -label $(TIMES_LABEL)
 
 # Race-check the library packages, including the parallel experiment
-# engine and the intra-frame shard loops.
+# engine and the fleet's worker pool.
 race:
 	$(GO) test -race -timeout 15m ./internal/...
 
@@ -91,10 +94,10 @@ bench-middleware:
 # schedule's p99 is worse than the no-scheduler baseline), then the
 # regression pair — the pinned tuned schedule must beat plain
 # contention's p99, and the scheduled trace must be bit-exact across
-# worker counts. The JSON search record lands in BENCH_sched.json.
+# two independent runs. The JSON search record lands in BENCH_sched.json.
 sched-smoke:
 	$(GO) run ./cmd/characterize -exp tune -duration 12s -seed 1 -bench BENCH_sched.json -out /dev/null
-	$(GO) test -count=1 -run='TestContentionTunedImprovesP99|TestChainLogCleanLegByteIdentical|TestSchedWorkerInvariance' ./internal/scenario/
+	$(GO) test -count=1 -run='TestContentionTunedImprovesP99|TestChainLogCleanLegByteIdentical|TestSchedRepeatable' ./internal/scenario/
 	$(GO) test -count=1 ./internal/sched/
 
 # Adversarial latency search smoke: run a tiny seeded search twice over

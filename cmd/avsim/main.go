@@ -6,14 +6,11 @@
 // Usage:
 //
 //	avsim [-detector SSD512|SSD300|YOLOv3-416] [-duration 30s]
-//	      [-planning] [-status 5s] [-workers N] [-faults <scenario>]
+//	      [-planning] [-status 5s] [-faults <scenario>]
 //	      [-supervise] [-shed 100ms] [-guard] [-sched]
 //	      [-world "<params>"] [-gen <seed>] [-space default|compact]
 //
-// avsim drives a single stack, so -workers (default: the number of
-// CPUs) bounds the host threads used by intra-frame shard loops (voxel
-// hashing, k-d tree builds, ray-ground sector sorts). Virtual-time
-// results are identical for any worker count.
+// avsim drives a single stack, on one host thread (DESIGN.md §4a).
 //
 // -faults attaches a named chaos scenario (see internal/scenario): the
 // seeded fault schedule perturbs the drive deterministically, the
@@ -53,13 +50,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/avstack"
-	"repro/internal/parallel"
 	"repro/internal/scenario"
 	"repro/internal/world"
 )
@@ -69,7 +64,6 @@ func main() {
 	duration := flag.Duration("duration", 30*time.Second, "virtual drive duration")
 	planning := flag.Bool("planning", false, "run the planning and motion nodes too")
 	status := flag.Duration("status", 5*time.Second, "status print interval (virtual time)")
-	workers := flag.Int("workers", runtime.NumCPU(), "max host threads for intra-frame shard loops (results are identical for any value)")
 	faultsFlag := flag.String("faults", "", "inject a named chaos scenario: "+strings.Join(scenario.Names(), ", "))
 	supervise := flag.Bool("supervise", false, "attach the supervision layer (restart crashed/silent nodes with backoff + checkpoint restore)")
 	shed := flag.Duration("shed", 0, "deadline-aware load shedding budget (0 disables): queued frames older than this are shed at dispatch")
@@ -79,7 +73,6 @@ func main() {
 	genFlag := flag.String("gen", "", "generate the world from this seed instead of the scripted default")
 	spaceFlag := flag.String("space", "default", "sampling space for -gen: default or compact")
 	flag.Parse()
-	parallel.SetMaxWorkers(*workers)
 
 	var spec scenario.Spec
 	if *faultsFlag != "" {

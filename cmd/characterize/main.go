@@ -40,9 +40,9 @@
 // forces the guard onto the scenario's faulted run.
 //
 // -workers bounds how many experiment configurations simulate
-// concurrently (default: the number of CPUs). Every configuration is an
-// isolated virtual-time simulation, so the report is byte-identical for
-// any worker count; only wall-clock time changes.
+// concurrently (default: the number of CPUs; at least 1). Every
+// configuration is an isolated virtual-time simulation, so the report
+// is byte-identical for any worker count; only wall-clock time changes.
 //
 // -faults switches to the chaos characterization: instead of the paper
 // tables, it runs the named fault scenario (baseline vs faulted over
@@ -85,6 +85,9 @@ func main() {
 	budget := flag.Int("budget", 12, "evaluated candidates for -exp search, including the scripted baseline")
 	space := flag.String("space", "default", "sampling space for -exp search: default or compact")
 	flag.Parse()
+	if *workers < 1 {
+		fatal(fmt.Errorf("-workers %d: need at least 1", *workers))
+	}
 	parallel.SetMaxWorkers(*workers)
 
 	var w io.Writer = os.Stdout

@@ -52,9 +52,10 @@ type env struct {
 
 // envCache shares built environments across jobs and across service
 // instances in one process, keyed by canonical world params. Scenarios
-// and maps are read-only after construction (the worker-invariance
-// tests drive concurrent stacks over shared ones), so concurrent jobs
-// may run over one entry safely.
+// and maps are read-only after construction, so concurrent jobs may run
+// over one entry safely (TestParallelRunsAreByteIdentical in
+// internal/experiments prewarms concurrent stacks over testenv's shared
+// scenario and map).
 var envCache sync.Map // params line -> *env
 
 func sharedEnv(cfg world.ScenarioConfig) (*world.Scenario, *hdmap.Map, error) {

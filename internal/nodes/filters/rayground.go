@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/msgs"
-	"repro/internal/parallel"
 	"repro/internal/pointcloud"
 	"repro/internal/ros"
 	"repro/internal/work"
@@ -49,15 +48,13 @@ type RayGround struct {
 
 	// Per-frame scratch, reused across callbacks (each node instance
 	// processes one message at a time). secs/radii hold per-point sector
-	// assignments, counts/starts back the counting sort, order is the
-	// sector-major point permutation, and stepsPerSec collects each
-	// sector's sort cost for order-independent accumulation.
-	secs        []int32
-	radii       []float64
-	counts      []int32
-	starts      []int32
-	order       []int32
-	stepsPerSec []float64
+	// assignments, counts/starts back the counting sort, and order is
+	// the sector-major point permutation.
+	secs   []int32
+	radii  []float64
+	counts []int32
+	starts []int32
+	order  []int32
 }
 
 // NewRayGround builds the node.
@@ -79,11 +76,6 @@ func (r *RayGround) Subscribes() []ros.SubSpec {
 	return []ros.SubSpec{{Topic: TopicPointsRaw, Depth: r.cfg.QueueDepth}}
 }
 
-// raySectorShard fixes the shard size of the parallel azimuth-binning
-// pass; the decomposition depends only on cloud size, so results match
-// the serial walk bit for bit.
-const raySectorShard = 8192
-
 // Split performs the actual classification; exported for direct use in
 // tests and examples.
 func (r *RayGround) Split(cloud *pointcloud.Cloud) (ground, noGround *pointcloud.Cloud) {
@@ -91,25 +83,21 @@ func (r *RayGround) Split(cloud *pointcloud.Cloud) (ground, noGround *pointcloud
 	nsec := r.cfg.Sectors
 	r.ensureScratch(n, nsec)
 
-	// Pass 1: per-point sector and radius. Pure per-element math over
-	// disjoint slots — safe and deterministic under fixed shards.
+	// Pass 1: per-point sector and radius.
 	pts := cloud.Points
-	parallel.Run(parallel.Shards(n, raySectorShard), func(si int) {
-		lo, hi := parallel.ShardRange(si, raySectorShard, n)
-		for i := lo; i < hi; i++ {
-			p := &pts[i]
-			az := math.Atan2(p.Pos.Y, p.Pos.X)
-			sec := int((az + math.Pi) / (2 * math.Pi) * float64(nsec))
-			if sec >= nsec {
-				sec = nsec - 1
-			}
-			if sec < 0 {
-				sec = 0
-			}
-			r.secs[i] = int32(sec)
-			r.radii[i] = p.Pos.XY().Norm()
+	for i := range pts {
+		p := &pts[i]
+		az := math.Atan2(p.Pos.Y, p.Pos.X)
+		sec := int((az + math.Pi) / (2 * math.Pi) * float64(nsec))
+		if sec >= nsec {
+			sec = nsec - 1
 		}
-	})
+		if sec < 0 {
+			sec = 0
+		}
+		r.secs[i] = int32(sec)
+		r.radii[i] = p.Pos.XY().Norm()
+	}
 
 	// Pass 2: counting sort into sector-major order (stable in point
 	// index, matching the append order of a per-sector bucket build).
@@ -132,25 +120,16 @@ func (r *RayGround) Split(cloud *pointcloud.Cloud) (ground, noGround *pointcloud
 		r.counts[s]++
 	}
 
-	// Pass 3: sort each sector by radius. Sectors are disjoint slices,
-	// so they sort concurrently; per-sector costs accumulate serially in
-	// sector order afterwards to keep the float sum order-independent.
-	sortWorkers := 1
-	if n >= raySectorShard {
-		sortWorkers = parallel.MaxWorkers()
-	}
-	parallel.RunLimit(nsec, sortWorkers, func(s int) {
-		seg := r.order[r.starts[s]:r.starts[s+1]]
-		r.stepsPerSec[s] = 0
-		if len(seg) == 0 {
-			return
-		}
-		sortByRadius(seg, r.radii)
-		r.stepsPerSec[s] = float64(len(seg)) * math.Log2(float64(len(seg))+1)
-	})
+	// Pass 3: sort each sector by radius, summing the sort cost in
+	// sector order.
 	r.sortSteps = 0
 	for s := 0; s < nsec; s++ {
-		r.sortSteps += r.stepsPerSec[s]
+		seg := r.order[r.starts[s]:r.starts[s+1]]
+		if len(seg) == 0 {
+			continue
+		}
+		sortByRadius(seg, r.radii)
+		r.sortSteps += float64(len(seg)) * math.Log2(float64(len(seg))+1)
 	}
 
 	// Pass 4: walk each ray outward tracking the ground height.
@@ -195,11 +174,9 @@ func (r *RayGround) ensureScratch(n, nsec int) {
 	if cap(r.counts) < nsec+1 {
 		r.counts = make([]int32, nsec+1)
 		r.starts = make([]int32, nsec+1)
-		r.stepsPerSec = make([]float64, nsec)
 	}
 	r.counts = r.counts[:nsec+1]
 	r.starts = r.starts[:nsec+1]
-	r.stepsPerSec = r.stepsPerSec[:nsec]
 }
 
 // sortByRadius orders a sector's point indices by (radius, index) —

@@ -67,37 +67,6 @@ func TestFirstErrorSurfacesPanicDeterministically(t *testing.T) {
 	}
 }
 
-// TestRunLimitReraisesInCaller pins the loop contract: the panic is
-// re-raised in the calling goroutine (recoverable), carries the
-// lowest task index, and every other index still runs.
-func TestRunLimitReraisesInCaller(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var ran atomic.Int32
-		func() {
-			defer func() {
-				v := recover()
-				pe, ok := v.(*PanicError)
-				if !ok {
-					t.Fatalf("workers=%d: recovered %v, want *PanicError", workers, v)
-				}
-				if pe.Index != 1 {
-					t.Fatalf("workers=%d: panic index %d, want lowest (1)", workers, pe.Index)
-				}
-			}()
-			RunLimit(6, workers, func(i int) {
-				if i == 1 || i == 4 {
-					panic(i)
-				}
-				ran.Add(1)
-			})
-			t.Fatalf("workers=%d: RunLimit returned without panicking", workers)
-		}()
-		if got := ran.Load(); got != 4 {
-			t.Fatalf("workers=%d: %d healthy indices ran, want 4", workers, got)
-		}
-	}
-}
-
 // TestPoolSurvivesPanickingTask submits a panicking task among healthy
 // ones to a live pool: the panic arrives as that task's error, the
 // workers stay up for later submissions, and the panic counter ticks.

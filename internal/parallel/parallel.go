@@ -1,22 +1,15 @@
 // Package parallel provides the host-parallelism substrate the
-// reproduction engine runs on: a bounded worker pool with deterministic
-// by-index result collection, and fixed-shard decomposition helpers for
-// the per-frame hot loops.
+// reproduction engine runs on: a bounded task runner with deterministic
+// by-index result collection, and a long-lived worker pool for
+// services.
 //
-// Two invariants keep host parallelism invisible to the simulated
-// platform (see DESIGN.md, "Host parallelism vs. simulated time"):
-//
-//  1. Results are always collected by index, never by completion
-//     order, so concurrent execution cannot reorder anything an
-//     experiment renders.
-//  2. Work decomposition is a function of the *input size only* (fixed
-//     shard sizes), never of the worker count, so a reduction computes
-//     the same floating-point operation tree whether it runs on one
-//     goroutine or sixteen.
+// Results are always collected by index, never by completion order, so
+// concurrent execution cannot reorder anything an experiment renders
+// (see DESIGN.md, "Host parallelism vs. simulated time").
 //
 // The worker budget is a process-wide knob (SetMaxWorkers, wired to the
-// -workers flag of cmd/characterize and cmd/avsim); it bounds how many
-// OS threads the engine saturates but never changes a reported number.
+// -workers flag of cmd/characterize); it bounds how many OS threads the
+// engine saturates but never changes a reported number.
 package parallel
 
 import (
@@ -27,12 +20,11 @@ import (
 	"sync/atomic"
 )
 
-// PanicError is a task panic captured by the pool: the panicking task's
-// index, the recovered value, and the goroutine stack at the panic
-// site. Loops re-raise it in the *calling* goroutine (where a recover
-// can actually catch it — a panic left to escape a worker goroutine
-// kills the whole process), and error-returning task runners surface it
-// as the task's error.
+// PanicError is a task panic captured by the runner or the pool: the
+// panicking task's index, the recovered value, and the goroutine stack
+// at the panic site. It is delivered as the task's error, so a panic
+// never escapes a worker goroutine (which would kill the whole
+// process).
 type PanicError struct {
 	// Index is the task index that panicked.
 	Index int
@@ -63,10 +55,9 @@ func init() {
 	maxWorkers.Store(int64(runtime.NumCPU()))
 }
 
-// SetMaxWorkers bounds the number of goroutines any parallel loop in
-// this package may use. n < 1 resets to runtime.NumCPU(). It only
-// affects wall-clock speed: every result is bit-identical under any
-// setting.
+// SetMaxWorkers bounds the number of goroutines Tasks and NewPool may
+// use. n < 1 resets to runtime.NumCPU(). It only affects wall-clock
+// speed: every result is bit-identical under any setting.
 func SetMaxWorkers(n int) {
 	if n < 1 {
 		n = runtime.NumCPU()
@@ -77,53 +68,34 @@ func SetMaxWorkers(n int) {
 // MaxWorkers returns the current worker budget.
 func MaxWorkers() int { return int(maxWorkers.Load()) }
 
-// Run executes fn(i) for every i in [0, n) across at most
-// min(MaxWorkers, n) goroutines. Indices are claimed atomically, so
-// each runs exactly once; fn instances for different indices must be
-// independent (write disjoint state). Falls back to a plain loop when
-// the budget or n is 1.
-func Run(n int, fn func(int)) { RunLimit(n, MaxWorkers(), fn) }
-
-// RunLimit is Run with an explicit worker bound (further capped by
-// MaxWorkers and n).
-//
-// A panicking task no longer kills the process from inside a worker
-// goroutine: every panic is captured, the remaining indices still run,
-// and after the loop drains the lowest-indexed capture is re-raised as
-// a *PanicError in the calling goroutine — deterministic regardless of
-// wall-clock completion order, and recoverable by the caller (the fleet
-// service's per-vehicle isolation depends on this). Callers that want
-// panics as plain per-task errors use Tasks or FirstError instead.
-func RunLimit(n, workers int, fn func(int)) {
+// Tasks runs n error-returning tasks across at most min(workers,
+// MaxWorkers, n) goroutines and returns one error slot per task, in
+// index order. Indices are claimed atomically, so each task runs
+// exactly once; tasks for different indices must write disjoint state.
+// A task that panics fills its slot with a *PanicError (stack included)
+// instead of unwinding the pool: one corrupt task among healthy ones
+// costs exactly its own result, never the process.
+func Tasks(n, workers int, fn func(int) error) []error {
 	if n <= 0 {
-		return
+		return nil
 	}
-	if m := MaxWorkers(); workers > m {
-		workers = m
+	errs := make([]error, n)
+	run := func(i int) {
+		if pe := safeCall(i, func(i int) { errs[i] = fn(i) }); pe != nil {
+			errs[i] = pe
+		}
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, MaxWorkers(), n)
 	if workers <= 1 {
-		// Same contract as the concurrent path: every index runs, the
-		// first capture re-raises after the loop.
-		var first *PanicError
-		for i := 0; i < n; i++ {
-			if pe := safeCall(i, fn); pe != nil && first == nil {
-				first = pe
-			}
+		for i := range n {
+			run(i)
 		}
-		if first != nil {
-			panic(first)
-		}
-		return
+		return errs
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var first *PanicError
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
 			for {
@@ -131,48 +103,12 @@ func RunLimit(n, workers int, fn func(int)) {
 				if i >= n {
 					return
 				}
-				if pe := safeCall(i, fn); pe != nil {
-					mu.Lock()
-					if first == nil || pe.Index < first.Index {
-						first = pe
-					}
-					mu.Unlock()
-				}
+				run(i)
 			}
 		}()
 	}
 	wg.Wait()
-	if first != nil {
-		panic(first)
-	}
-}
-
-// Map runs fn over [0, n) concurrently and returns the results in index
-// order — completion order never leaks into the output.
-func Map[T any](n int, fn func(int) T) []T {
-	return MapLimit(n, MaxWorkers(), fn)
-}
-
-// MapLimit is Map with an explicit worker bound.
-func MapLimit[T any](n, workers int, fn func(int) T) []T {
-	out := make([]T, n)
-	RunLimit(n, workers, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// Tasks runs n error-returning tasks concurrently and returns one
-// error slot per task, in index order. A task that panics fills its
-// slot with a *PanicError (stack included) instead of unwinding the
-// pool: one corrupt task among healthy ones costs exactly its own
-// result, never the process.
-func Tasks(n, workers int, fn func(int) error) []error {
-	return MapLimit(n, workers, func(i int) error {
-		var err error
-		if pe := safeCall(i, func(i int) { err = fn(i) }); pe != nil {
-			return pe
-		}
-		return err
-	})
+	return errs
 }
 
 // FirstError runs n error-returning tasks concurrently and returns the
@@ -186,27 +122,4 @@ func FirstError(n, workers int, fn func(int) error) error {
 		}
 	}
 	return nil
-}
-
-// Shards returns the number of fixed-size shards covering n items.
-// The count depends only on n and shardSize — never on the worker
-// budget — so sharded reductions are reproducible across machines.
-func Shards(n, shardSize int) int {
-	if n <= 0 {
-		return 0
-	}
-	if shardSize <= 0 {
-		return 1
-	}
-	return (n + shardSize - 1) / shardSize
-}
-
-// ShardRange returns the half-open item range [lo, hi) of shard s.
-func ShardRange(s, shardSize, n int) (lo, hi int) {
-	lo = s * shardSize
-	hi = lo + shardSize
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
 }

@@ -2,16 +2,21 @@ package parallel
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
+// TestRunCoversEveryIndexOnce pins that a Tasks run executes every
+// index exactly once, at any worker count.
 func TestRunCoversEveryIndexOnce(t *testing.T) {
+	defer SetMaxWorkers(MaxWorkers())
+	SetMaxWorkers(64)
 	for _, workers := range []int{1, 2, 7, 64} {
 		n := 1000
 		counts := make([]int32, n)
-		RunLimit(n, workers, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		Tasks(n, workers, func(i int) error { atomic.AddInt32(&counts[i], 1); return nil })
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
@@ -20,23 +25,28 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestMapPreservesIndexOrder pins that Tasks maps each index to its own
+// result slot, whatever order the workers finish in.
 func TestMapPreservesIndexOrder(t *testing.T) {
-	got := MapLimit(257, 8, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("index %d: got %d want %d", i, v, i*i)
+	errs := Tasks(257, 8, func(i int) error { return fmt.Errorf("%d", i*i) })
+	for i, err := range errs {
+		if want := fmt.Sprint(i * i); err == nil || err.Error() != want {
+			t.Fatalf("index %d: got %v want %s", i, err, want)
 		}
 	}
 }
 
 func TestRunHandlesDegenerateInputs(t *testing.T) {
 	ran := false
-	Run(0, func(int) { ran = true })
-	RunLimit(-3, 4, func(int) { ran = true })
+	fn := func(int) error { ran = true; return nil }
+	if errs := Tasks(0, 4, fn); len(errs) != 0 {
+		t.Fatalf("Tasks(0) returned %d slots", len(errs))
+	}
+	Tasks(-3, 4, fn)
 	if ran {
 		t.Fatal("fn ran for empty input")
 	}
-	Run(1, func(i int) { ran = i == 0 })
+	Tasks(1, 4, func(i int) error { ran = i == 0; return nil })
 	if !ran {
 		t.Fatal("fn did not run for n=1")
 	}
@@ -72,26 +82,5 @@ func TestSetMaxWorkersClampsAndRestores(t *testing.T) {
 	SetMaxWorkers(0)
 	if MaxWorkers() != runtime.NumCPU() {
 		t.Fatalf("MaxWorkers=%d want NumCPU", MaxWorkers())
-	}
-}
-
-func TestShardDecompositionIsWorkerIndependent(t *testing.T) {
-	n, size := 10_000, 4096
-	if got := Shards(n, size); got != 3 {
-		t.Fatalf("Shards=%d want 3", got)
-	}
-	covered := 0
-	for s := 0; s < Shards(n, size); s++ {
-		lo, hi := ShardRange(s, size, n)
-		if lo != covered {
-			t.Fatalf("shard %d starts at %d, want %d", s, lo, covered)
-		}
-		covered = hi
-	}
-	if covered != n {
-		t.Fatalf("shards cover %d of %d items", covered, n)
-	}
-	if Shards(0, size) != 0 {
-		t.Fatal("empty input should produce no shards")
 	}
 }

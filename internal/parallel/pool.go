@@ -17,8 +17,8 @@ var (
 )
 
 // Pool is a long-lived bounded worker pool for services that accept
-// work over time (unlike Run/Map, which drain a fixed index range and
-// return). It carries the same survival contract as the loops: a
+// work over time (unlike Tasks, which drains a fixed index range and
+// returns). It carries the same survival contract as Tasks: a
 // panicking task is captured as a *PanicError and delivered on the
 // task's result channel; the worker goroutine — and the process —
 // survive.

@@ -8,7 +8,7 @@ import (
 )
 
 // benchCloud synthesizes a LiDAR-sized cloud: points scattered through
-// a street-scale box, dense enough to exercise the sharded paths.
+// a street-scale box, large enough to span several voxel blocks.
 func benchCloud(n int) *Cloud {
 	rng := mathx.NewRNG(42)
 	c := New(n)
@@ -27,7 +27,7 @@ func benchCloud(n int) *Cloud {
 }
 
 // BenchmarkVoxelGrid measures the steady-state cost of the pooled,
-// sharded voxel downsample with a reused destination cloud — the
+// block-folded voxel downsample with a reused destination cloud — the
 // voxel_grid_filter hot path.
 func BenchmarkVoxelGrid(b *testing.B) {
 	c := benchCloud(30000)

@@ -1,17 +1,17 @@
 package pointcloud
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/mathx"
-	"repro/internal/parallel"
 )
 
-// determinismCloud is a LiDAR-scale cloud, big enough (>> kdParallelMin
-// and the voxel shard threshold) that the parallel build paths engage.
+// determinismCloud is a uniformly random cloud; at 30,000 points it
+// spans several voxel blocks.
 func determinismCloud(n int, seed uint64) *Cloud {
 	rng := mathx.NewRNG(seed)
 	c := New(n)
@@ -27,16 +27,6 @@ func determinismCloud(n int, seed uint64) *Cloud {
 		})
 	}
 	return c
-}
-
-// withWorkers runs fn with the global worker bound set to n, restoring
-// the previous setting afterwards so other tests are unaffected.
-func withWorkers(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := parallel.MaxWorkers()
-	parallel.SetMaxWorkers(n)
-	defer parallel.SetMaxWorkers(prev)
-	fn()
 }
 
 // voxelFingerprint renders the downsampled cloud to an exact,
@@ -65,64 +55,31 @@ func kdFingerprint(t *KDTree) string {
 	return b.String()
 }
 
-// TestVoxelDownsampleWorkerInvariance pins the property the simulator's
-// determinism rests on: the voxel filter output is identical whether
-// the shard loop runs on 1, 2 or 8 host workers, and across repeated
-// runs at the same width. Host parallelism must be invisible in
-// simulated results.
-func TestVoxelDownsampleWorkerInvariance(t *testing.T) {
+// blockFoldSHA is the sha256 of voxelFingerprint(determinismCloud(30000,
+// 42), 2.0) under the 8,192-point block fold. The HD map's point and
+// voxel bits are built on the same fold.
+const blockFoldSHA = "4f8e0cd80456d067aa67f6011629477770011ca914b6e717ebae28b2ef235263"
+
+// TestVoxelDownsampleBlockFold pins the float association of the voxel
+// filter on a cloud that spans several blocks: the output's bits must
+// equal the pinned block-fold hash, which a single pass over all points
+// does not reproduce. The map build downsamples in place, so the
+// in-place result must equal the out-of-place one point for point.
+func TestVoxelDownsampleBlockFold(t *testing.T) {
 	c := determinismCloud(30000, 42)
 	const leaf = 2.0
-	var ref string
-	for _, workers := range []int{1, 2, 8} {
-		withWorkers(t, workers, func() {
-			got := voxelFingerprint(c, leaf)
-			if ref == "" {
-				ref = got
-			} else if got != ref {
-				t.Errorf("voxel output at %d workers diverges from 1-worker reference", workers)
-			}
-			// Repeatability at the same width.
-			if again := voxelFingerprint(c, leaf); again != got {
-				t.Errorf("voxel output not repeatable at %d workers", workers)
-			}
-		})
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(voxelFingerprint(c, leaf)))); got != blockFoldSHA {
+		t.Fatalf("voxel fingerprint sha256 = %s, want %s", got, blockFoldSHA)
 	}
-	if ref == "" || ref == "kept=0\n" {
-		t.Fatalf("degenerate fingerprint: %q", ref)
+	want, kept := VoxelDownsample(c, leaf)
+	got, keptInPlace := VoxelDownsampleInto(c, leaf, c)
+	if keptInPlace != kept || got.Len() != want.Len() {
+		t.Fatalf("in place kept %d voxels, out of place %d", keptInPlace, kept)
 	}
-}
-
-// TestKDTreeRebuildWorkerInvariance does the same for the k-d tree: the
-// node array laid out by the parallel subtree build must be
-// bit-identical for any worker count, including reusing one tree's
-// storage across Rebuild calls.
-func TestKDTreeRebuildWorkerInvariance(t *testing.T) {
-	c := determinismCloud(20000, 7)
-	pts := make([]geom.Vec3, c.Len())
-	for i, p := range c.Points {
-		pts[i] = p.Pos
-	}
-	var ref string
-	for _, workers := range []int{1, 2, 8} {
-		withWorkers(t, workers, func() {
-			tree := NewKDTree(pts)
-			got := kdFingerprint(tree)
-			if ref == "" {
-				ref = got
-			} else if got != ref {
-				t.Errorf("k-d tree at %d workers diverges from 1-worker reference", workers)
-			}
-			// Rebuild over the same points into reused storage must
-			// reproduce the identical tree.
-			tree.Rebuild(pts)
-			if again := kdFingerprint(tree); again != got {
-				t.Errorf("Rebuild not repeatable at %d workers", workers)
-			}
-		})
-	}
-	if ref == "" || ref == "root=-1 n=0\n" {
-		t.Fatalf("degenerate fingerprint: %q", ref)
+	for i := range want.Points {
+		if got.Points[i] != want.Points[i] {
+			t.Fatalf("point %d: in place %+v, out of place %+v", i, got.Points[i], want.Points[i])
+		}
 	}
 }
 

@@ -1,11 +1,6 @@
 package pointcloud
 
-import (
-	"sync"
-
-	"repro/internal/geom"
-	"repro/internal/parallel"
-)
+import "repro/internal/geom"
 
 // KDTree is a 3-dimensional k-d tree over cloud point indices. It backs
 // radius queries for euclidean clustering. Construction is O(n log n);
@@ -35,12 +30,6 @@ type kdNode struct {
 // kdMaxDepth bounds the depth of a balanced tree over int32 indices,
 // and so the explicit stack of a query.
 const kdMaxDepth = 64
-
-// kdParallelMin is the smallest subtree handed to its own goroutine
-// during construction. Node slots are assigned by subrange — a pure
-// function of the input — so the built tree is bit-identical whether
-// subtrees build serially or concurrently.
-const kdParallelMin = 4096
 
 // NewKDTree builds a balanced tree over the given positions.
 func NewKDTree(pts []geom.Vec3) *KDTree {
@@ -80,8 +69,7 @@ func (t *KDTree) Rebuild(pts []geom.Vec3) {
 // build lays out the subtree over idx (a subslice of the index scratch)
 // in pre-order at node slots [base, base+len(idx)): the subtree root at
 // base, the left subtree at [base+1, base+1+mid), the right subtree
-// after it. Slot assignment depends only on subrange sizes, so parallel
-// subtree builds write disjoint slots and produce the serial layout.
+// after it, so slot assignment depends only on subrange sizes.
 func (t *KDTree) build(idx []int32, depth int, base int32) {
 	axis := depth % 3
 	mid := len(idx) / 2
@@ -94,17 +82,6 @@ func (t *KDTree) build(idx []int32, depth int, base int32) {
 		right = base + 1 + int32(mid)
 	}
 	t.nodes[base] = kdNode{pos: t.pts[idx[mid]], idx: idx[mid], axis: int8(axis), left: left, right: right}
-	if left >= 0 && right >= 0 && len(idx) >= kdParallelMin && parallel.MaxWorkers() > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t.build(idx[:mid], depth+1, left)
-		}()
-		t.build(idx[mid+1:], depth+1, right)
-		wg.Wait()
-		return
-	}
 	if left >= 0 {
 		t.build(idx[:mid], depth+1, left)
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/geom"
-	"repro/internal/parallel"
 )
 
 // VoxelKey identifies a cubic cell of the voxel grid.
@@ -48,9 +47,14 @@ var voxelScratchPool = sync.Pool{
 // getVoxelScratch returns an empty scratch sized for about hint cells.
 func getVoxelScratch(hint int) *voxelScratch {
 	s := voxelScratchPool.Get().(*voxelScratch)
+	s.reset(hint)
+	return s
+}
+
+// reset empties s and sizes its index for about hint cells.
+func (s *voxelScratch) reset(hint int) {
 	s.idx.reset(hint)
 	s.accs = s.accs[:0]
-	return s
 }
 
 func putVoxelScratch(s *voxelScratch) { voxelScratchPool.Put(s) }
@@ -73,8 +77,7 @@ func (s *voxelScratch) accumulate(pts []Point, leaf float64) {
 }
 
 // merge folds o's cells into s in o's first-touch order, preserving the
-// whole-stream first-touch ordering when shards are merged in index
-// order.
+// whole-stream first-touch ordering when blocks are merged in order.
 func (s *voxelScratch) merge(o *voxelScratch) {
 	for i := range o.accs {
 		oa := &o.accs[i]
@@ -91,11 +94,14 @@ func (s *voxelScratch) merge(o *voxelScratch) {
 	}
 }
 
-// voxelShardSize fixes the parallel decomposition of the binning pass.
-// It depends only on input size — never on the worker budget — so the
-// merge computes the same floating-point sum tree under any host
-// parallelism (see package parallel).
-const voxelShardSize = 8192
+// voxelBlock is the block size of the binning pass, and the HD map's
+// bits depend on it. A larger cloud is binned one block at a time, and
+// each block's per-cell sums are folded into the running total in block
+// order, so a cell's centroid is a sum of per-block sums: a different
+// floating-point association from one pass over every point. Scans fit
+// in one block; the HD-map build folds tens of blocks per call, so
+// changing this value changes every map's point and voxel bits.
+const voxelBlock = 8192
 
 // VoxelDownsample reduces a cloud to one point per occupied voxel — the
 // centroid of the points that fell in it, as PCL's VoxelGrid does. This
@@ -107,32 +113,27 @@ func VoxelDownsample(c *Cloud, leaf float64) (*Cloud, int) {
 
 // VoxelDownsampleInto is VoxelDownsample with a reusable destination
 // cloud (nil allocates); dst may be c itself, since every input point is
-// binned before the first output is written. Output points appear in first-touch voxel
-// order, so the result is a pure function of the input. Large clouds
-// are binned in fixed-size shards executed concurrently and merged in
-// shard order.
+// binned before the first output is written. Output points appear in
+// first-touch voxel order, so the result is a pure function of the
+// input. Clouds above voxelBlock points are binned block by block and
+// folded in block order.
 func VoxelDownsampleInto(c *Cloud, leaf float64, dst *Cloud) (*Cloud, int) {
 	if leaf <= 0 {
 		panic("pointcloud: non-positive voxel leaf size")
 	}
 	n := c.Len()
-	shards := parallel.Shards(n, voxelShardSize)
-	var merged *voxelScratch
-	if shards <= 1 {
-		merged = getVoxelScratch(n)
-		merged.accumulate(c.Points, leaf)
-	} else {
-		parts := make([]*voxelScratch, shards)
-		parallel.Run(shards, func(si int) {
-			lo, hi := parallel.ShardRange(si, voxelShardSize, n)
-			parts[si] = getVoxelScratch(hi - lo)
-			parts[si].accumulate(c.Points[lo:hi], leaf)
-		})
-		merged = parts[0]
-		for _, part := range parts[1:] {
+	head := min(n, voxelBlock)
+	merged := getVoxelScratch(head)
+	merged.accumulate(c.Points[:head], leaf)
+	if n > head {
+		part := getVoxelScratch(0)
+		for lo := head; lo < n; lo += voxelBlock {
+			hi := min(lo+voxelBlock, n)
+			part.reset(hi - lo)
+			part.accumulate(c.Points[lo:hi], leaf)
 			merged.merge(part)
-			putVoxelScratch(part)
 		}
+		putVoxelScratch(part)
 	}
 	cells := len(merged.accs)
 	if dst == nil {

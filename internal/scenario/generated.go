@@ -14,10 +14,9 @@ import (
 // whose latency breaks the end-to-end budget, its candidate text
 // (world params line + fault schedule, see search.MarshalCandidate)
 // is committed under testdata/gen_*.scenario and becomes a named
-// scenario like the builtins — runnable via -faults, hashed by the
-// transport golden net, and checked for worker invariance. The stack
-// they measure is the hardened one the search measured: guard and
-// supervision forced on.
+// scenario like the builtins — runnable via -faults and hashed by the
+// transport golden net. The stack they measure is the hardened one the
+// search measured: guard and supervision forced on.
 
 //go:embed testdata/gen_*.scenario
 var generatedFS embed.FS
