@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-times race vet bench-check bench-smoke fuzz-smoke chaos-smoke corruption-smoke bench-middleware bus-stress sched-smoke search-smoke fleet-smoke journal-smoke docs-lint
+.PHONY: build test test-times race vet bench-check bench-smoke fuzz-smoke chaos-smoke corruption-smoke bench-middleware bus-stress sched-smoke search-smoke fleet-smoke journal-smoke map-smoke docs-lint
 
 build:
 	$(GO) build ./...
@@ -133,6 +133,24 @@ journal-smoke:
 	$(GO) run ./cmd/avfleet -journal-smoke
 	$(GO) test -count=1 -run='TestFleetJournal|TestFairShareStarvation' ./internal/fleet/
 	$(GO) test -count=1 ./internal/journal/
+
+# Map-builder smoke: build the scripted world's HD map at 10 m scan
+# spacing into a temporary directory, then inspect the file. Fails
+# unless both commands exit 0 and info reports the point count the
+# build printed and 100% route coverage.
+map-smoke:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/mapbuilder" ./cmd/mapbuilder || exit 1; \
+	"$$dir/mapbuilder" build -spacing 10 -out "$$dir/city.avmap" >"$$dir/build.txt"; st=$$?; cat "$$dir/build.txt"; \
+	[ $$st -eq 0 ] || exit 1; \
+	"$$dir/mapbuilder" info -map "$$dir/city.avmap" >"$$dir/info.txt"; st=$$?; cat "$$dir/info.txt"; \
+	[ $$st -eq 0 ] || exit 1; \
+	pts=$$(sed -n 's/.* scans, \([0-9][0-9]*\) map points.*/\1/p' "$$dir/build.txt"); \
+	if [ -z "$$pts" ] || ! grep -q "^  map points  *$$pts\$$" "$$dir/info.txt"; then \
+		echo "map-smoke: info does not report the built point count ($$pts)"; exit 1; \
+	fi; \
+	grep -q '^  route coverage 100%$$' "$$dir/info.txt" || { echo "map-smoke: route coverage below 100%"; exit 1; }; \
+	echo "map-smoke ok: $$pts map points, 100% route coverage"
 
 # Docs hygiene: formatting, vet, and a package comment on every
 # internal package (godoc's first requirement for a readable map).

@@ -55,11 +55,12 @@ func build(args []string) {
 
 	fmt.Printf("sweeping the mapping rig along the route (spacing %.1f m)...\n", *spacing)
 	start := time.Now()
-	m, err := hdmap.Build(scen, cfg)
+	sw, err := hdmap.SweepRoute(scen, cfg)
 	if err != nil {
 		fatal(err)
 	}
-	if err := m.SaveFile(*out); err != nil {
+	m := sw.Map()
+	if err := sw.SaveFile(*out); err != nil {
 		fatal(err)
 	}
 	st, err := os.Stat(*out)
@@ -67,7 +68,7 @@ func build(args []string) {
 		fatal(err)
 	}
 	fmt.Printf("built in %.1fs: %d scans, %d map points, %d NDT voxels -> %s (%.1f MB)\n",
-		time.Since(start).Seconds(), m.Scans, m.Cloud.Len(), usableVoxels(m), *out,
+		time.Since(start).Seconds(), sw.Scans, sw.Cloud.Len(), m.NDT.Len(), *out,
 		float64(st.Size())/1e6)
 }
 
@@ -76,26 +77,17 @@ func info(args []string) {
 	path := fs.String("map", "city.avmap", "map path")
 	_ = fs.Parse(args)
 
-	m, err := hdmap.LoadFile(*path)
+	sw, err := hdmap.LoadSweepFile(*path)
 	if err != nil {
 		fatal(err)
 	}
+	m := sw.Map()
 	scen := world.NewScenario(world.DefaultScenarioConfig())
-	b := m.Cloud.Bounds()
+	b := sw.Cloud.Bounds()
 	fmt.Printf("%s:\n", *path)
 	fmt.Printf("  scans          %d\n", m.Scans)
-	fmt.Printf("  map points     %d\n", m.Cloud.Len())
-	fmt.Printf("  NDT leaf       %.1f m (%d voxels, %d usable)\n", m.NDTLeaf, m.NDT.Len(), usableVoxels(m))
+	fmt.Printf("  map points     %d\n", sw.Cloud.Len())
+	fmt.Printf("  NDT leaf       %.1f m (%d usable voxels)\n", m.NDTLeaf, m.NDT.Len())
 	fmt.Printf("  extent         %.0f x %.0f m\n", b.Size().X, b.Size().Y)
 	fmt.Printf("  route coverage %.0f%%\n", 100*m.Coverage(scen, 100))
-}
-
-func usableVoxels(m *hdmap.Map) int {
-	n := 0
-	for _, vs := range m.NDT.Voxels {
-		if vs.OK {
-			n++
-		}
-	}
-	return n
 }

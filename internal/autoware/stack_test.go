@@ -22,6 +22,32 @@ func buildTestStack(t *testing.T, det Detector, mode Mode) *Stack {
 	return s
 }
 
+// TestMapFileStackMatchesInMemoryMap drives a stack whose HD map comes
+// from a map file, as mapbuilder writes it, and one over the in-memory
+// map built from the same sweep: they must run bit for bit alike.
+func TestMapFileStackMatchesInMemoryMap(t *testing.T) {
+	path := t.TempDir() + "/shared.avmap"
+	if err := testenv.Sweep().SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(DetectorSSD300)
+	cfg.MapFile = path
+	fromFile, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMemory := buildTestStack(t, DetectorSSD300, ModeFull)
+	fromFile.Run(5 * time.Second)
+	inMemory.Run(5 * time.Second)
+	got, want := fromFile.Recorder.Fingerprint(), inMemory.Recorder.Fingerprint()
+	if got != want {
+		t.Errorf("map-file stack fingerprint differs from the in-memory map's:\n%s\nvs\n%s", got, want)
+	}
+	if fromFile.Recorder.NodeLatency("ndt_matching").Count == 0 {
+		t.Error("ndt_matching recorded no samples")
+	}
+}
+
 func TestFullStackProducesAllNodeSamples(t *testing.T) {
 	s := buildTestStack(t, DetectorSSD300, ModeFull)
 	s.Run(12 * time.Second)

@@ -48,28 +48,56 @@ func DefaultConfig() Config {
 	}
 }
 
-// Map is the built product: the thinned world-frame cloud and the NDT
-// voxel grid derived from it.
+// Map is the run-time product: the NDT grid that ndt_matching scores
+// scans against, which holds only the usable voxel Gaussians. The map
+// keeps no points; the thinned cloud lives in a Sweep, which exists
+// while a map is built or saved.
 type Map struct {
-	Cloud   *pointcloud.Cloud
 	NDT     *pointcloud.VoxelGrid
 	NDTLeaf float64
 	// Scans is the number of mapping sweeps that contributed.
 	Scans int
-
-	minVoxelPoints int
 }
 
-// Build runs the mapping sweep over the scenario's ego route.
+// Sweep is the mapping sweep's product: the thinned world-frame cloud
+// and what building the NDT grid from it takes. The map file stores a
+// Sweep; Map builds the grid from it, as Autoware builds its NDT grid
+// from a point map at load time.
+type Sweep struct {
+	Cloud          *pointcloud.Cloud
+	Scans          int
+	NDTLeaf        float64
+	MinVoxelPoints int
+}
+
+// Build runs the mapping sweep over the scenario's ego route and builds
+// the NDT grid from it. The swept cloud is dropped on return.
 func Build(s *world.Scenario, cfg Config) (*Map, error) {
+	sw, err := SweepRoute(s, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sw.Map(), nil
+}
+
+// SweepRoute drives the mapping rig along the scenario's ego route and
+// returns the accumulated cloud, thinned to MapLeaf.
+func SweepRoute(s *world.Scenario, cfg Config) (*Sweep, error) {
 	if cfg.ScanSpacing <= 0 || cfg.MapLeaf <= 0 || cfg.NDTLeaf <= 0 {
 		return nil, fmt.Errorf("hdmap: invalid config %+v", cfg)
 	}
-	lidar := sensor.NewLiDAR(cfg.LiDAR, s.City)
+	lc := cfg.LiDAR
+	if lc == (sensor.LiDARConfig{}) {
+		lc = DefaultConfig().LiDAR
+	}
+	if lc.Beams <= 0 || lc.AzimuthSteps <= 0 {
+		return nil, fmt.Errorf("hdmap: invalid LiDAR config %+v", lc)
+	}
+	lidar := sensor.NewLiDAR(lc, s.City)
 	// The accumulator is thinned once it passes thinAt points, so one
 	// more scan always fits without regrowing it.
 	const thinAt = 1 << 20
-	acc := pointcloud.New(thinAt + cfg.LiDAR.Beams*cfg.LiDAR.AzimuthSteps)
+	acc := pointcloud.New(thinAt + lc.Beams*lc.AzimuthSteps)
 	scratch := pointcloud.New(0)
 
 	// Walk the route by time, emitting a scan every ScanSpacing meters.
@@ -108,24 +136,27 @@ func Build(s *world.Scenario, cfg Config) (*Map, error) {
 		return nil, fmt.Errorf("hdmap: route produced no scans")
 	}
 	thinned, _ := pointcloud.VoxelDownsample(acc, cfg.MapLeaf)
-	m := &Map{
+	return &Sweep{
 		Cloud:          thinned,
-		NDTLeaf:        cfg.NDTLeaf,
 		Scans:          scans,
-		minVoxelPoints: cfg.MinVoxelPoints,
+		NDTLeaf:        cfg.NDTLeaf,
+		MinVoxelPoints: cfg.MinVoxelPoints,
+	}, nil
+}
+
+// Map builds the NDT grid from the swept cloud.
+func (sw *Sweep) Map() *Map {
+	return &Map{
+		NDT:     pointcloud.BuildVoxelStats(sw.Cloud, sw.NDTLeaf, sw.MinVoxelPoints),
+		NDTLeaf: sw.NDTLeaf,
+		Scans:   sw.Scans,
 	}
-	m.NDT = pointcloud.BuildVoxelStats(thinned, cfg.NDTLeaf, cfg.MinVoxelPoints)
-	return m, nil
 }
 
 // VoxelAt returns the NDT statistics voxel containing p, or nil when the
 // voxel is unmapped or unusable.
 func (m *Map) VoxelAt(p geom.Vec3) *pointcloud.VoxelStats {
-	vs := m.NDT.Lookup(pointcloud.KeyFor(p, m.NDTLeaf))
-	if vs == nil || !vs.OK {
-		return nil
-	}
-	return vs
+	return m.NDT.Lookup(pointcloud.KeyFor(p, m.NDTLeaf))
 }
 
 // Direct7 appends to out the usable voxels among the containing cell
@@ -144,7 +175,7 @@ func (m *Map) Direct7(p geom.Vec3, out []*pointcloud.VoxelStats) []*pointcloud.V
 		{X: base.X, Y: base.Y, Z: base.Z + 1},
 	}
 	for _, k := range keys {
-		if vs := m.NDT.Lookup(k); vs != nil && vs.OK {
+		if vs := m.NDT.Lookup(k); vs != nil {
 			out = append(out, vs)
 		}
 	}
@@ -161,7 +192,7 @@ func (m *Map) NeighborVoxels(p geom.Vec3) []*pointcloud.VoxelStats {
 		for dy := int32(-1); dy <= 1; dy++ {
 			for dz := int32(-1); dz <= 1; dz++ {
 				k := pointcloud.VoxelKey{X: base.X + dx, Y: base.Y + dy, Z: base.Z + dz}
-				if vs := m.NDT.Lookup(k); vs != nil && vs.OK {
+				if vs := m.NDT.Lookup(k); vs != nil {
 					out = append(out, vs)
 				}
 			}
@@ -203,11 +234,7 @@ func (m *Map) Coverage(s *world.Scenario, samples int) float64 {
 func (m *Map) nearestVoxelDist(p geom.Vec3) float64 {
 	best := math.Inf(1)
 	for i := range m.NDT.Voxels {
-		vs := &m.NDT.Voxels[i]
-		if !vs.OK {
-			continue
-		}
-		if d := vs.Mean.Dist(p); d < best {
+		if d := m.NDT.Voxels[i].Mean.Dist(p); d < best {
 			best = d
 		}
 	}

@@ -1,54 +1,122 @@
 package hdmap
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/pointcloud"
+	"repro/internal/sensor"
 	"repro/internal/world"
 )
 
 var (
 	testMapOnce sync.Once
+	testSweep   *Sweep
 	testMap     *Map
 	testScen    *world.Scenario
 )
 
-// sharedMap builds one map for all tests in the package (construction
-// sweeps the whole route and is the expensive part).
+// sharedMap builds one sweep and its map for all tests in the package
+// (the sweep drives the whole route and is the expensive part).
 func sharedMap(t testing.TB) (*Map, *world.Scenario) {
 	t.Helper()
 	testMapOnce.Do(func() {
 		testScen = world.NewScenario(world.DefaultScenarioConfig())
 		cfg := DefaultConfig()
 		cfg.ScanSpacing = 10 // coarser for test speed
-		m, err := Build(testScen, cfg)
+		sw, err := SweepRoute(testScen, cfg)
 		if err != nil {
 			panic(err)
 		}
-		testMap = m
+		testSweep, testMap = sw, sw.Map()
 	})
 	return testMap, testScen
 }
 
+// sharedSweep returns the sweep the shared map was built from.
+func sharedSweep(t testing.TB) *Sweep {
+	sharedMap(t)
+	return testSweep
+}
+
+// gridFingerprint hashes a map's NDT grid: a header, then every voxel in
+// Voxels order as the hex bits of its mean, its inverse covariance row
+// by row, and its count.
+func gridFingerprint(sw *Sweep, m *Map) (header, sum string) {
+	header = fmt.Sprintf("scans=%d points=%d usable=%d\n", m.Scans, sw.Cloud.Len(), m.NDT.Len())
+	h := sha256.New()
+	h.Write([]byte(header))
+	for _, vs := range m.NDT.Voxels {
+		fmt.Fprintf(h, "%x %x %x", vs.Mean.X, vs.Mean.Y, vs.Mean.Z)
+		for _, row := range vs.InvCov {
+			for _, v := range row {
+				fmt.Fprintf(h, " %x", v)
+			}
+		}
+		fmt.Fprintf(h, " %d\n", vs.N)
+	}
+	return header, fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// requireSameGrid fails unless two maps hold the same voxels, bit for
+// bit and in the same order, and each looks every voxel up in place.
+func requireSameGrid(t *testing.T, got, want *Map) {
+	t.Helper()
+	if got.NDT.Len() != want.NDT.Len() {
+		t.Fatalf("grid has %d voxels, want %d", got.NDT.Len(), want.NDT.Len())
+	}
+	for i := range want.NDT.Voxels {
+		g, w := &got.NDT.Voxels[i], &want.NDT.Voxels[i]
+		if fmt.Sprintf("%x", *g) != fmt.Sprintf("%x", *w) {
+			t.Fatalf("voxel %d: got %+v, want %+v", i, *g, *w)
+		}
+		if got.VoxelAt(g.Mean) != g {
+			t.Fatalf("voxel %d: not found at its own mean", i)
+		}
+	}
+}
+
+// TestNDTGridPinned pins the shared map's grid bits: every usable
+// voxel's mean, inverse covariance and count, in first-touch order.
+func TestNDTGridPinned(t *testing.T) {
+	m, _ := sharedMap(t)
+	header, sum := gridFingerprint(sharedSweep(t), m)
+	const wantHeader = "scans=239 points=553274 usable=46643\n"
+	const wantSum = "c749bbd5e3c418895c73c19d0adf39a09515706e04d1ee9e3a01be73e9f7ea2e"
+	if header != wantHeader || sum != wantSum {
+		t.Errorf("NDT grid %q %s, want %q %s", header, sum, wantHeader, wantSum)
+	}
+}
+
+// TestMapFilePinned pins the bytes Save writes for the shared sweep,
+// which are the bytes of "mapbuilder build -spacing 10": the thinned
+// cloud, point for point, and the grid parameters.
+func TestMapFilePinned(t *testing.T) {
+	h := sha256.New()
+	if err := sharedSweep(t).Save(h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "6dc98a4abdc6ebce3d94f1a2b95dffe2496d6532748ce67d4a6464ac4f1cdd80"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("map file sha256 %s, want %s", got, want)
+	}
+}
+
 func TestBuildProducesMap(t *testing.T) {
 	m, _ := sharedMap(t)
-	if m.Cloud.Len() < 10000 {
-		t.Errorf("map cloud too sparse: %d points", m.Cloud.Len())
+	if n := sharedSweep(t).Cloud.Len(); n < 10000 {
+		t.Errorf("map cloud too sparse: %d points", n)
 	}
 	if m.Scans < 50 {
 		t.Errorf("too few mapping scans: %d", m.Scans)
 	}
-	usable := 0
-	for _, vs := range m.NDT.Voxels {
-		if vs.OK {
-			usable++
-		}
-	}
-	if usable < 100 {
-		t.Errorf("too few usable NDT voxels: %d", usable)
+	if m.NDT.Len() < 100 {
+		t.Errorf("too few usable NDT voxels: %d", m.NDT.Len())
 	}
 }
 
@@ -59,6 +127,39 @@ func TestBuildRejectsBadConfig(t *testing.T) {
 	if _, err := Build(s, cfg); err == nil {
 		t.Error("negative spacing should fail")
 	}
+	for _, bad := range []func(*Config){
+		func(c *Config) { c.LiDAR.Beams = 0 },
+		func(c *Config) { c.LiDAR.AzimuthSteps = 0 },
+		func(c *Config) { c.LiDAR = sensor.LiDARConfig{MaxRange: 80} },
+	} {
+		cfg := DefaultConfig()
+		cfg.ScanSpacing = 50
+		bad(&cfg)
+		if _, err := Build(s, cfg); err == nil {
+			t.Errorf("LiDAR config %+v should fail", cfg.LiDAR)
+		}
+	}
+}
+
+// TestBuildZeroLiDARUsesDefault: a zero Config.LiDAR means the default
+// scanner with noise off, so it builds the grid DefaultConfig's builds.
+func TestBuildZeroLiDARUsesDefault(t *testing.T) {
+	_, s := sharedMap(t)
+	zero := Config{ScanSpacing: 50, MapLeaf: 0.4, NDTLeaf: 2, MinVoxelPoints: 4}
+	got, err := Build(s, zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := DefaultConfig()
+	def.ScanSpacing = 50
+	want, err := Build(s, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Scans != want.Scans || got.NDT.Len() == 0 {
+		t.Fatalf("zero LiDAR: %d scans and %d voxels, want %d scans", got.Scans, got.NDT.Len(), want.Scans)
+	}
+	requireSameGrid(t, got, want)
 }
 
 func TestVoxelAt(t *testing.T) {
@@ -116,9 +217,6 @@ func TestDirect7Neighborhood(t *testing.T) {
 		if vs.Mean.Dist(probe) > 2*m.NDTLeaf*1.8 {
 			t.Errorf("voxel mean %v too far from probe %v", vs.Mean, probe)
 		}
-		if !vs.OK {
-			t.Error("Direct7 returned an unusable voxel")
-		}
 	}
 	// Reuse: the buffer grows without reallocating beyond capacity.
 	buf2 := m.Direct7(probe, buf[:0])
@@ -129,32 +227,40 @@ func TestDirect7Neighborhood(t *testing.T) {
 
 func TestMapSaveLoadRoundTrip(t *testing.T) {
 	m, s := sharedMap(t)
+	sw := sharedSweep(t)
 	path := t.TempDir() + "/test.avmap"
-	if err := m.SaveFile(path); err != nil {
+	if err := sw.SaveFile(path); err != nil {
 		t.Fatal(err)
+	}
+	loadedSweep, err := LoadSweepFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := sw.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := loadedSweep.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("reloaded sweep saves different bytes")
 	}
 	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Cloud.Len() != m.Cloud.Len() {
-		t.Errorf("cloud size %d != %d", loaded.Cloud.Len(), m.Cloud.Len())
-	}
 	if loaded.Scans != m.Scans || loaded.NDTLeaf != m.NDTLeaf {
 		t.Errorf("metadata mismatch: %+v", loaded)
 	}
 	// The rebuilt NDT grid matches voxel for voxel.
-	if loaded.NDT.Len() != m.NDT.Len() {
-		t.Fatalf("voxel count %d != %d", loaded.NDT.Len(), m.NDT.Len())
-	}
+	requireSameGrid(t, loaded, m)
 	// And localization still works against the loaded map: probe the
 	// DIRECT7 neighborhood along the route.
 	pose, _ := s.EgoRoute.At(45)
 	probe := pose.Pos.Add(geom.V3(0, 0, 0.3))
-	a := m.Direct7(probe, nil)
-	b := loaded.Direct7(probe, nil)
-	if len(a) != len(b) {
-		t.Errorf("Direct7 differs after reload: %d vs %d", len(a), len(b))
+	if got, want := loaded.Direct7(probe, nil), m.Direct7(probe, nil); len(got) != len(want) || len(want) == 0 {
+		t.Errorf("Direct7 after reload: %d voxels, want %d (nonzero)", len(got), len(want))
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 	"repro/internal/pointcloud"
 )
 
-// serialized is the on-disk form of a Map. The NDT grid is rebuilt on
-// load from the stored leaf/minPoints, so the file stays compact and
-// the regularization logic has a single home.
+// serialized is the on-disk form of a Sweep. The file stores the thinned
+// points, not the NDT grid: the grid is rebuilt on load from the stored
+// leaf/minPoints, so the file stays compact and the regularization logic
+// has a single home.
 type serialized struct {
 	Magic          string
 	Version        int
@@ -23,16 +24,16 @@ type serialized struct {
 
 const mapMagic = "AVMAP"
 
-// Save writes the map to w in a compact binary form.
-func (m *Map) Save(w io.Writer) error {
+// Save writes the sweep to w in a compact binary form.
+func (sw *Sweep) Save(w io.Writer) error {
 	enc := gob.NewEncoder(w)
 	err := enc.Encode(serialized{
 		Magic:          mapMagic,
 		Version:        1,
-		Points:         m.Cloud.Points,
-		NDTLeaf:        m.NDTLeaf,
-		MinVoxelPoints: m.minVoxelPoints,
-		Scans:          m.Scans,
+		Points:         sw.Cloud.Points,
+		NDTLeaf:        sw.NDTLeaf,
+		MinVoxelPoints: sw.MinVoxelPoints,
+		Scans:          sw.Scans,
 	})
 	if err != nil {
 		return fmt.Errorf("hdmap: saving map: %w", err)
@@ -40,10 +41,25 @@ func (m *Map) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a map previously written by Save and rebuilds its NDT grid.
-func Load(r io.Reader) (*Map, error) {
+// SaveFile writes the sweep to a file path.
+func (sw *Sweep) SaveFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("hdmap: creating %s: %w", path, err)
+	}
+	defer f.Close()
+	return sw.Save(f)
+}
+
+// LoadSweepFile reads a sweep previously written by Save.
+func LoadSweepFile(path string) (*Sweep, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("hdmap: opening %s: %w", path, err)
+	}
+	defer f.Close()
 	var s serialized
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	if err := gob.NewDecoder(f).Decode(&s); err != nil {
 		return nil, fmt.Errorf("hdmap: reading map: %w", err)
 	}
 	if s.Magic != mapMagic {
@@ -56,32 +72,20 @@ func Load(r io.Reader) (*Map, error) {
 	if minPts <= 0 {
 		minPts = DefaultConfig().MinVoxelPoints
 	}
-	m := &Map{
+	return &Sweep{
 		Cloud:          &pointcloud.Cloud{Points: s.Points},
-		NDTLeaf:        s.NDTLeaf,
 		Scans:          s.Scans,
-		minVoxelPoints: minPts,
-	}
-	m.NDT = pointcloud.BuildVoxelStats(m.Cloud, m.NDTLeaf, minPts)
-	return m, nil
+		NDTLeaf:        s.NDTLeaf,
+		MinVoxelPoints: minPts,
+	}, nil
 }
 
-// SaveFile writes the map to a file path.
-func (m *Map) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("hdmap: creating %s: %w", path, err)
-	}
-	defer f.Close()
-	return m.Save(f)
-}
-
-// LoadFile reads a map from a file path.
+// LoadFile reads a map file and builds its NDT grid; the stored points
+// are dropped once the grid is built.
 func LoadFile(path string) (*Map, error) {
-	f, err := os.Open(path)
+	sw, err := LoadSweepFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("hdmap: opening %s: %w", path, err)
+		return nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	return sw.Map(), nil
 }

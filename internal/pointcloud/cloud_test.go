@@ -145,8 +145,8 @@ func TestBuildVoxelStats(t *testing.T) {
 			main = vs
 		}
 	}
-	if !main.OK {
-		t.Fatal("main voxel should be OK")
+	if stats.Lookup(KeyFor(geom.V3(5, 5, 0.5), 10.0)) != main {
+		t.Fatal("the blob's voxel should be usable and indexed")
 	}
 	if main.Mean.Dist(geom.V3(5, 5, 0.5)) > 0.1 {
 		t.Errorf("voxel mean = %v", main.Mean)
@@ -162,10 +162,8 @@ func TestBuildVoxelStats(t *testing.T) {
 func TestBuildVoxelStatsMinPoints(t *testing.T) {
 	c := FromPositions([]geom.Vec3{geom.V3(0, 0, 0), geom.V3(0.1, 0, 0)})
 	stats := BuildVoxelStats(c, 1.0, 5)
-	for _, vs := range stats.Voxels {
-		if vs.OK {
-			t.Error("voxel with 2 points should not be OK with minPoints=5")
-		}
+	if stats.Len() != 0 || stats.Lookup(KeyFor(geom.V3(0, 0, 0), 1.0)) != nil {
+		t.Error("voxel with 2 points should not be kept with minPoints=5")
 	}
 }
 

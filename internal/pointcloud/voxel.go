@@ -2,6 +2,7 @@ package pointcloud
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -154,35 +155,32 @@ func VoxelDownsampleInto(c *Cloud, leaf float64, dst *Cloud) (*Cloud, int) {
 }
 
 // VoxelStats holds the Gaussian statistics of the points inside one
-// voxel: mean, covariance and its inverse. This is the per-cell model of
-// the Normal Distributions Transform used by ndt_matching and built by
-// the hdmap package.
+// usable voxel: mean, inverse covariance and population. This is the
+// per-cell model of the Normal Distributions Transform used by
+// ndt_matching and built by the hdmap package.
 type VoxelStats struct {
 	Mean   geom.Vec3
-	Cov    [3][3]float64
 	InvCov [3][3]float64
 	N      int
-	// OK is false when the voxel had too few points or a degenerate
-	// covariance and must be skipped during matching.
-	OK bool
 }
 
-// VoxelGrid is an NDT statistics grid: the per-voxel Gaussians of a
-// cloud stored by value in first-touch order, behind an open-addressed
-// key index. Lookups neither hash through the runtime nor chase a
-// pointer per voxel, and iteration order is a pure function of the
-// input cloud.
+// VoxelGrid is an NDT statistics grid: the Gaussians of a cloud's
+// usable voxels stored by value in first-touch order, behind an
+// open-addressed key index. Lookups neither hash through the runtime
+// nor chase a pointer per voxel, and iteration order is a pure function
+// of the input cloud.
 type VoxelGrid struct {
-	// Voxels holds every occupied voxel, usable or not, in the order
-	// the cloud first touched it.
+	// Voxels holds every usable voxel in the order the cloud first
+	// touched it.
 	Voxels []VoxelStats
 	index  voxelIndex
 }
 
-// Len returns the number of occupied voxels.
+// Len returns the number of usable voxels.
 func (g *VoxelGrid) Len() int { return len(g.Voxels) }
 
-// Lookup returns the voxel with key k, or nil when it is unoccupied.
+// Lookup returns the voxel with key k, or nil when it is unoccupied or
+// unusable.
 func (g *VoxelGrid) Lookup(k VoxelKey) *VoxelStats {
 	if i, ok := g.index.find(k); ok {
 		return &g.Voxels[i]
@@ -190,25 +188,29 @@ func (g *VoxelGrid) Lookup(k VoxelKey) *VoxelStats {
 	return nil
 }
 
-// BuildVoxelStats accumulates per-voxel Gaussian statistics for a cloud.
-// Voxels with fewer than minPoints points are marked not OK.
+// BuildVoxelStats accumulates per-voxel Gaussian statistics for a cloud
+// and keeps the usable voxels: those with at least minPoints points and
+// an invertible covariance. The grid holds nothing else, so matching
+// never meets a voxel it must skip.
 func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 	if leaf <= 0 {
 		panic("pointcloud: non-positive voxel leaf size")
 	}
 	type acc struct {
+		key VoxelKey
 		sum geom.Vec3
 		// Upper triangle of the second-moment matrix.
 		xx, xy, xz, yy, yz, zz float64
 		n                      int
 	}
-	g := &VoxelGrid{}
-	g.index.reset(c.Len() / 8)
+	var cellIndex voxelIndex
+	cellIndex.reset(c.Len() / 8)
 	var cells []acc
 	for _, p := range c.Points {
-		slot, added := g.index.insert(KeyFor(p.Pos, leaf), int32(len(cells)))
+		k := KeyFor(p.Pos, leaf)
+		slot, added := cellIndex.insert(k, int32(len(cells)))
 		if added {
-			cells = append(cells, acc{})
+			cells = append(cells, acc{key: k})
 		}
 		a := &cells[slot]
 		v := p.Pos
@@ -221,17 +223,15 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 		a.zz += v.Z * v.Z
 		a.n++
 	}
-	g.Voxels = make([]VoxelStats, len(cells))
+	voxels := make([]VoxelStats, 0, len(cells))
+	keys := make([]VoxelKey, 0, len(cells))
 	for i := range cells {
 		a := &cells[i]
-		vs := &g.Voxels[i]
-		vs.N = a.n
-		inv := 1 / float64(a.n)
-		m := a.sum.Scale(inv)
-		vs.Mean = m
 		if a.n < minPoints {
 			continue
 		}
+		inv := 1 / float64(a.n)
+		m := a.sum.Scale(inv)
 		cov := [3][3]float64{
 			{a.xx*inv - m.X*m.X, a.xy*inv - m.X*m.Y, a.xz*inv - m.X*m.Z},
 			{a.xy*inv - m.X*m.Y, a.yy*inv - m.Y*m.Y, a.yz*inv - m.Y*m.Z},
@@ -246,11 +246,19 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 		for i := 0; i < 3; i++ {
 			cov[i][i] += minVar
 		}
-		vs.Cov = cov
-		if ic, ok := invert3(cov); ok {
-			vs.InvCov = ic
-			vs.OK = true
+		ic, ok := invert3(cov)
+		if !ok {
+			continue
 		}
+		voxels = append(voxels, VoxelStats{Mean: m, InvCov: ic, N: a.n})
+		keys = append(keys, a.key)
+	}
+	// The cells and their index die here. The grid keeps an exactly
+	// sized copy of the usable voxels and an index sized for them.
+	g := &VoxelGrid{Voxels: slices.Clone(voxels)}
+	g.index.reset(len(keys))
+	for i, k := range keys {
+		g.index.insert(k, int32(i))
 	}
 	return g
 }

@@ -41,44 +41,52 @@ func TestVoxelIndexMatchesMap(t *testing.T) {
 	}
 }
 
-// TestVoxelGridMatchesMapReference rebuilds the statistics grid the
-// map-based way and requires identical voxels under every key, in
-// first-touch order.
+// TestVoxelGridMatchesMapReference builds the statistics grid of a
+// random cloud both ways: the lean build, and the full reference build
+// behind a Go map. The grid must hold exactly the reference's usable
+// voxels, bit for bit and in first-touch order, and Lookup must find
+// each of them and nothing else: not a sparse voxel, not a degenerate
+// one, not an unoccupied key.
 func TestVoxelGridMatchesMapReference(t *testing.T) {
 	rng := mathx.NewRNG(37)
-	c := New(20000)
+	c := New(20005)
 	for i := 0; i < 20000; i++ {
 		c.Append(Point{Pos: geom.V3(rng.Range(-30, 30), rng.Range(-30, 30), rng.Range(-1, 5))})
 	}
-	const leaf = 2.0
-	g := BuildVoxelStats(c, leaf, 4)
-	var order []VoxelKey
-	counts := map[VoxelKey]int{}
-	for _, p := range c.Points {
-		k := KeyFor(p.Pos, leaf)
-		if counts[k] == 0 {
-			order = append(order, k)
-		}
-		counts[k]++
+	// Five coincident points: populous enough, but the covariance
+	// stays singular after regularization.
+	for i := 0; i < 5; i++ {
+		c.Append(Point{Pos: geom.V3(100.1, 100.1, 100.1)})
 	}
-	if g.Len() != len(order) {
-		t.Fatalf("grid has %d voxels, want %d", g.Len(), len(order))
+	const leaf, minPoints = 2.0, 4
+	g := BuildVoxelStats(c, leaf, minPoints)
+	usable, sparse, degenerate := 0, 0, 0
+	for _, r := range referenceVoxelStats(c, leaf, minPoints) {
+		vs := g.Lookup(r.key)
+		if !r.OK {
+			if r.N < minPoints {
+				sparse++
+			} else {
+				degenerate++
+			}
+			if vs != nil {
+				t.Fatalf("unusable voxel %v (N=%d) is in the grid", r.key, r.N)
+			}
+			continue
+		}
+		if usable >= g.Len() || vs != &g.Voxels[usable] {
+			t.Fatalf("usable voxel %v not found at first-touch position %d", r.key, usable)
+		}
+		if !sameVoxelBits(*vs, r) {
+			t.Fatalf("voxel %v: got %+v, want mean %v invcov %v N=%d", r.key, *vs, r.Mean, r.InvCov, r.N)
+		}
+		usable++
 	}
-	ok := 0
-	for i, k := range order {
-		vs := g.Lookup(k)
-		if vs != &g.Voxels[i] {
-			t.Fatalf("voxel %v not at first-touch position %d", k, i)
-		}
-		if vs.N != counts[k] || KeyFor(vs.Mean, leaf) != k {
-			t.Fatalf("voxel %v: N=%d mean=%v, want N=%d", k, vs.N, vs.Mean, counts[k])
-		}
-		if vs.OK {
-			ok++
-		}
+	if usable != g.Len() {
+		t.Fatalf("grid has %d voxels, reference has %d usable", g.Len(), usable)
 	}
-	if ok == 0 {
-		t.Fatal("no usable voxels")
+	if usable == 0 || sparse == 0 || degenerate == 0 {
+		t.Fatalf("cloud has %d usable, %d sparse and %d degenerate voxels; the check needs each", usable, sparse, degenerate)
 	}
 	if g.Lookup(VoxelKey{X: 999, Y: 999, Z: 999}) != nil {
 		t.Error("lookup of an unoccupied voxel should be nil")

@@ -110,7 +110,7 @@ func TestBuildEnvUsesSpecWorld(t *testing.T) {
 	if reflect.DeepEqual(scen.City, testenv.Scenario().City) {
 		t.Errorf("%s: environment is the scripted default city", spec.Name)
 	}
-	if m.Scans == testenv.Map().Scans && m.Cloud.Len() == testenv.Map().Cloud.Len() {
+	if m.Scans == testenv.Map().Scans && m.NDT.Len() == testenv.Map().NDT.Len() {
 		t.Errorf("%s: HD map matches the scripted default city's map", spec.Name)
 	}
 }

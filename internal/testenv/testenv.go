@@ -12,9 +12,10 @@ import (
 )
 
 var (
-	once sync.Once
-	scen *world.Scenario
-	hmap *hdmap.Map
+	once  sync.Once
+	scen  *world.Scenario
+	sweep *hdmap.Sweep
+	hmap  *hdmap.Map
 )
 
 // Scenario returns the shared default scenario.
@@ -30,16 +31,23 @@ func Map() *hdmap.Map {
 	return hmap
 }
 
+// Sweep returns the mapping sweep the shared HD map was built from,
+// which is what a map file stores.
+func Sweep() *hdmap.Sweep {
+	build()
+	return sweep
+}
+
 func build() {
 	once.Do(func() {
 		scen = world.NewScenario(world.DefaultScenarioConfig())
 		cfg := hdmap.DefaultConfig()
 		cfg.ScanSpacing = 10
-		m, err := hdmap.Build(scen, cfg)
+		sw, err := hdmap.SweepRoute(scen, cfg)
 		if err != nil {
 			panic(err)
 		}
-		hmap = m
+		sweep, hmap = sw, sw.Map()
 	})
 }
 

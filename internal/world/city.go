@@ -129,7 +129,14 @@ func BuildCity(cfg CityConfig) (*City, error) {
 			})
 		}
 	}
-	c.grid = newBuildingGrid(c.Buildings, c.BlockSize/2)
+	// Quarter-block cells (25 m at the default pitch, a little under a
+	// lot): over the scripted map build a ray tests 3.8 buildings in
+	// 2.8 cells, where half-block cells made it test 8.6 in 2.4. Finer
+	// cells walk more cells than they save in tests, and 10 m cells
+	// build the map slower than 25 m ones. The cell size moves only
+	// host time: CastRay returns the exact minimum over all buildings
+	// at any size.
+	c.grid = newBuildingGrid(c.Buildings, c.BlockSize/4)
 	return c, nil
 }
 
