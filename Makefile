@@ -91,12 +91,18 @@ bench-middleware:
 
 # Scheduler tail-latency closure: run the auto-tuner against the
 # contention scenario (characterize exits non-zero if the elected
-# schedule's p99 is worse than the no-scheduler baseline), then the
+# schedule's p99 is worse than the no-scheduler baseline) and fail
+# unless its JSON search record, which holds virtual-time values only,
+# is byte-identical to the committed BENCH_sched.json; then the
 # regression pair — the pinned tuned schedule must beat plain
 # contention's p99, and the scheduled trace must be bit-exact across
-# two independent runs. The JSON search record lands in BENCH_sched.json.
+# two independent runs. A deliberate re-pin rewrites the committed
+# record with:
+#   go run ./cmd/characterize -exp tune -duration 12s -seed 1 -bench BENCH_sched.json -out /dev/null
 sched-smoke:
-	$(GO) run ./cmd/characterize -exp tune -duration 12s -seed 1 -bench BENCH_sched.json -out /dev/null
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/characterize -exp tune -duration 12s -seed 1 -bench "$$dir/sched.json" -out /dev/null || exit 1; \
+	cmp "$$dir/sched.json" BENCH_sched.json || { echo "sched-smoke: search record differs from BENCH_sched.json"; exit 1; }
 	$(GO) test -count=1 -run='TestContentionTunedImprovesP99|TestChainLogCleanLegByteIdentical|TestSchedRepeatable' ./internal/scenario/
 	$(GO) test -count=1 ./internal/sched/
 

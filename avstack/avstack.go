@@ -9,7 +9,8 @@
 // Run-time layers — fault injection, supervision, deadline shedding,
 // the graceful-degradation watchdog and the deadline scheduler — are
 // installed by AttachLayers, the one place that wires them, in the
-// order the executor's chained hooks depend on.
+// order the supervisor's callback filter, which wraps the injector's,
+// depends on.
 //
 // Quick start:
 //

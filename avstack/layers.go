@@ -40,13 +40,13 @@ type Layers struct {
 }
 
 // AttachLayers installs the run-time layers on a stack before it runs.
-// It is the only code that wires them, and it wires them in the order
-// the executor's chained hooks depend on:
+// It is the only code that wires them, in this order:
 //
 //  1. the fault injector, recording its message losses in the stack's
 //     trace;
-//  2. supervision, whose callback filter chains in front of the
-//     injector's and so sees its crash verdicts;
+//  2. supervision, whose callback filter wraps the injector's and so
+//     sees its crash verdicts — the one order that matters, since the
+//     layers' observers each see every event regardless;
 //  3. the shed budget;
 //  4. the watchdog;
 //  5. the scheduler, which picks only among the dispatches every layer
@@ -61,14 +61,14 @@ func AttachLayers(stack *autoware.Stack, l Layers) (*faults.Injector, error) {
 			return nil, err
 		}
 		inj.SetLossRecorder(stack.Recorder)
-		inj.Attach(stack.Executor, stack.Bus)
+		inj.Attach(stack.Executor)
 	}
 	if l.Supervise {
 		sup, err := supervise.New(defaultSupervision(stack, l.Faults.Seed))
 		if err != nil {
 			return nil, err
 		}
-		sup.Attach(stack.Executor, stack.Bus, stack.Recorder)
+		sup.Attach(stack.Executor, stack.Recorder)
 	}
 	if l.ShedBudget > 0 {
 		stack.Executor.ShedBudget = l.ShedBudget

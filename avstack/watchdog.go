@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/autoware"
-	"repro/internal/ros"
+	"repro/internal/platform"
 )
 
 // FallbackPolicy selects what the watchdog does while a watched node's
@@ -69,7 +69,6 @@ type watchState struct {
 	// does not declare staleness before the node ever produced output.
 	seen      bool
 	lastFresh time.Duration
-	lastSeq   uint64
 	lastGood  any
 	// pending marks payload pointers the watchdog itself published, so
 	// their delivery is not mistaken for node recovery.
@@ -77,9 +76,9 @@ type watchState struct {
 	degraded bool
 }
 
-// attachWatchdog builds the layer over a stack, taps the bus and starts
-// the periodic staleness check. A policy without a node, topic or
-// timeout is an error.
+// attachWatchdog builds the layer over a stack, observes the executor's
+// Published events and starts the periodic staleness check. A policy
+// without a node, topic or timeout is an error.
 func attachWatchdog(stack *autoware.Stack, cfg WatchdogConfig) error {
 	period := cfg.Period
 	if period <= 0 {
@@ -95,36 +94,33 @@ func attachWatchdog(stack *autoware.Stack, cfg WatchdogConfig) error {
 			pending: make(map[any]int),
 		})
 	}
-	stack.Bus.Tap(w.observeDeliver, nil)
+	stack.Executor.Observe(w.observe)
 	stack.Sim.After(w.period, w.tick)
 	return nil
 }
 
-// observeDeliver tracks fresh publications on watched topics,
-// de-duplicating the per-subscription fan-out by sequence number and
-// ignoring the watchdog's own substituted publications.
-//
-// Borrow contract: the pooled envelope is only valid for the duration
-// of the tap; this method copies out the stamp and the payload pointer
-// (payloads are never pooled or recycled, so lastGood stays valid) and
-// must never retain m itself without m.Retain().
-func (w *watchdog) observeDeliver(sub *ros.Subscription, m *ros.Message) {
+// observe tracks fresh publications on watched topics, ignoring the
+// watchdog's own substituted publications. Payloads are never pooled,
+// so lastGood stays valid past the event.
+func (w *watchdog) observe(ev platform.Event) {
+	if ev.Kind != platform.Published {
+		return
+	}
 	for _, st := range w.states {
-		if st.policy.Topic != sub.Topic || m.Header.Seq == st.lastSeq {
+		if st.policy.Topic != ev.Topic {
 			continue
 		}
-		st.lastSeq = m.Header.Seq
-		if n, ours := st.pending[m.Payload]; ours {
+		if n, ours := st.pending[ev.Payload]; ours {
 			if n <= 1 {
-				delete(st.pending, m.Payload)
+				delete(st.pending, ev.Payload)
 			} else {
-				st.pending[m.Payload] = n - 1
+				st.pending[ev.Payload] = n - 1
 			}
 			continue // substitution, not recovery
 		}
 		st.seen = true
-		st.lastFresh = m.Header.Stamp
-		st.lastGood = m.Payload
+		st.lastFresh = ev.Stamp
+		st.lastGood = ev.Payload
 	}
 }
 

@@ -76,10 +76,9 @@ func TestFullStackProducesAllNodeSamples(t *testing.T) {
 func TestRecorderNodeWorkSumsCPUCounters(t *testing.T) {
 	s := buildTestStack(t, DetectorSSD512, ModeFull)
 	sums := map[string]work.Work{}
-	prev := s.Executor.OnDone
-	s.Executor.OnDone = func(d platform.DoneInfo) {
-		prev(d)
-		if d.Finished < s.Recorder.Warmup {
+	s.Executor.Observe(func(ev platform.Event) {
+		d := ev.Done
+		if ev.Kind != platform.Done || d.Finished < s.Recorder.Warmup {
 			return
 		}
 		w := sums[d.Node]
@@ -90,7 +89,7 @@ func TestRecorderNodeWorkSumsCPUCounters(t *testing.T) {
 		w.BranchOps += d.Work.BranchOps
 		w.BytesTouched += d.Work.BytesTouched
 		sums[d.Node] = w
-	}
+	})
 	s.Run(10 * time.Second)
 	if sums[VisionNodeName].CPUOps() == 0 {
 		t.Fatal("the detector reported no work")

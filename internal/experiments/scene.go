@@ -34,19 +34,16 @@ func SceneDependence(w io.Writer, runs *Runs) error {
 		"costmap_generator_obj": true,
 		"naive_motion_predict":  true,
 	}
-	prev := s.Executor.OnDone
-	s.Executor.OnDone = func(d platform.DoneInfo) {
-		if prev != nil {
-			prev(d)
-		}
-		if !watched[d.Node] || d.Outputs == 0 || d.Finished < cfg.Warmup {
+	s.Executor.Observe(func(ev platform.Event) {
+		d := ev.Done
+		if ev.Kind != platform.Done || !watched[d.Node] || d.Outputs == 0 || d.Finished < cfg.Warmup {
 			return
 		}
 		samplesByNode[d.Node] = append(samplesByNode[d.Node], sample{
 			objects:   float64(len(s.Tracker.Tracks())),
 			latencyMS: (d.Finished - d.Arrived).Seconds() * 1000,
 		})
-	}
+	})
 	s.Run(2 * runs.Duration)
 
 	tbl := &Table{Header: []string{"Node", "Samples", "Corr(objects, latency)", "ms per extra object"}}

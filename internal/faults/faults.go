@@ -8,10 +8,11 @@
 // runs are regression-testable byte for byte.
 //
 // Hook point and ordering. The injector perturbs at the *publish*
-// instant (the executor's PublishFilter, plus a CallbackFilter for
-// stall/crash verdicts, the bus's chainable Tap for burst replay, and
-// the CPU model for contention hogs). It is the FIRST layer in the
-// executor's decision chain — everything it lets through is then
+// instant: it owns the executor's PublishFilter, installs the first
+// CallbackFilter for stall/crash verdicts, observes Published events on
+// burst topics to learn the payloads it replays, and loads the CPU
+// model with contention hogs. It is the FIRST layer in the executor's
+// decision chain — everything it lets through is then
 // adjudicated by the guard at ingress, the supervisor at dispatch, and
 // the scheduler's pick last (injector → guard → supervisor →
 // scheduler), so a fault is always upstream of every mitigation that

@@ -58,8 +58,17 @@ func newRig(t *testing.T, sched Schedule, depth int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Attach(ex, bus)
+	inj.Attach(ex)
 	return &rig{sim: sim, ex: ex, bus: bus, node: node, inj: inj}
+}
+
+// onDone runs fn on every completed callback.
+func onDone(ex *platform.Executor, fn func(platform.DoneInfo)) {
+	ex.Observe(func(ev platform.Event) {
+		if ev.Kind == platform.Done {
+			fn(ev.Done)
+		}
+	})
 }
 
 func (r *rig) pump(n int, period time.Duration) {
@@ -109,7 +118,7 @@ func TestDelayFaultShiftsCompletion(t *testing.T) {
 		Delay: 100 * time.Millisecond,
 	}}}, 0) // window never active: baseline
 	var baseDone time.Duration
-	base.ex.OnDone = func(d platform.DoneInfo) { baseDone = d.Finished }
+	onDone(base.ex, func(d platform.DoneInfo) { baseDone = d.Finished })
 	base.pump(1, time.Millisecond)
 	base.sim.Run(time.Second)
 
@@ -118,7 +127,7 @@ func TestDelayFaultShiftsCompletion(t *testing.T) {
 		Delay: 100 * time.Millisecond,
 	}}}, 0)
 	var faultDone time.Duration
-	delayed.ex.OnDone = func(d platform.DoneInfo) { faultDone = d.Finished }
+	onDone(delayed.ex, func(d platform.DoneInfo) { faultDone = d.Finished })
 	delayed.pump(1, time.Millisecond)
 	delayed.sim.Run(time.Second)
 
@@ -133,11 +142,11 @@ func TestStallFaultHoldsNodeBusy(t *testing.T) {
 		Delay: 200 * time.Millisecond,
 	}}}, 0)
 	var first platform.DoneInfo
-	r.ex.OnDone = func(d platform.DoneInfo) {
+	onDone(r.ex, func(d platform.DoneInfo) {
 		if first.Node == "" {
 			first = d
 		}
-	}
+	})
 	r.pump(1, time.Millisecond)
 	r.sim.Run(time.Second)
 	if lat := first.Finished - first.Arrived; lat < 200*time.Millisecond {
@@ -165,6 +174,20 @@ func TestCrashFaultConsumesInputsSilently(t *testing.T) {
 	}
 }
 
+// TestBurstCachesOnlyItsTopic: the burst pump keeps the newest payload
+// of the topic it replays, not of every topic published while it runs.
+func TestBurstCachesOnlyItsTopic(t *testing.T) {
+	r := newRig(t, Schedule{Seed: 1, Faults: []Fault{{
+		Kind: KindBurst, Topic: "/in", Start: 0, Duration: time.Second, Rate: 10,
+	}}}, 0)
+	r.ex.AddNode(&echoNode{name: "sink", in: "/out", out: "/sink", ops: 1.55e5}, platform.NodeOptions{})
+	r.pump(5, 10*time.Millisecond)
+	r.sim.Run(time.Second)
+	if len(r.inj.lastPayload) != 1 || r.inj.lastPayload["/in"] != 4 {
+		t.Errorf("burst cache = %v, want only /in's newest payload", r.inj.lastPayload)
+	}
+}
+
 func TestBurstFaultForcesQueueEviction(t *testing.T) {
 	// Slow node (50 ms/input, depth 1) under a 200 Hz burst republish:
 	// the queue must evict.
@@ -183,7 +206,7 @@ func TestBurstFaultForcesQueueEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Attach(ex, bus)
+	inj.Attach(ex)
 	for i := 0; i < 10; i++ {
 		i := i
 		sim.Schedule(time.Duration(i)*50*time.Millisecond, func() { ex.Publish("/in", i) })
@@ -212,7 +235,7 @@ func TestContentionFaultSlowsCallbacks(t *testing.T) {
 		r := newRig(t, sched, 0)
 		r.node.ops = 1.55e7 // 10 ms of work per input
 		var last time.Duration
-		r.ex.OnDone = func(d platform.DoneInfo) { last = d.Finished }
+		onDone(r.ex, func(d platform.DoneInfo) { last = d.Finished })
 		r.pump(10, 50*time.Millisecond)
 		r.sim.Run(5 * time.Second)
 		return last

@@ -8,14 +8,15 @@ import (
 	"repro/internal/ros"
 )
 
-// Injector applies one Schedule to one running stack. It chains onto
-// the executor's publish/callback filters (preserving filters other
-// layers installed), taps the bus to learn burst payloads, and drives
-// burst and contention activity off the simulation clock. All of its
-// decisions are functions of (schedule, seed, dispatch order), so a
-// deterministic simulation stays deterministic with the injector
-// attached. avstack.AttachLayers installs it as the first run-time
-// layer, so every later layer's filter chains in front of its verdicts.
+// Injector applies one Schedule to one running stack. It owns the
+// executor's publish filter and installs the first callback filter,
+// observes the executor's Published events to learn burst payloads,
+// and drives burst and contention activity off the simulation clock.
+// All of its decisions are functions of (schedule, seed, dispatch
+// order), so a deterministic simulation stays deterministic with the
+// injector attached. avstack.AttachLayers installs it as the first
+// run-time layer, so the supervisor's callback filter wraps its
+// verdicts.
 type Injector struct {
 	sched Schedule
 	sim   *platform.Sim
@@ -25,10 +26,9 @@ type Injector struct {
 	// in fault order.
 	rngs []*mathx.RNG
 
-	// lastPayload remembers the newest payload per burst topic, with
-	// per-topic seq de-duplication of the per-subscription deliver hook.
+	// lastPayload remembers the newest payload per burst topic. Attach
+	// seeds a nil entry for each burst topic; only those are cached.
 	lastPayload map[string]any
-	lastSeq     map[string]uint64
 
 	counts map[Kind]map[string]int
 
@@ -53,7 +53,6 @@ func New(sched Schedule) (*Injector, error) {
 	in := &Injector{
 		sched:       sched,
 		lastPayload: make(map[string]any),
-		lastSeq:     make(map[string]uint64),
 		counts:      make(map[Kind]map[string]int),
 	}
 	root := mathx.NewRNG(sched.Seed)
@@ -70,160 +69,129 @@ func (in *Injector) Schedule() Schedule { return in.sched }
 // Call any time; nil disables.
 func (in *Injector) SetLossRecorder(r LossRecorder) { in.losses = r }
 
-// Attach wires the injector into a stack's executor and bus and
-// schedules the windowed activities (bursts, contention hogs).
-func (in *Injector) Attach(ex *platform.Executor, bus *ros.Bus) {
+// Attach wires the injector into a stack's executor and schedules the
+// windowed activities (bursts, contention hogs).
+func (in *Injector) Attach(ex *platform.Executor) {
 	in.sim = ex.Sim
 	in.ex = ex
 
-	in.chainPublishFilter(ex)
-	in.chainCallbackFilter(ex)
+	ex.PublishFilter = in.filterPublish
+	ex.CallbackFilter = in.filterCallback
 
-	needTap := false
 	for i := range in.sched.Faults {
 		f := &in.sched.Faults[i]
 		switch f.Kind {
 		case KindBurst:
-			needTap = true
+			in.lastPayload[f.Topic] = nil
 			in.scheduleBurst(f, in.rngs[i])
 		case KindContention:
 			in.scheduleContention(f)
 		}
 	}
-	if needTap {
-		bus.Tap(in.observeDeliver, nil)
+	if len(in.lastPayload) > 0 {
+		ex.Observe(in.observe)
 	}
 }
 
-// chainPublishFilter installs the message-level faults (drop, delay,
-// jitter, corrupt, skew, dup, truncate) behind any existing filter.
-func (in *Injector) chainPublishFilter(ex *platform.Executor) {
-	prev := ex.PublishFilter
-	ex.PublishFilter = func(topic string, payload any, now time.Duration) platform.PublishVerdict {
-		var v platform.PublishVerdict
-		if prev != nil {
-			v = prev(topic, payload, now)
-			if v.Drop {
-				return v
-			}
-			if v.Payload != nil {
-				payload = v.Payload
-			}
+// filterPublish applies the message-level faults (drop, delay, jitter,
+// corrupt, skew, dup, truncate).
+func (in *Injector) filterPublish(topic string, payload any, now time.Duration) platform.PublishVerdict {
+	var v platform.PublishVerdict
+	for i := range in.sched.Faults {
+		f := &in.sched.Faults[i]
+		if f.Topic != topic || !f.ActiveAt(now) {
+			continue
 		}
-		for i := range in.sched.Faults {
-			f := &in.sched.Faults[i]
-			if f.Topic != topic || !f.ActiveAt(now) {
-				continue
-			}
-			rng := in.rngs[i]
-			switch f.Kind {
-			case KindDrop:
-				if rng.Bool(f.Prob) {
-					in.count(f, 1)
-					if in.losses != nil {
-						in.losses.OnFaultLoss(string(KindDrop), f.Target(), now)
-					}
-					v.Drop = true
-					return v
-				}
-			case KindDelay:
-				extra := f.Delay
-				if f.Sigma > 0 {
-					extra += time.Duration(rng.Range(0, float64(f.Sigma)))
-				}
-				v.Delay += extra
-				in.count(f, 1)
-			case KindJitter:
-				n := rng.Norm()
-				if n < 0 {
-					n = -n
-				}
-				v.Delay += time.Duration(n * float64(f.Sigma))
-				in.count(f, 1)
-			case KindCorrupt:
-				if rng.Bool(f.Prob) {
-					if mutated := corruptPayload(rng, payload); mutated != nil {
-						v.Payload = mutated
-						payload = mutated
-						in.count(f, 1)
-					}
-				}
-			case KindSkew:
-				if rng.Bool(f.Prob) {
-					v.StampSkew += f.Skew
-					in.count(f, 1)
-				}
-			case KindDup:
-				if rng.Bool(f.Prob) {
-					v.Copies += f.Copies
-					in.count(f, f.Copies)
-				}
-			case KindTruncate:
-				if rng.Bool(f.Prob) {
-					if mutated := truncatePayload(rng, payload, f.Frac); mutated != nil {
-						v.Payload = mutated
-						payload = mutated
-						in.count(f, 1)
-					}
-				}
-			}
-		}
-		return v
-	}
-}
-
-// chainCallbackFilter installs the node-level faults (stall, crash)
-// behind any existing filter.
-func (in *Injector) chainCallbackFilter(ex *platform.Executor) {
-	prev := ex.CallbackFilter
-	ex.CallbackFilter = func(node string, m *ros.Message, now time.Duration) platform.CallbackVerdict {
-		var v platform.CallbackVerdict
-		if prev != nil {
-			v = prev(node, m, now)
-			if v.Drop {
-				return v
-			}
-		}
-		for i := range in.sched.Faults {
-			f := &in.sched.Faults[i]
-			if f.Node != node || !f.ActiveAt(now) {
-				continue
-			}
-			switch f.Kind {
-			case KindCrash:
+		rng := in.rngs[i]
+		switch f.Kind {
+		case KindDrop:
+			if rng.Bool(f.Prob) {
 				in.count(f, 1)
 				if in.losses != nil {
-					in.losses.OnFaultLoss(string(KindCrash), f.Target(), now)
+					in.losses.OnFaultLoss(string(KindDrop), f.Target(), now)
 				}
 				v.Drop = true
 				return v
-			case KindStall:
-				extra := f.Delay
-				if f.Sigma > 0 {
-					extra += time.Duration(in.rngs[i].Range(0, float64(f.Sigma)))
+			}
+		case KindDelay:
+			extra := f.Delay
+			if f.Sigma > 0 {
+				extra += time.Duration(rng.Range(0, float64(f.Sigma)))
+			}
+			v.Delay += extra
+			in.count(f, 1)
+		case KindJitter:
+			n := rng.Norm()
+			if n < 0 {
+				n = -n
+			}
+			v.Delay += time.Duration(n * float64(f.Sigma))
+			in.count(f, 1)
+		case KindCorrupt:
+			if rng.Bool(f.Prob) {
+				if mutated := corruptPayload(rng, payload); mutated != nil {
+					v.Payload = mutated
+					payload = mutated
+					in.count(f, 1)
 				}
-				v.Stall += extra
+			}
+		case KindSkew:
+			if rng.Bool(f.Prob) {
+				v.StampSkew += f.Skew
 				in.count(f, 1)
 			}
+		case KindDup:
+			if rng.Bool(f.Prob) {
+				v.Copies += f.Copies
+				in.count(f, f.Copies)
+			}
+		case KindTruncate:
+			if rng.Bool(f.Prob) {
+				if mutated := truncatePayload(rng, payload, f.Frac); mutated != nil {
+					v.Payload = mutated
+					payload = mutated
+					in.count(f, 1)
+				}
+			}
 		}
-		return v
 	}
+	return v
 }
 
-// observeDeliver remembers the newest payload per topic for bursts,
-// de-duplicating the per-subscription fan-out by sequence number.
-//
-// Borrow contract: bus taps receive the pooled *Message for the
-// duration of the call only — retaining m (or anything reachable
-// through its Header) without m.Retain() is a use-after-recycle once
-// the pool's reclamation epoch passes. Payloads are never pooled, so
-// caching m.Payload here is safe indefinitely.
-func (in *Injector) observeDeliver(sub *ros.Subscription, m *ros.Message) {
-	if m.Header.Seq == in.lastSeq[sub.Topic] {
-		return
+// filterCallback applies the node-level faults (stall, crash).
+func (in *Injector) filterCallback(node string, _ *ros.Message, now time.Duration) platform.CallbackVerdict {
+	var v platform.CallbackVerdict
+	for i := range in.sched.Faults {
+		f := &in.sched.Faults[i]
+		if f.Node != node || !f.ActiveAt(now) {
+			continue
+		}
+		switch f.Kind {
+		case KindCrash:
+			in.count(f, 1)
+			if in.losses != nil {
+				in.losses.OnFaultLoss(string(KindCrash), f.Target(), now)
+			}
+			v.Drop = true
+			return v
+		case KindStall:
+			extra := f.Delay
+			if f.Sigma > 0 {
+				extra += time.Duration(in.rngs[i].Range(0, float64(f.Sigma)))
+			}
+			v.Stall += extra
+			in.count(f, 1)
+		}
 	}
-	in.lastSeq[sub.Topic] = m.Header.Seq
-	in.lastPayload[sub.Topic] = m.Payload
+	return v
+}
+
+// observe caches the newest payload published on each burst topic.
+// Payloads are never pooled, so holding one past the event is safe.
+func (in *Injector) observe(ev platform.Event) {
+	if _, burst := in.lastPayload[ev.Topic]; burst && ev.Kind == platform.Published {
+		in.lastPayload[ev.Topic] = ev.Payload
+	}
 }
 
 // scheduleBurst installs the republish pump for one burst fault.
@@ -235,7 +203,7 @@ func (in *Injector) scheduleBurst(f *Fault, rng *mathx.RNG) {
 		if now >= f.End() {
 			return
 		}
-		if payload, ok := in.lastPayload[f.Topic]; ok {
+		if payload := in.lastPayload[f.Topic]; payload != nil {
 			in.ex.Publish(f.Topic, payload)
 			in.count(f, 1)
 		}

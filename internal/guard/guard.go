@@ -11,9 +11,8 @@
 // (NaN clouds, rewound stamps, duplicated frames) from reaching node
 // state in the first place, and a quarantined frame is never enqueued,
 // so neither the supervisor nor the scheduler ever sees it.
-// Guard.Attach chains behind any existing ingress filter and an
-// earlier quarantine verdict wins — the guard never resurrects a
-// frame.
+// Guard.Attach installs Inspect as the ingress filter, the executor's
+// only one.
 //
 // Ownership. The ingress hook borrows the message for the call only;
 // a quarantine verdict hands the envelope's ingress reference back to
@@ -150,20 +149,8 @@ func New(cfg Config) *Guard {
 	}
 }
 
-// Attach chains the guard onto the executor's ingress filter, in front
-// of any filter already installed (an earlier quarantine verdict wins;
-// the guard never resurrects a frame).
-func (g *Guard) Attach(ex *platform.Executor) {
-	prev := ex.IngressFilter
-	ex.IngressFilter = func(topic string, stamp time.Duration, payload any, now time.Duration) platform.IngressVerdict {
-		if prev != nil {
-			if v := prev(topic, stamp, payload, now); v.Quarantine {
-				return v
-			}
-		}
-		return g.Inspect(topic, stamp, payload, now)
-	}
-}
+// Attach installs the guard as the executor's ingress filter.
+func (g *Guard) Attach(ex *platform.Executor) { ex.IngressFilter = g.Inspect }
 
 // Inspect adjudicates one arrival. Check order: payload validation,
 // then future stamp, then duplicate, then rewind — so a frame that is

@@ -8,9 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/msgs"
 	"repro/internal/nodes/filters"
-	"repro/internal/platform"
 	"repro/internal/pointcloud"
-	"repro/internal/ros"
 )
 
 // cloudMsg builds a clean n-point cloud payload.
@@ -232,37 +230,6 @@ func TestGuardRegistryOverride(t *testing.T) {
 	nan.Cloud.Points[0].Pos.Z = math.NaN()
 	if v := g.Inspect(filters.TopicPointsRaw, time.Millisecond, nan, time.Millisecond); v.Quarantine {
 		t.Errorf("unregistered topic was payload-checked: %s", v.Cause)
-	}
-}
-
-// TestGuardAttachChaining wires the guard behind an existing ingress
-// filter and checks the chain contract: a prior quarantine verdict
-// wins (the guard never resurrects a frame), and frames the prior
-// filter passes still face the guard.
-func TestGuardAttachChaining(t *testing.T) {
-	sim := platform.NewSim()
-	ex := platform.NewExecutor(sim,
-		platform.NewCPU(platform.DefaultCPUConfig(), sim),
-		platform.NewGPU(platform.DefaultGPUConfig(), sim),
-		ros.NewBus(), nil)
-	ex.IngressFilter = func(topic string, stamp time.Duration, payload any, now time.Duration) platform.IngressVerdict {
-		if topic == "/blocked" {
-			return platform.IngressVerdict{Quarantine: true, Cause: "upstream-policy"}
-		}
-		return platform.IngressVerdict{}
-	}
-	g := New(Config{})
-	g.Attach(ex)
-
-	if v := ex.IngressFilter("/blocked", time.Millisecond, nil, time.Millisecond); !v.Quarantine || v.Cause != "upstream-policy" {
-		t.Errorf("prior verdict did not win: %+v", v)
-	}
-	if g.Quarantined() != 0 {
-		t.Error("guard charged a frame the upstream filter already quarantined")
-	}
-	// A frame the upstream filter passes still faces the guard.
-	if v := ex.IngressFilter("/t", 10*time.Second, nil, time.Millisecond); !v.Quarantine || v.Cause != CauseFutureStamp {
-		t.Errorf("guard did not inspect a passed frame: %+v", v)
 	}
 }
 

@@ -30,7 +30,7 @@ type nodeRuntime struct {
 type DoneInfo struct {
 	Node string
 	// Input is the message that triggered the callback. Borrowed: valid
-	// only for the duration of the OnDone call.
+	// only for the duration of the observer call.
 	Input *ros.Message
 	// Arrived is when the input reached the node's queue.
 	Arrived time.Duration
@@ -51,7 +51,7 @@ type DoneInfo struct {
 	Published []string
 	// FusedInputs lists previously cached messages whose origins were
 	// merged into the outputs' lineage (fusion's latest-input caches).
-	// Borrowed: valid only for the duration of the OnDone call.
+	// Borrowed: valid only for the duration of the observer call.
 	FusedInputs []*ros.Message
 }
 
@@ -90,13 +90,14 @@ type Executor struct {
 	// CommLatency is the fixed per-message transport cost.
 	CommLatency time.Duration
 
-	runtimes map[string]*nodeRuntime
-	order    []string // registration order for deterministic dispatch
+	runtimes  map[string]*nodeRuntime
+	order     []string // registration order for deterministic dispatch
+	observers []func(Event)
 
-	// OnDone observes completed callbacks (latency tracing).
+	// OnDone observes completed callbacks after every Observe observer.
+	// Its only user is cmd/bench; a later benchmark change moves it onto
+	// Observe and deletes this field.
 	OnDone func(DoneInfo)
-	// OnPublish observes every publication (end-to-end path tracing).
-	OnPublish func(topic string, m ros.Header)
 
 	// PublishFilter, when set, adjudicates every publication before it
 	// is delivered — the fault-injection point for message drops, extra
@@ -111,8 +112,6 @@ type Executor struct {
 	// quarantine verdict diverts the frame so it is never enqueued and
 	// never dispatched (see internal/guard).
 	IngressFilter func(topic string, stamp time.Duration, payload any, now time.Duration) IngressVerdict
-	// OnQuarantine observes frames diverted by the ingress filter.
-	OnQuarantine func(topic, cause string, stamp time.Duration)
 	// CallbackFilter, when set, adjudicates every callback dispatch —
 	// the fault-injection point for node stalls and crash windows. It
 	// runs after the input message is dequeued.
@@ -138,6 +137,50 @@ type Executor struct {
 	// submitted and released when that phase completes — the CPU/GPU
 	// pipeline boundary — so GPU offload never blocks CPU admission.
 	inflight int
+}
+
+// EventKind names what an Event reports.
+type EventKind uint8
+
+const (
+	// Published reports one accepted publication: a frame (or one
+	// duplicate copy) that passed the ingress filter and entered the
+	// bus, whether or not any subscriber queue took it.
+	Published EventKind = iota + 1
+	// Quarantined reports a frame the ingress filter diverted.
+	Quarantined
+	// Done reports a completed node callback.
+	Done
+)
+
+// Event is one entry of the executor's observer stream (see Observe).
+type Event struct {
+	Kind EventKind
+	// Topic, Stamp (the frame's header stamp), Origins and Payload
+	// describe a Published or Quarantined frame. Origins is borrowed:
+	// valid only for the duration of the observer call. Payload is the
+	// delivered one, after any PublishFilter substitution.
+	Topic   string
+	Stamp   time.Duration
+	Origins []ros.Origin
+	Payload any
+	// Cause names why a Quarantined frame was rejected.
+	Cause string
+	// Done describes the callback of a Done event.
+	Done DoneInfo
+}
+
+// Observe appends an observer to the executor's event stream. Every
+// observer sees every event, synchronously and in registration order.
+// Emitting an event allocates nothing.
+func (e *Executor) Observe(fn func(Event)) {
+	e.observers = append(e.observers, fn)
+}
+
+func (e *Executor) emit(ev Event) {
+	for _, fn := range e.observers {
+		fn(ev)
+	}
 }
 
 // PublishVerdict is a fault-layer decision about one publication.
@@ -305,17 +348,13 @@ func (e *Executor) enqueue(topic string, stamp time.Duration, payload any, origi
 		v := e.IngressFilter(topic, stamp, payload, e.Sim.Now())
 		if v.Quarantine {
 			e.Bus.RecordQuarantine(topic)
-			if e.OnQuarantine != nil {
-				e.OnQuarantine(topic, v.Cause, stamp)
-			}
+			e.emit(Event{Kind: Quarantined, Topic: topic, Stamp: stamp, Origins: origins, Payload: payload, Cause: v.Cause})
 			m.Release()
 			return false
 		}
 	}
 	e.Bus.PublishMessage(m)
-	if e.OnPublish != nil {
-		e.OnPublish(topic, ros.Header{Stamp: e.Sim.Now(), Origins: origins})
-	}
+	e.emit(Event{Kind: Published, Topic: topic, Stamp: stamp, Origins: origins, Payload: payload})
 	return true
 }
 
@@ -532,7 +571,7 @@ func (e *Executor) completeCallback(rt *nodeRuntime, msg *ros.Message, started, 
 	for _, out := range res.Outputs {
 		e.deliver(out.Topic, now, out.Payload, origins)
 	}
-	if e.OnDone != nil {
+	if len(e.observers) > 0 || e.OnDone != nil {
 		var published []string
 		if len(res.Outputs) > 0 {
 			published = make([]string, len(res.Outputs))
@@ -540,7 +579,7 @@ func (e *Executor) completeCallback(rt *nodeRuntime, msg *ros.Message, started, 
 				published[i] = out.Topic
 			}
 		}
-		e.OnDone(DoneInfo{
+		d := DoneInfo{
 			Node:        rt.node.Name(),
 			Input:       msg,
 			Arrived:     msg.Header.Stamp,
@@ -551,7 +590,11 @@ func (e *Executor) completeCallback(rt *nodeRuntime, msg *ros.Message, started, 
 			Outputs:     len(res.Outputs),
 			Published:   published,
 			FusedInputs: res.FusedInputs,
-		})
+		}
+		e.emit(Event{Kind: Done, Done: d})
+		if e.OnDone != nil {
+			e.OnDone(d)
+		}
 	}
 	rt.busy = false
 	// The callback (and its observers) are done with the input; return

@@ -221,6 +221,15 @@ func (n *echoNode) Process(in *ros.Message, _ time.Duration) ros.Result {
 	}
 }
 
+// onDone runs fn on every completed callback.
+func onDone(ex *Executor, fn func(DoneInfo)) {
+	ex.Observe(func(ev Event) {
+		if ev.Kind == Done {
+			fn(ev.Done)
+		}
+	})
+}
+
 func newTestExecutor() (*Executor, *Sim) {
 	sim := NewSim()
 	cpu := NewCPU(DefaultCPUConfig(), sim)
@@ -238,7 +247,7 @@ func TestExecutorPipelineLatency(t *testing.T) {
 	ex.AddNode(b, NodeOptions{})
 
 	var done []DoneInfo
-	ex.OnDone = func(d DoneInfo) { done = append(done, d) }
+	onDone(ex, func(d DoneInfo) { done = append(done, d) })
 
 	sim.Schedule(0, func() { ex.Publish("/in", "payload") })
 	sim.Run(time.Second)
@@ -266,11 +275,11 @@ func TestExecutorLineagePropagates(t *testing.T) {
 	a := &echoNode{name: "a", in: "/in", out: "/out", ops: 1e6}
 	ex.AddNode(a, NodeOptions{})
 	var lastOrigins []ros.Origin
-	ex.OnPublish = func(topic string, h ros.Header) {
-		if topic == "/out" {
-			lastOrigins = h.Origins
+	ex.Observe(func(ev Event) {
+		if ev.Kind == Published && ev.Topic == "/out" {
+			lastOrigins = ev.Origins
 		}
-	}
+	})
 	sim.Schedule(0, func() { ex.Publish("/in", 1) })
 	sim.Run(time.Second)
 	if len(lastOrigins) != 1 || lastOrigins[0].Topic != "/in" {
@@ -316,7 +325,7 @@ func TestExecutorContentionStretchesLatency(t *testing.T) {
 	ex.AddNode(a, NodeOptions{})
 	ex.AddNode(b, NodeOptions{})
 	var finishes []time.Duration
-	ex.OnDone = func(d DoneInfo) { finishes = append(finishes, d.Finished) }
+	onDone(ex, func(d DoneInfo) { finishes = append(finishes, d.Finished) })
 	sim.Schedule(0, func() {
 		ex.Publish("/ia", 1)
 		ex.Publish("/ib", 1)
@@ -339,7 +348,7 @@ func TestExecutorGPUPhaseSerializedAcrossNodes(t *testing.T) {
 	ex.AddNode(a, NodeOptions{})
 	ex.AddNode(b, NodeOptions{})
 	var finishes []time.Duration
-	ex.OnDone = func(d DoneInfo) { finishes = append(finishes, d.Finished) }
+	onDone(ex, func(d DoneInfo) { finishes = append(finishes, d.Finished) })
 	sim.Schedule(0, func() {
 		ex.Publish("/ia", 1)
 		ex.Publish("/ib", 1)
@@ -359,7 +368,7 @@ func TestExecutorCostScale(t *testing.T) {
 	a := &echoNode{name: "a", in: "/in", out: "/out", ops: 1.55e6} // 1ms at scale 1
 	ex.AddNode(a, NodeOptions{CostScale: 10})
 	var fin time.Duration
-	ex.OnDone = func(d DoneInfo) { fin = d.Finished }
+	onDone(ex, func(d DoneInfo) { fin = d.Finished })
 	sim.Schedule(0, func() { ex.Publish("/in", 1) })
 	sim.Run(time.Second)
 	if fin.Seconds() < 0.010 {

@@ -100,11 +100,11 @@ func TestExecutorPoolDrainsToZero(t *testing.T) {
 					}
 				}
 				var relaySpans [][2]time.Duration // [started, finished] per relay callback
-				ex.OnDone = func(d DoneInfo) {
+				onDone(ex, func(d DoneInfo) {
 					if d.Node == "relay" {
 						relaySpans = append(relaySpans, [2]time.Duration{d.Started, d.Finished})
 					}
-				}
+				})
 
 				const frames = 40
 				for i := 0; i < frames; i++ {

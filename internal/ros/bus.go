@@ -36,13 +36,8 @@ type Bus struct {
 	topics map[string]*topicState
 	// subsByNode indexes subscriptions per subscriber for executors.
 	subsByNode map[string][]*Subscription
-	// onDeliver, when set, observes every enqueue (for tracing).
-	// Observers borrow the message for the duration of the call; a
-	// layer that keeps it across events must Retain it.
+	// onDeliver, when set, observes every enqueue (see Tap).
 	onDeliver func(sub *Subscription, m *Message)
-	// onDrop observes every eviction. The evicted message is released
-	// back to the pool when the observer returns.
-	onDrop func(sub *Subscription, evicted *Message)
 	// stats, when enabled, accumulates per-topic traffic counters.
 	stats *statsCollector
 
@@ -119,11 +114,7 @@ func (b *Bus) PublishMessage(m *Message) int {
 	// Convert the caller's single reference into one per queue.
 	m.addRefs(len(ts.subs) - 1)
 	for _, sub := range ts.subs {
-		evicted := sub.Queue.Push(m)
-		if evicted != nil {
-			if b.onDrop != nil {
-				b.onDrop(sub, evicted)
-			}
+		if evicted := sub.Queue.Push(m); evicted != nil {
 			evicted.Release()
 		}
 		if b.onDeliver != nil {
@@ -152,31 +143,15 @@ func (b *Bus) QueuedMessages() int {
 	return n
 }
 
-// Tap registers delivery/drop observers that run after any already
-// installed, so independent layers (tracing, fault injection,
-// watchdogs) can observe traffic without clobbering each other. Either
-// argument may be nil. Note onDeliver fires once per (message,
-// subscription) pair; observers that want one event per publication
-// should de-duplicate by header sequence number.
+// Tap installs the bus's one delivery observer, which fires once per
+// (message, subscription) pair and borrows the message for the call.
+// onDrop must be nil. Its only user is cmd/bench; a later benchmark
+// change moves it onto platform.Executor.Observe and deletes Tap.
 func (b *Bus) Tap(onDeliver func(*Subscription, *Message), onDrop func(*Subscription, *Message)) {
-	if onDeliver != nil {
-		prev := b.onDeliver
-		b.onDeliver = func(sub *Subscription, m *Message) {
-			if prev != nil {
-				prev(sub, m)
-			}
-			onDeliver(sub, m)
-		}
+	if onDrop != nil || b.onDeliver != nil {
+		panic("ros: Bus.Tap takes one delivery observer and no drop observer")
 	}
-	if onDrop != nil {
-		prev := b.onDrop
-		b.onDrop = func(sub *Subscription, m *Message) {
-			if prev != nil {
-				prev(sub, m)
-			}
-			onDrop(sub, m)
-		}
-	}
+	b.onDeliver = onDeliver
 }
 
 // SubscriptionsOf returns the subscriptions held by a node, in

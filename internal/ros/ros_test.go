@@ -146,18 +146,32 @@ func TestBusPublishNoSubscribers(t *testing.T) {
 	}
 }
 
+// TestBusObservers pins Tap's contract: one delivery observer, called
+// once per (message, subscription) pair, evictions included, and no
+// drop observer or second tap.
 func TestBusObservers(t *testing.T) {
 	b := NewBus()
 	b.Subscribe("n", SubSpec{Topic: "/t", Depth: 1})
-	var delivers, drops int
-	b.Tap(
-		func(sub *Subscription, m *Message) { delivers++ },
-		func(sub *Subscription, m *Message) { drops++ },
-	)
+	b.Subscribe("m", SubSpec{Topic: "/t", Depth: 1})
+	var delivers int
+	b.Tap(func(sub *Subscription, m *Message) { delivers++ }, nil)
 	b.Publish("/t", 0, 1, nil)
-	b.Publish("/t", 0, 2, nil) // evicts the first
-	if delivers != 2 || drops != 1 {
-		t.Errorf("delivers=%d drops=%d", delivers, drops)
+	b.Publish("/t", 0, 2, nil) // evicts the first from both queues
+	if delivers != 4 {
+		t.Errorf("delivers=%d, want 4", delivers)
+	}
+	for name, tap := range map[string]func(){
+		"drop observer": func() { NewBus().Tap(nil, func(*Subscription, *Message) {}) },
+		"second tap":    func() { b.Tap(func(*Subscription, *Message) {}, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			tap()
+		}()
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 // depends on is part of its key, and a node the clean leg never
 // recorded reads as the zero summary.
 func TestCleanLegMemo(t *testing.T) {
+	t.Parallel()
 	const duration = schedTestDuration
 	spec, err := ByName(NameContentionTuned) // scheduled: the hit also serves the criticality
 	if err != nil {
@@ -163,6 +164,7 @@ func storedLeg(c *cleanMemo, key cleanKey) (*cleanLeg, int) {
 // computing a leg does not finish it: nothing is stored, no waiter is
 // stranded, and a waiter gives up on its own context.
 func TestCleanLegMemoFailures(t *testing.T) {
+	t.Parallel()
 	const duration = 4 * time.Second
 	scen, m, wcfg := testenv.Scenario(), testenv.Map(), world.DefaultScenarioConfig()
 	key := newCleanKey(scen, m, autoware.DetectorSSD300, duration, wcfg)

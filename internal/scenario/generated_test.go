@@ -15,6 +15,7 @@ import (
 // carries its generated world, resolves through ByName, appears in
 // Names after the builtins, and fits the golden drive horizon.
 func TestGeneratedRegistry(t *testing.T) {
+	t.Parallel()
 	specs, err := Generated()
 	if err != nil {
 		t.Fatalf("Generated() = %v; every committed pin must parse", err)
@@ -60,6 +61,7 @@ func TestGeneratedRegistry(t *testing.T) {
 // exercise split RNG streams, pedestrian bursts and weather noise, none
 // of which may carry state from one drive into the next.
 func TestGeneratedScenarioRepeatable(t *testing.T) {
+	t.Parallel()
 	const duration = 6 * time.Second // short drives: the compact space keeps cities small
 	for _, seed := range []uint64{11, 22, 33} {
 		cfg, err := world.Generate(world.CompactSpace(), seed)
@@ -92,6 +94,7 @@ func TestGeneratedScenarioRepeatable(t *testing.T) {
 // default's — a fault profile pinned on a generated city means nothing
 // applied to another one.
 func TestBuildEnvUsesSpecWorld(t *testing.T) {
+	t.Parallel()
 	spec, err := ByName("gen-fog-stall")
 	if err != nil {
 		t.Fatal(err)

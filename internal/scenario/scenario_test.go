@@ -53,6 +53,7 @@ func runScenarioCold(t *testing.T, name string, duration time.Duration) *Result 
 // whole report must be byte-identical across two runs with the same
 // seed and schedule.
 func TestContentionReproducesF1(t *testing.T) {
+	t.Parallel()
 	const duration = 12 * time.Second
 	a := runScenario(t, NameContention, duration)
 
@@ -98,6 +99,7 @@ func TestContentionReproducesF1(t *testing.T) {
 // stack returns to normal output within a bounded window after the
 // fault clears.
 func TestCameraStallDegradesAndRecovers(t *testing.T) {
+	t.Parallel()
 	const duration = 10 * time.Second
 	res := runScenario(t, NameCameraStall, duration)
 
@@ -162,6 +164,7 @@ func TestCameraStallDegradesAndRecovers(t *testing.T) {
 }
 
 func TestQueueBurstForcesDrops(t *testing.T) {
+	t.Parallel()
 	res := runScenario(t, NameQueueBurst, 10*time.Second)
 	var burstDrops uint64
 	for _, d := range res.Drops {
@@ -180,6 +183,7 @@ func TestQueueBurstForcesDrops(t *testing.T) {
 // checkpoint — all within a bounded window — and the whole report is
 // byte-identical across two runs with the same seed.
 func TestCrashRecoverBoundedRecovery(t *testing.T) {
+	t.Parallel()
 	const duration = 12 * time.Second
 	a := runScenario(t, NameCrashRecover, duration)
 
@@ -254,6 +258,7 @@ func TestCrashRecoverBoundedRecovery(t *testing.T) {
 // must not worsen the worst path's p99 end-to-end latency, and the
 // shed counts must be reported.
 func TestOverloadShedBoundsTail(t *testing.T) {
+	t.Parallel()
 	const duration = 10 * time.Second
 	shed := runScenario(t, NameOverloadShed, duration)
 	unshed := runScenario(t, NameQueueBurst, duration)
@@ -301,6 +306,7 @@ func TestOverloadShedBoundsTail(t *testing.T) {
 // inside the fault window, every interval closes, substitution stops
 // once the fault clears, and the detector's real output resumes.
 func TestCameraStallFaultLifecycle(t *testing.T) {
+	t.Parallel()
 	const duration = 12 * time.Second
 	res := runScenario(t, NameCameraStall, duration)
 	fault := res.Spec.Faults[0]
@@ -352,6 +358,7 @@ func TestCameraStallFaultLifecycle(t *testing.T) {
 }
 
 func TestByNameRejectsUnknown(t *testing.T) {
+	t.Parallel()
 	if _, err := ByName("no-such-chaos"); err == nil {
 		t.Error("unknown scenario should error")
 	}
@@ -363,6 +370,7 @@ func TestByNameRejectsUnknown(t *testing.T) {
 }
 
 func TestRunRejectsShortDuration(t *testing.T) {
+	t.Parallel()
 	spec, err := ByName(NameContention)
 	if err != nil {
 		t.Fatal(err)
@@ -401,6 +409,7 @@ func eventCount(res *Result, kind faults.Kind, target string) int {
 // in the trace and topic stats, no node ever sees a NaN — and the whole
 // report is byte-identical across two runs with the same seed.
 func TestCorruptLidarQuarantined(t *testing.T) {
+	t.Parallel()
 	const duration = 12 * time.Second
 	a := runScenario(t, NameCorruptLidar, duration)
 	fault := a.Spec.Faults[0]
@@ -455,6 +464,7 @@ func TestCorruptLidarQuarantined(t *testing.T) {
 // the guard's per-topic clock model, with cause attribution matching
 // the direction of the skew.
 func TestClockSkewSanitized(t *testing.T) {
+	t.Parallel()
 	const duration = 12 * time.Second
 	a := runScenario(t, NameClockSkew, duration)
 
@@ -495,6 +505,7 @@ func TestClockSkewSanitized(t *testing.T) {
 // delivering every LiDAR frame three times gets exactly the two extra
 // copies of each frame quarantined — queues see each stamp once.
 func TestDupStormQuarantined(t *testing.T) {
+	t.Parallel()
 	const duration = 10 * time.Second
 	a := runScenario(t, NameDupStorm, duration)
 
@@ -534,6 +545,7 @@ func TestDupStormQuarantined(t *testing.T) {
 // the guard draws no randomness, schedules no events, quarantines
 // nothing.
 func TestGuardCleanRunByteIdentical(t *testing.T) {
+	t.Parallel()
 	const duration = 8 * time.Second
 	build := func(guarded bool) *autoware.Stack {
 		t.Helper()

@@ -20,6 +20,7 @@ const schedTestDuration = 10 * time.Second
 // worst-path faulted p99 while keeping the sample population (no
 // winning by shedding the traffic).
 func TestContentionTunedImprovesP99(t *testing.T) {
+	t.Parallel()
 	plain, err := ByName(NameContention)
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +73,7 @@ func TestContentionTunedImprovesP99(t *testing.T) {
 // specs alike: a clean drive records the same latency samples with the
 // lineage chain log attached as without it.
 func TestChainLogCleanLegByteIdentical(t *testing.T) {
+	t.Parallel()
 	const duration = 8 * time.Second
 	run := func(chains bool) string {
 		t.Helper()

@@ -68,6 +68,7 @@ func checkPoolBalance(t *testing.T, name string, stack *autoware.Stack) {
 }
 
 func TestTransportGoldenReports(t *testing.T) {
+	t.Parallel()
 	var got bytes.Buffer
 	for _, spec := range builtins() {
 		res, faulted := runTransportScenario(t, &cleanLegs, spec, testenv.Scenario(), testenv.Map())

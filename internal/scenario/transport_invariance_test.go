@@ -15,6 +15,7 @@ import (
 // single-threaded simulation spine, so nothing but the scenario's
 // inputs may reach a simulated observable.
 func TestTransportRepeatable(t *testing.T) {
+	t.Parallel()
 	spec, err := ByName(NameQueueBurst)
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +49,7 @@ func TestTransportRepeatable(t *testing.T) {
 // latency fingerprint. The scheduler reads only virtual-time state, so
 // a scheduled run may differ from FIFO but never from itself.
 func TestSchedRepeatable(t *testing.T) {
+	t.Parallel()
 	spec, err := ByName(NameContentionTuned)
 	if err != nil {
 		t.Fatal(err)

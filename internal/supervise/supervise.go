@@ -2,8 +2,8 @@
 // it detects crashed or silent nodes, restarts them with exponential
 // backoff plus seeded jitter, and restores the last state checkpoint on
 // restart — the bounded-delay middleware recovery that He & Shi argue
-// must live beside the executor, built on the same filter chain the
-// fault injector uses.
+// must live beside the executor, built on the executor's callback
+// filter and event stream.
 //
 // Detection runs on two channels. Missed dispatch: the supervisor's
 // callback filter runs in front of the fault layer, so a crash verdict
@@ -20,14 +20,16 @@
 // stays deterministic with the supervisor attached: the same seed and
 // fault schedule always produce the same restart timeline.
 //
-// Hook point and ordering. The supervisor lives at the executor's
-// *dispatch* instant (CallbackFilter, chained in front of the fault
-// injector's so crash verdicts from below are visible) plus a bus Tap
-// for output liveness. In the decision chain it is third: the injector
-// perturbs at publish, the guard adjudicates at ingress — a
-// quarantined frame is never dispatched, so quarantine is never
-// mistaken for a crash — and the scheduler's pick runs last, choosing
-// only among dispatches the supervisor let stand.
+// Hook point and ordering. The supervisor decides at the executor's
+// *dispatch* instant: its CallbackFilter wraps the fault injector's, so
+// it pre-empts a down node's input before the injector draws from its
+// RNG and sees the injector's crash verdicts. It observes the rest from
+// the executor's event stream: Published events on watched topics for
+// output liveness, Done events to confirm a restart. In the decision
+// chain it is third: the injector perturbs at publish, the guard
+// adjudicates at ingress — a quarantined frame is never dispatched, so
+// quarantine is never mistaken for a crash — and the scheduler's pick
+// runs last, choosing only among dispatches the supervisor let stand.
 //
 // Ownership. The callback filter borrows the dispatched message for
 // the call; a Drop verdict for a down node leaves the release to the
@@ -173,7 +175,6 @@ type nodeState struct {
 	// Liveness bookkeeping (header stamps on the output topic).
 	seenOut   bool
 	lastFresh time.Duration
-	lastSeq   uint64
 }
 
 // Supervisor is an attached supervision layer over one stack.
@@ -202,25 +203,24 @@ func New(cfg Config) (*Supervisor, error) {
 	return s, nil
 }
 
-// Attach wires the supervisor into an executor, bus and trace recorder
-// and starts the periodic liveness/checkpoint tick. rec may be nil. Its
-// callback filter chains in front of whatever filter is installed, so
-// it observes crash verdicts only from layers attached before it;
+// Attach wires the supervisor into an executor and trace recorder and
+// starts the periodic liveness/checkpoint tick. rec may be nil. Its
+// callback filter wraps whatever filter is installed, so it observes
+// crash verdicts only from a layer attached before it;
 // avstack.AttachLayers attaches it right after the fault injector.
-func (s *Supervisor) Attach(ex *platform.Executor, bus *ros.Bus, rec *trace.Recorder) {
+func (s *Supervisor) Attach(ex *platform.Executor, rec *trace.Recorder) {
 	s.sim = ex.Sim
 	s.rec = rec
 
 	s.chainCallbackFilter(ex)
-	s.chainOnDone(ex)
-	bus.Tap(s.observeDeliver, nil)
+	ex.Observe(s.observe)
 	s.sim.After(s.cfg.Period, s.tick)
 }
 
-// chainCallbackFilter installs the supervisor in front of any existing
-// filter chain (typically the fault injector): down nodes lose their
-// inputs here, healthy and probing nodes delegate downward and the
-// returned verdict is the missed-dispatch detection signal.
+// chainCallbackFilter wraps the installed callback filter (the fault
+// injector's, if any): down nodes lose their inputs here, before the
+// wrapped filter runs; healthy and probing nodes delegate to it, and
+// its verdict is the missed-dispatch detection signal.
 func (s *Supervisor) chainCallbackFilter(ex *platform.Executor) {
 	prev := ex.CallbackFilter
 	ex.CallbackFilter = func(node string, m *ros.Message, now time.Duration) platform.CallbackVerdict {
@@ -252,37 +252,21 @@ func (s *Supervisor) chainCallbackFilter(ex *platform.Executor) {
 	}
 }
 
-// chainOnDone observes completed callbacks: the first completion after
-// a restart confirms recovery.
-func (s *Supervisor) chainOnDone(ex *platform.Executor) {
-	prev := ex.OnDone
-	ex.OnDone = func(d platform.DoneInfo) {
-		if prev != nil {
-			prev(d)
+// observe tracks fresh publications on watched output topics, and the
+// first completion after a restart, which confirms recovery.
+func (s *Supervisor) observe(ev platform.Event) {
+	switch ev.Kind {
+	case platform.Published:
+		for _, name := range s.order {
+			if st := s.states[name]; st.policy.Topic == ev.Topic {
+				st.seenOut = true
+				st.lastFresh = ev.Stamp
+			}
 		}
-		if st := s.states[d.Node]; st != nil && st.phase == phaseProbe {
+	case platform.Done:
+		if st := s.states[ev.Done.Node]; st != nil && st.phase == phaseProbe {
 			s.recovered(st)
 		}
-	}
-}
-
-// observeDeliver tracks fresh publications on watched output topics,
-// de-duplicating the per-subscription fan-out by sequence number.
-//
-// Borrow contract: the pooled envelope is valid only for this call;
-// the supervisor copies out the scalar stamp and sequence and retains
-// neither m nor anything reachable through its header. (A dropped
-// callback input is released by the executor, not here — the verdict
-// in chainCallbackFilter only decides, it never owns the envelope.)
-func (s *Supervisor) observeDeliver(sub *ros.Subscription, m *ros.Message) {
-	for _, name := range s.order {
-		st := s.states[name]
-		if st.policy.Topic != sub.Topic || m.Header.Seq == st.lastSeq {
-			continue
-		}
-		st.lastSeq = m.Header.Seq
-		st.seenOut = true
-		st.lastFresh = m.Header.Stamp
 	}
 }
 

@@ -104,7 +104,7 @@ func newRig(t *testing.T, cfg Config, crashStart, crashEnd time.Duration) *rig {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder(nil)
-	sup.Attach(ex, bus, rec)
+	sup.Attach(ex, rec)
 	return &rig{sim: sim, ex: ex, bus: bus, node: node, rec: rec, sup: sup}
 }
 

@@ -59,12 +59,13 @@ type chainSpan struct {
 	parents                    []int // global span indices
 }
 
-// ChainLog reconstructs end-to-end lineage chains from executor hooks:
-// every completed callback becomes a span, keyed as a producer by
-// (output topic, finish stamp) so the callback that later consumes that
-// publication links back to it. When a span publishes a path's terminal
-// topic with the path's origin in its lineage, the chain closes and the
-// backward-reachable spans are captured as a Chain.
+// ChainLog reconstructs end-to-end lineage chains from the executor's
+// Done events: every completed callback becomes a span, keyed as a
+// producer by (output topic, finish stamp) so the callback that later
+// consumes that publication links back to it. When a span publishes a
+// path's terminal topic with the path's origin in its lineage, the
+// chain closes and the backward-reachable spans are captured as a
+// Chain.
 //
 // The log is an observer: it allocates host memory but never touches
 // virtual time, so attaching it cannot change a single simulated
@@ -94,16 +95,13 @@ func NewChainLog(paths []PathSpec) *ChainLog {
 	}
 }
 
-// Attach installs the log's OnDone hook on an executor, chaining with
-// any hook already installed.
+// Attach subscribes the log to an executor's Done events.
 func (l *ChainLog) Attach(ex *platform.Executor) {
-	prev := ex.OnDone
-	ex.OnDone = func(d platform.DoneInfo) {
-		l.OnDone(d)
-		if prev != nil {
-			prev(d)
+	ex.Observe(func(ev platform.Event) {
+		if ev.Kind == platform.Done {
+			l.OnDone(ev.Done)
 		}
-	}
+	})
 }
 
 // OnDone records one completed callback as a span, registers it as the

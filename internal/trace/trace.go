@@ -2,7 +2,9 @@
 // methodology: per-node latency recording (queue wait + compute +
 // offload, from input arrival to output ready) and end-to-end
 // computation-path tracing through message header lineage — the
-// "longest path" definition of perception latency (Fig. 4/6).
+// "longest path" definition of perception latency (Fig. 4/6). Recorder
+// and ChainLog are observers: each subscribes to the executor's event
+// stream (platform.Executor.Observe) and never touches virtual time.
 package trace
 
 import (
@@ -37,7 +39,9 @@ func StandardPaths() []PathSpec {
 }
 
 // Recorder collects single-node latencies, CPU/GPU phase splits, and
-// end-to-end path samples from executor hooks.
+// end-to-end path samples from the executor's Done and Published
+// events, and quarantines from its Quarantined events. The run-time
+// layers report outages, degradations and fault losses to it directly.
 type Recorder struct {
 	// nodeLatency[node] holds per-callback latencies in seconds.
 	nodeLatency map[string][]float64
@@ -169,8 +173,7 @@ func NewRecorder(paths []PathSpec) *Recorder {
 	}
 }
 
-// OnQuarantine records one guard-quarantined frame (implements the
-// guard's IntegrityRecorder hook).
+// OnQuarantine records one guard-quarantined frame.
 func (r *Recorder) OnQuarantine(topic, cause, point string, at time.Duration) {
 	k := integrityKey{topic: topic, cause: cause, point: point}
 	ev := r.integrity[k]
@@ -316,32 +319,20 @@ func (r *Recorder) DegradedIntervals() []DegradedInterval {
 	return out
 }
 
-// Attach installs the recorder's hooks on an executor. It chains with
-// any hooks already installed.
+// Attach subscribes the recorder to an executor's event stream.
 func (r *Recorder) Attach(ex *platform.Executor) {
-	prevDone := ex.OnDone
-	ex.OnDone = func(d platform.DoneInfo) {
-		r.OnDone(d)
-		if prevDone != nil {
-			prevDone(d)
+	ex.Observe(func(ev platform.Event) {
+		switch ev.Kind {
+		case platform.Done:
+			r.OnDone(ev.Done)
+		case platform.Published:
+			r.OnPublish(ev.Topic, ros.Header{Stamp: ex.Sim.Now(), Origins: ev.Origins})
+		case platform.Quarantined:
+			// The detection point is the executor's ingress hook; record at
+			// arrival time (Sim.Now), not the possibly-corrupted stamp.
+			r.OnQuarantine(ev.Topic, ev.Cause, "ingress", ex.Sim.Now())
 		}
-	}
-	prevPub := ex.OnPublish
-	ex.OnPublish = func(topic string, h ros.Header) {
-		r.OnPublish(topic, h)
-		if prevPub != nil {
-			prevPub(topic, h)
-		}
-	}
-	prevQuar := ex.OnQuarantine
-	ex.OnQuarantine = func(topic, cause string, stamp time.Duration) {
-		// The detection point is the executor's ingress hook; record at
-		// arrival time (Sim.Now), not the possibly-corrupted stamp.
-		r.OnQuarantine(topic, cause, "ingress", ex.Sim.Now())
-		if prevQuar != nil {
-			prevQuar(topic, cause, stamp)
-		}
-	}
+	})
 }
 
 // OnDone records one completed callback.
