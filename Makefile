@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-times race vet bench-check bench-smoke fuzz-smoke chaos-smoke corruption-smoke bench-middleware bus-stress sched-smoke search-smoke fleet-smoke journal-smoke map-smoke docs-lint
+.PHONY: build test test-times race vet bench-check bench-smoke fuzz-smoke characterize-smoke chaos-smoke corruption-smoke bench-middleware bus-stress sched-smoke search-smoke fleet-smoke journal-smoke map-smoke docs-lint
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,23 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzGuardValidate -fuzztime=10s ./internal/guard/
 	$(GO) test -run=NONE -fuzz=FuzzScenarioParams -fuzztime=10s ./internal/world/
 	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=10s ./internal/journal/
+
+# Paper-table smoke: regenerate every table and figure, then the
+# findings, at -workers 1 and -workers 2, and fail unless the two
+# reports and their CSV exports are byte-identical and -duration 0
+# exits non-zero. The verdicts are not asserted: at 8 s F2, F4 and F5
+# read DEVIATION.
+characterize-smoke:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/characterize" ./cmd/characterize || exit 1; \
+	for w in 1 2; do \
+		"$$dir/characterize" -duration 8s -workers $$w -out "$$dir/w$$w.txt" -csv "$$dir/csv$$w" || exit 1; \
+	done; \
+	grep -q '^=== Findings ===$$' "$$dir/w1.txt" || { echo "characterize-smoke: no findings section"; exit 1; }; \
+	cmp "$$dir/w1.txt" "$$dir/w2.txt" || { echo "characterize-smoke: reports differ between -workers 1 and 2"; exit 1; }; \
+	diff -r "$$dir/csv1" "$$dir/csv2" || { echo "characterize-smoke: CSV exports differ between -workers 1 and 2"; exit 1; }; \
+	if "$$dir/characterize" -duration 0 -out /dev/null; then echo "characterize-smoke: -duration 0 exited 0"; exit 1; fi; \
+	echo "characterize-smoke ok"
 
 # Run every built-in chaos scenario end to end (baseline + faulted
 # stack each) and throw the reports away — a crash in any injection,

@@ -26,8 +26,8 @@ import (
 	"time"
 
 	"repro/internal/autoware"
-	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/experiments"
 	"repro/internal/geom"
 	"repro/internal/mathx"
 	"repro/internal/msgs"
@@ -320,23 +320,16 @@ func (s *System) RunScored(total, step time.Duration) QualityReport {
 }
 
 // Characterize runs the paper's full methodology — every table and
-// figure — over a fresh environment with the given virtual drive
-// duration per configuration, writing the report to w.
+// figure, then the findings checklist — over a fresh environment with
+// the given virtual drive duration per configuration, writing the
+// report to w.
 func Characterize(w io.Writer, duration time.Duration) error {
-	c, err := core.NewCharacterizer(duration)
+	if duration <= 0 {
+		return fmt.Errorf("avstack: non-positive duration %v", duration)
+	}
+	env, err := experiments.NewEnv()
 	if err != nil {
 		return err
 	}
-	if err := c.RunAll(w); err != nil {
-		return err
-	}
-	findings, err := c.Findings()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "\n=== Findings ===")
-	for _, f := range findings {
-		fmt.Fprintln(w, f)
-	}
-	return nil
+	return experiments.RunAll(w, experiments.NewRuns(env, duration))
 }

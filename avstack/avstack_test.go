@@ -1,6 +1,7 @@
 package avstack
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,20 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := NewSystem(Detector("bogus")); err == nil {
 		t.Error("bogus detector should fail")
+	}
+}
+
+// TestCharacterizeRejectsBadDuration checks that a non-positive drive
+// fails before the environment, which takes seconds, is built.
+func TestCharacterizeRejectsBadDuration(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Second} {
+		start := time.Now()
+		if err := Characterize(io.Discard, d); err == nil {
+			t.Errorf("duration %v should fail", d)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("duration %v failed after %v; it must fail before building anything", d, elapsed)
+		}
 	}
 }
 

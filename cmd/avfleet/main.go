@@ -8,7 +8,7 @@
 //	avfleet [-addr :8373] [-workers N] [-queue 64] [-detector SSD300]
 //	        [-duration 8s] [-retries 2] [-retry-base 50ms] [-retry-seed 1]
 //	        [-attempt-timeout 0] [-target-p99 0] [-cache 256] [-chaos]
-//	        [-journal DIR] [-snapshot-every 512] [-admission fair]
+//	        [-journal DIR] [-snapshot-every 512]
 //	        [-tenant-rate 0] [-tenant-burst 8] [-tenant-limit name=rate:burst:weight]...
 //	        [-smoke] [-journal-smoke]
 //
@@ -23,6 +23,10 @@
 //	                      retries/sheds/rejections, limits, journal
 //	                      stats, dead letters
 //	GET  /healthz         liveness
+//
+// Admission is per-tenant fair share: each tenant queues on its own,
+// and dispatch serves tenants in weighted round-robin, each tenant's
+// jobs in priority order.
 //
 // Overload is explicit, never silent: a full admission queue answers
 // 429, the shedding ladder rejects best-effort tenants with 429, a
@@ -112,7 +116,6 @@ func main() {
 	chaos := flag.Bool("chaos", false, "allow per-job chaos injection (crash/stall attempts)")
 	journalDir := flag.String("journal", "", "write-ahead log directory for crash-safe restarts (empty = in-memory only)")
 	snapshotEvery := flag.Int("snapshot-every", 512, "WAL entries between snapshot compactions (negative disables)")
-	admission := flag.String("admission", fleet.AdmissionFair, "admission discipline: fair (per-tenant round-robin) or priority (global heap)")
 	tenantRate := flag.Float64("tenant-rate", 0, "default per-tenant admission rate in jobs/sec (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 8, "default per-tenant token-bucket burst")
 	limits := tenantLimitFlags{}
@@ -135,7 +138,6 @@ func main() {
 		AllowChaos:     *chaos,
 		Journal:        *journalDir,
 		SnapshotEvery:  *snapshotEvery,
-		Admission:      *admission,
 		TenantRate:     *tenantRate,
 		TenantBurst:    *tenantBurst,
 		Limits:         limits,
@@ -166,7 +168,7 @@ func main() {
 	if cfg.Journal != "" {
 		log.Printf("avfleet: journal %s (snapshot every %d entries)", cfg.Journal, cfg.SnapshotEvery)
 	}
-	log.Printf("avfleet: serving on %s (workers=%d queue=%d detector=%s admission=%s)",
-		*addr, cfg.Workers, cfg.QueueDepth, cfg.Detector, cfg.Admission)
+	log.Printf("avfleet: serving on %s (workers=%d queue=%d detector=%s)",
+		*addr, cfg.Workers, cfg.QueueDepth, cfg.Detector)
 	log.Fatal(http.ListenAndServe(*addr, fleet.Handler(svc)))
 }

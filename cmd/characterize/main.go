@@ -2,10 +2,13 @@
 // and figure (Figs. 5-8, Tables III, V, VI, VII), plus the findings
 // checklist, from deterministic full-system runs.
 //
+// -exp findings writes only the five findings -exp all appends to the
+// tables; -csv also exports the raw data behind the figures.
+//
 // Usage:
 //
-//	characterize [-exp all|fig5|tab3|fig6|tab5|tab6|tab7|fig7|fig8|tune|search]
-//	             [-duration 60s] [-out report.txt] [-workers N]
+//	characterize [-exp all|findings|fig5|tab3|fig6|tab5|tab6|tab7|fig7|fig8|scene|tune|search]
+//	             [-duration 60s] [-out report.txt] [-csv DIR] [-workers N]
 //	             [-faults <scenario>] [-supervise] [-shed 100ms] [-guard]
 //	             [-sched] [-seed 1] [-bench BENCH_sched.json]
 //	             [-budget 12] [-space default|compact]
@@ -51,6 +54,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -61,7 +65,7 @@ import (
 	"time"
 
 	"repro/internal/autoware"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/parallel"
 	"repro/internal/scenario"
 	"repro/internal/search"
@@ -69,7 +73,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, findings, or one of "+strings.Join(core.ExperimentNames(), ", "))
+	var names []string
+	for _, e := range experiments.All() {
+		names = append(names, e.Name)
+	}
+	exp := flag.String("exp", "all", "experiment to run: all, findings, or one of "+strings.Join(names, ", "))
 	duration := flag.Duration("duration", 60*time.Second, "virtual drive duration per configuration")
 	out := flag.String("out", "", "write the report to this file instead of stdout")
 	csvDir := flag.String("csv", "", "also export raw per-sample data as CSV files into this directory")
@@ -189,7 +197,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "building environment (scenario + HD map)...\n")
 		start := time.Now()
-		res, err := scenario.Run(spec, autoware.Detector(*detector), *duration)
+		res, err := scenario.Run(context.Background(), spec, autoware.Detector(*detector), *duration)
 		if err != nil {
 			fatal(err)
 		}
@@ -198,44 +206,41 @@ func main() {
 		return
 	}
 
+	if *duration <= 0 {
+		fatal(fmt.Errorf("-duration %v: need a positive drive", *duration))
+	}
 	fmt.Fprintf(os.Stderr, "building environment (scenario + HD map)...\n")
 	start := time.Now()
-	c, err := core.NewCharacterizer(*duration)
+	env, err := experiments.NewEnv()
 	if err != nil {
 		fatal(err)
 	}
-	c.SetWorkers(*workers)
-	c.SetGuard(*guard)
+	runs := experiments.NewRuns(env, *duration)
+	runs.Workers = *workers
+	runs.Guard = *guard
 	fmt.Fprintf(os.Stderr, "environment ready in %.1fs; simulating %v per configuration (%d workers)\n",
 		time.Since(start).Seconds(), *duration, *workers)
 
-	if *exp == "all" {
-		if err := c.RunAll(w); err != nil {
-			fatal(err)
-		}
-		findings, err := c.Findings()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(w, "\n=== Findings ===")
+	switch *exp {
+	case "all":
+		err = experiments.RunAll(w, runs)
+	case "findings":
+		var findings []string
+		findings, err = experiments.Findings(runs)
 		for _, f := range findings {
 			fmt.Fprintln(w, f)
 		}
-	} else if *exp == "findings" {
-		findings, err := c.Findings()
-		if err != nil {
-			fatal(err)
-		}
-		for _, f := range findings {
-			fmt.Fprintln(w, f)
-		}
-	} else {
-		if err := c.RunExperiment(w, *exp); err != nil {
-			fatal(err)
+	default:
+		var e experiments.Experiment
+		if e, err = experiments.ByName(*exp); err == nil {
+			err = e.Run(w, runs)
 		}
 	}
+	if err != nil {
+		fatal(err)
+	}
 	if *csvDir != "" {
-		if err := c.WriteCSV(*csvDir); err != nil {
+		if err := experiments.WriteCSV(*csvDir, runs); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "raw data exported to %s\n", *csvDir)

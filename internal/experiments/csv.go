@@ -19,7 +19,13 @@ import (
 //	tab5_utilization.csv detector,node,cpu_share,gpu_share
 //	tab6_power.csv      detector,cpu_w,gpu_w
 //	fig8_modes.csv      detector,mode,mean_ms,stddev_ms,cpu_share
+//
+// With runs.Workers > 1 the configuration matrix simulates concurrently
+// first, as in RunAll.
 func WriteCSV(dir string, runs *Runs) error {
+	if err := runs.warm(); err != nil {
+		return err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: creating csv dir: %w", err)
 	}

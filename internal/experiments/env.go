@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -48,11 +47,6 @@ type Runs struct {
 	// sensor input (these runs inject no faults) the guard is a no-op;
 	// the flag exists to demonstrate exactly that.
 	Guard bool
-	// Ctx, when non-nil, cancels in-flight simulation cooperatively: a
-	// run cut short returns an error wrapping autoware.ErrCancelled
-	// instead of simulating to drive end. Completed runs are identical
-	// with or without it.
-	Ctx context.Context
 
 	mu         sync.Mutex
 	full       map[autoware.Detector]*autoware.Stack
@@ -71,86 +65,44 @@ func NewRuns(env *Env, duration time.Duration) *Runs {
 	}
 }
 
-// lookup returns the cached stack for key in m, if any.
-func (r *Runs) lookup(m map[autoware.Detector]*autoware.Stack, key autoware.Detector) (*autoware.Stack, bool) {
-	r.mu.Lock()
-	s, ok := m[key]
-	r.mu.Unlock()
-	return s, ok
-}
-
-// store records a completed stack.
-func (r *Runs) store(m map[autoware.Detector]*autoware.Stack, key autoware.Detector, s *autoware.Stack) {
-	r.mu.Lock()
-	m[key] = s
-	r.mu.Unlock()
-}
-
-// drive advances a freshly built stack to the run horizon, honoring the
-// cancellation context when one is set.
-func (r *Runs) drive(s *autoware.Stack) error {
-	if r.Ctx == nil {
-		s.Run(r.Duration)
-		return nil
-	}
-	return s.RunContext(r.Ctx, r.Duration)
-}
-
 // Full returns (running on first use) the full-system stack for a
 // detector.
 func (r *Runs) Full(det autoware.Detector) (*autoware.Stack, error) {
-	if s, ok := r.lookup(r.full, det); ok {
-		return s, nil
-	}
-	cfg := autoware.DefaultConfig(det)
-	cfg.Guard = r.Guard
-	s, err := autoware.BuildWithMap(cfg, r.env.Scenario, r.env.Map)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.drive(s); err != nil {
-		return nil, err
-	}
-	r.store(r.full, det, s)
-	return s, nil
+	return r.get(r.full, det, func(*autoware.Config) {})
 }
 
 // Standalone returns the vision-only stack for a detector.
 func (r *Runs) Standalone(det autoware.Detector) (*autoware.Stack, error) {
-	if s, ok := r.lookup(r.standalone, det); ok {
-		return s, nil
-	}
-	cfg := autoware.DefaultConfig(det)
-	cfg.Guard = r.Guard
-	cfg.Mode = autoware.ModeVisionStandalone
-	s, err := autoware.BuildWithMap(cfg, r.env.Scenario, r.env.Map)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.drive(s); err != nil {
-		return nil, err
-	}
-	r.store(r.standalone, det, s)
-	return s, nil
+	return r.get(r.standalone, det, func(cfg *autoware.Config) { cfg.Mode = autoware.ModeVisionStandalone })
 }
 
 // Saturated returns the full-system stack with the camera overdriven to
 // 13.5 fps — the saturated-detector dropping regime of Table III (b).
 func (r *Runs) Saturated(det autoware.Detector) (*autoware.Stack, error) {
-	if s, ok := r.lookup(r.saturated, det); ok {
+	return r.get(r.saturated, det, func(cfg *autoware.Config) { cfg.CameraRate = 13.5 })
+}
+
+// get returns the stack cached for det in m, or builds it from the
+// detector's default config as set adjusts it, drives it to the run
+// horizon and caches it.
+func (r *Runs) get(m map[autoware.Detector]*autoware.Stack, det autoware.Detector, set func(*autoware.Config)) (*autoware.Stack, error) {
+	r.mu.Lock()
+	s, ok := m[det]
+	r.mu.Unlock()
+	if ok {
 		return s, nil
 	}
 	cfg := autoware.DefaultConfig(det)
 	cfg.Guard = r.Guard
-	cfg.CameraRate = 13.5
+	set(&cfg)
 	s, err := autoware.BuildWithMap(cfg, r.env.Scenario, r.env.Map)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.drive(s); err != nil {
-		return nil, err
-	}
-	r.store(r.saturated, det, s)
+	s.Run(r.Duration)
+	r.mu.Lock()
+	m[det] = s
+	r.mu.Unlock()
 	return s, nil
 }
 
@@ -176,4 +128,16 @@ func (r *Runs) Prewarm() error {
 		workers = 1
 	}
 	return parallel.FirstError(len(jobs), workers, func(i int) error { return jobs[i]() })
+}
+
+// warm prewarms the configuration matrix when Workers allow
+// concurrency; serial runs warm lazily as the experiments read it.
+func (r *Runs) warm() error {
+	if r.Workers <= 1 {
+		return nil
+	}
+	if err := r.Prewarm(); err != nil {
+		return fmt.Errorf("experiments: prewarm: %w", err)
+	}
+	return nil
 }

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/autoware"
 	"repro/internal/mathx"
@@ -315,35 +313,26 @@ func ByName(name string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, names)
 }
 
-// RunAll executes every experiment against one run cache. With
-// workers > 1 the configuration matrix simulates concurrently before
-// the (serial, ordered) report rendering; the reports are identical
-// either way.
-func RunAll(w io.Writer, env *Env, duration time.Duration, workers int) error {
-	return RunAllContext(context.Background(), w, env, duration, workers)
-}
-
-// RunAllContext is RunAll with cooperative cancellation: the context is
-// threaded into every simulated configuration (including the concurrent
-// prewarm), so cancelling stops in-flight drives within a slice of wall
-// clock — the returned error wraps autoware.ErrCancelled — instead of
-// simulating the rest of the matrix to drive end.
-func RunAllContext(ctx context.Context, w io.Writer, env *Env, duration time.Duration, workers int) error {
-	runs := NewRuns(env, duration)
-	runs.Workers = workers
-	runs.Ctx = ctx
-	if workers > 1 {
-		if err := runs.Prewarm(); err != nil {
-			return fmt.Errorf("experiments: prewarm: %w", err)
-		}
+// RunAll writes the paper's whole evaluation to w: every experiment in
+// paper order, then the findings checklist. With runs.Workers > 1 the
+// configuration matrix simulates concurrently before the serial,
+// ordered rendering; the report is identical either way.
+func RunAll(w io.Writer, runs *Runs) error {
+	if err := runs.warm(); err != nil {
+		return err
 	}
 	for _, e := range All() {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("experiments: %s: %w: %w", e.Name, autoware.ErrCancelled, err)
-		}
 		if err := e.Run(w, runs); err != nil {
 			return fmt.Errorf("experiments: %s: %w", e.Name, err)
 		}
+	}
+	findings, err := Findings(runs)
+	if err != nil {
+		return err
+	}
+	Section(w, "Findings")
+	for _, f := range findings {
+		fmt.Fprintln(w, f)
 	}
 	return nil
 }

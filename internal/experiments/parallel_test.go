@@ -21,18 +21,13 @@ var csvArtifacts = []string{
 }
 
 // exportCSV runs the whole configuration matrix at the given worker
-// count (serial runs warm lazily; parallel runs prewarm concurrently)
-// and returns the bytes of every CSV artifact.
+// count (serial runs warm lazily; WriteCSV prewarms parallel runs
+// concurrently) and returns the bytes of every CSV artifact.
 func exportCSV(t *testing.T, workers int, duration time.Duration) map[string][]byte {
 	t.Helper()
 	env := &experiments.Env{Scenario: testenv.Scenario(), Map: testenv.Map()}
 	runs := experiments.NewRuns(env, duration)
 	runs.Workers = workers
-	if workers > 1 {
-		if err := runs.Prewarm(); err != nil {
-			t.Fatalf("prewarm (workers=%d): %v", workers, err)
-		}
-	}
 	dir := t.TempDir()
 	if err := experiments.WriteCSV(dir, runs); err != nil {
 		t.Fatalf("WriteCSV (workers=%d): %v", workers, err)

@@ -1,7 +1,12 @@
-// Package experiments contains one harness per table and figure of the
-// paper's evaluation (Figs. 5-8, Tables III, V, VI, VII), each running
-// the assembled stack and rendering the same rows/series the paper
-// reports, plus the machinery to emit EXPERIMENTS.md.
+// Package experiments is the paper's characterization engine: one
+// harness per table and figure of the evaluation (Figs. 5-8, Tables
+// III, V, VI, VII) and a supplementary scene-content analysis, each
+// rendering the rows and series the paper reports from full-system runs
+// of the assembled stack, plus the five findings read off the same
+// runs. Runs caches those runs, so each configuration simulates once
+// however many experiments read it; RunAll writes the whole report and
+// WriteCSV the raw data behind the figures (EXPERIMENTS.md records both
+// against the paper).
 package experiments
 
 import (

@@ -19,9 +19,6 @@ func SceneDependence(w io.Writer, runs *Runs) error {
 	Section(w, "Supplementary — scene-content dependence of object-driven nodes")
 
 	cfg := autoware.DefaultConfig(autoware.DetectorSSD300)
-	// Denser traffic widens the object-count range the regression sees.
-	cfg.Scenario.NumCars *= 2
-	cfg.Scenario.LeadVehicle = true
 	s, err := autoware.BuildWithMap(cfg, runs.env.Scenario, runs.env.Map)
 	if err != nil {
 		return err

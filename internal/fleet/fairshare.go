@@ -7,17 +7,6 @@ import (
 	"time"
 )
 
-// Admission disciplines. Fair-share is the default: per-tenant
-// token-bucket rate limits at the door and deficit-round-robin
-// dispatch behind it, so one tenant's burst fills only its own queue
-// and costs only its own turns. The global-priority mode is the PR-8
-// discipline, kept selectable for A/B comparison (the starvation test
-// pins fair-share against it) and for single-tenant deployments.
-const (
-	AdmissionFair     = "fair"
-	AdmissionPriority = "priority"
-)
-
 // TenantLimit is one tenant's admission contract: Rate is the
 // token-bucket refill in jobs/second (0 = unlimited), Burst the bucket
 // capacity (0 = the service default), Weight the deficit-round-robin
@@ -90,26 +79,26 @@ type tenantQ struct {
 	deficit float64
 }
 
-// admitQueue is the pending-job structure behind both admission
-// disciplines. In priority mode it is the PR-8 global heap (priority
-// desc, admission seq asc). In fair mode each tenant owns a heap and
-// dispatch walks an activation ring with deficit round-robin: a tenant
-// at the head earns Weight credits and is served while credit lasts,
-// then the ring advances — so a tenant that queued 100 jobs still
-// yields the next turn to every other active tenant. Total occupancy
+// admitQueue is the pending-job structure behind fair-share admission:
+// per-tenant token-bucket rate limits at the door (bucket) and
+// deficit-round-robin dispatch behind it, so one tenant's burst fills
+// only its own queue and costs only its own turns. Each tenant owns a
+// heap (priority desc, admission seq asc), and dispatch walks an
+// activation ring: a tenant at the head earns Weight credits and is
+// served while credit lasts, then the ring advances — so a tenant that
+// queued 100 jobs still yields the next turn to every other active
+// tenant. With one tenant this is plain priority order. Total occupancy
 // is still bounded by the service's global QueueDepth.
 type admitQueue struct {
-	fair    bool
 	weight  func(tenant string) int
-	global  jobHeap
 	tenants map[string]*tenantQ
 	ring    []string // active (non-empty) tenants, activation order
 	ringIdx int
 	size    int
 }
 
-func newAdmitQueue(fair bool, weight func(string) int) *admitQueue {
-	return &admitQueue{fair: fair, weight: weight, tenants: make(map[string]*tenantQ)}
+func newAdmitQueue(weight func(string) int) *admitQueue {
+	return &admitQueue{weight: weight, tenants: make(map[string]*tenantQ)}
 }
 
 // Len is the total number of queued jobs across tenants.
@@ -118,10 +107,6 @@ func (q *admitQueue) Len() int { return q.size }
 // push enqueues an admitted record, activating its tenant if needed.
 func (q *admitQueue) push(rec *Record) {
 	q.size++
-	if !q.fair {
-		heap.Push(&q.global, rec)
-		return
-	}
 	tq := q.tenants[rec.Tenant]
 	if tq == nil {
 		tq = &tenantQ{}
@@ -137,10 +122,6 @@ func (q *admitQueue) push(rec *Record) {
 func (q *admitQueue) pop() *Record {
 	if q.size == 0 {
 		return nil
-	}
-	if !q.fair {
-		q.size--
-		return heap.Pop(&q.global).(*Record)
 	}
 	for len(q.ring) > 0 {
 		if q.ringIdx >= len(q.ring) {
@@ -194,43 +175,26 @@ func (q *admitQueue) deactivate(i int) {
 // order for deterministic finish accounting.
 func (q *admitQueue) evictBelow(floor int) []*Record {
 	var shed []*Record
-	if !q.fair {
+	names := make([]string, 0, len(q.tenants))
+	for name := range q.tenants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		tq := q.tenants[name]
 		var keep jobHeap
-		for _, rec := range q.global {
+		for _, rec := range tq.heap {
 			if rec.Job.Priority < floor {
 				shed = append(shed, rec)
 			} else {
 				keep = append(keep, rec)
 			}
 		}
-		if len(shed) > 0 {
-			q.global = keep
-			heap.Init(&q.global)
-		}
-	} else {
-		names := make([]string, 0, len(q.tenants))
-		for name := range q.tenants {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		changed := false
-		for _, name := range names {
-			tq := q.tenants[name]
-			var keep jobHeap
-			for _, rec := range tq.heap {
-				if rec.Job.Priority < floor {
-					shed = append(shed, rec)
-					changed = true
-				} else {
-					keep = append(keep, rec)
-				}
-			}
-			tq.heap = keep
-			heap.Init(&tq.heap)
-		}
-		if changed {
-			q.rebuildRing()
-		}
+		tq.heap = keep
+		heap.Init(&tq.heap)
+	}
+	if len(shed) > 0 {
+		q.rebuildRing()
 	}
 	q.size -= len(shed)
 	sort.Slice(shed, func(i, j int) bool { return shed[i].seq < shed[j].seq })
@@ -241,18 +205,13 @@ func (q *admitQueue) evictBelow(floor int) []*Record {
 // non-durable shutdown path fails them explicitly).
 func (q *admitQueue) drain() []*Record {
 	var out []*Record
-	if !q.fair {
-		out = append(out, q.global...)
-		q.global = nil
-	} else {
-		for _, tq := range q.tenants {
-			out = append(out, tq.heap...)
-			tq.heap = nil
-			tq.deficit = 0
-		}
-		q.ring = nil
-		q.ringIdx = 0
+	for _, tq := range q.tenants {
+		out = append(out, tq.heap...)
+		tq.heap = nil
+		tq.deficit = 0
 	}
+	q.ring = nil
+	q.ringIdx = 0
 	q.size = 0
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out

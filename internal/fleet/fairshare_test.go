@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -104,16 +105,17 @@ func TestFleetThrottle(t *testing.T) {
 	}
 }
 
-// TestFairShareDRROrder pins the deficit-round-robin dispatch order:
-// with tenant a at weight 2 and tenant b at weight 1, a backlog
-// queued as a1..a3, b1..b3 dispatches a1 a2 b1 a3 b2 b3.
-func TestFairShareDRROrder(t *testing.T) {
+// dispatchOrder queues jobs behind a blocker on a single worker, so
+// the whole backlog is in the admit queue before dispatch picks any of
+// it, and returns the order the jobs ran in. Each job's scenario name
+// labels it.
+func dispatchOrder(t *testing.T, limits map[string]TenantLimit, jobs []Job) []string {
+	t.Helper()
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	order := make(chan string, 16)
+	order := make(chan string, len(jobs))
 	svc := mustNew(t, Config{
-		Workers: 1, QueueDepth: 16, Resolve: passResolve,
-		Limits: map[string]TenantLimit{"a": {Weight: 2}},
+		Workers: 1, QueueDepth: 16, Resolve: passResolve, Limits: limits,
 		Runner: runnerFunc(func(ctx context.Context, spec scenario.Spec, det autoware.Detector, d time.Duration) (*RunResult, error) {
 			if spec.Name == "blocker" {
 				blocked <- struct{}{}
@@ -131,45 +133,88 @@ func TestFairShareDRROrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-blocked
-	var last *Record
-	for _, name := range []string{"a1", "a2", "a3", "b1", "b2", "b3"} {
-		rec, err := svc.Submit(Job{Tenant: name[:1], Scenario: name})
+	recs := make([]*Record, len(jobs))
+	for i, job := range jobs {
+		rec, err := svc.Submit(job)
 		if err != nil {
-			t.Fatalf("submit %s: %v", name, err)
+			t.Fatalf("submit %s: %v", job.Scenario, err)
 		}
-		last = rec
+		recs[i] = rec
 	}
 	close(release)
-	waitDone(t, svc, last.ID)
+	for _, rec := range recs {
+		waitDone(t, svc, rec.ID)
+	}
+	close(order)
+	var got []string
+	for name := range order {
+		got = append(got, name)
+	}
+	return got
+}
 
-	want := []string{"a1", "a2", "b1", "a3", "b2", "b3"}
-	for i, w := range want {
-		select {
-		case got := <-order:
-			if got != w {
-				t.Fatalf("dispatch %d: got %s, want %s (weight-2 DRR order)", i, got, w)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("dispatch %d (%s) never ran", i, w)
+// TestFairShareDRROrder pins the deficit-round-robin dispatch order.
+// Across tenants: with tenant a at weight 2 and tenant b at weight 1, a
+// backlog queued as a1..a3, b1..b3 dispatches a1 a2 b1 a3 b2 b3. Within
+// one tenant: priority descending, then admission order, which is the
+// only priority ordering dispatch has.
+func TestFairShareDRROrder(t *testing.T) {
+	tenants := func(names ...string) []Job {
+		jobs := make([]Job, len(names))
+		for i, name := range names {
+			jobs[i] = Job{Tenant: name[:1], Scenario: name}
+		}
+		return jobs
+	}
+	priorities := func(names ...string) []Job {
+		jobs := make([]Job, len(names))
+		for i, name := range names {
+			jobs[i] = Job{Tenant: "c", Scenario: name, Priority: int(name[1] - '0')}
+		}
+		return jobs
+	}
+	for _, tc := range []struct {
+		name   string
+		limits map[string]TenantLimit
+		jobs   []Job
+		want   []string
+	}{
+		{
+			name:   "weight-2 round robin",
+			limits: map[string]TenantLimit{"a": {Weight: 2}},
+			jobs:   tenants("a1", "a2", "a3", "b1", "b2", "b3"),
+			want:   []string{"a1", "a2", "b1", "a3", "b2", "b3"},
+		},
+		{
+			// Named p<priority><admission index>.
+			name: "priorities within one tenant",
+			jobs: priorities("p00", "p21", "p12", "p23", "p04", "p15"),
+			want: []string{"p21", "p23", "p12", "p15", "p00", "p04"},
+		},
+	} {
+		got := dispatchOrder(t, tc.limits, tc.jobs)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: dispatched %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
 
 // TestFairShareStarvation is the acceptance contract: a tenant
 // bursting a large backlog cannot starve another tenant's small,
-// steady trickle under fair-share admission, while total throughput
-// stays within 10% of the global-priority discipline.
+// steady trickle, while total throughput stays within 10% of the
+// baseline. The baseline is the same workload with the trickle
+// submitted under the burst's tenant, where dispatch is plain priority
+// order and the trickle queues behind the whole backlog.
 func TestFairShareStarvation(t *testing.T) {
 	const (
 		hogJobs   = 150
 		mouseJobs = 8
 		workMS    = 2
 	)
-	run := func(admission string) (mouseP99 float64, total time.Duration) {
+	run := func(mouseTenant string) (mouseP99 float64, total time.Duration) {
 		t.Helper()
 		svc := mustNew(t, Config{
-			Workers: 2, QueueDepth: 256, CacheSize: -1,
-			Admission: admission, Resolve: passResolve,
+			Workers: 2, QueueDepth: 256, CacheSize: -1, Resolve: passResolve,
 			Runner: runnerFunc(func(ctx context.Context, spec scenario.Spec, det autoware.Detector, d time.Duration) (*RunResult, error) {
 				time.Sleep(workMS * time.Millisecond)
 				return &RunResult{Report: []byte("ok:" + spec.Name + "\n"), E2EP99: 1}, nil
@@ -182,7 +227,7 @@ func TestFairShareStarvation(t *testing.T) {
 		for i := 0; i < hogJobs; i++ {
 			rec, err := svc.Submit(Job{Tenant: "hog", Scenario: fmt.Sprintf("hog-%d", i)})
 			if err != nil {
-				t.Fatalf("hog submit %d (%s): %v", i, admission, err)
+				t.Fatalf("hog submit %d (mouse as %s): %v", i, mouseTenant, err)
 			}
 			hog = append(hog, rec)
 		}
@@ -190,9 +235,9 @@ func TestFairShareStarvation(t *testing.T) {
 		// its wall time is dominated by how long dispatch makes it queue.
 		var mouseWall []float64
 		for i := 0; i < mouseJobs; i++ {
-			rec, err := svc.Submit(Job{Tenant: "mouse", Scenario: fmt.Sprintf("mouse-%d", i)})
+			rec, err := svc.Submit(Job{Tenant: mouseTenant, Scenario: fmt.Sprintf("mouse-%d", i)})
 			if err != nil {
-				t.Fatalf("mouse submit %d (%s): %v", i, admission, err)
+				t.Fatalf("mouse submit %d (as %s): %v", i, mouseTenant, err)
 			}
 			final := waitDone(t, svc, rec.ID)
 			mouseWall = append(mouseWall, final.WallMS)
@@ -203,21 +248,21 @@ func TestFairShareStarvation(t *testing.T) {
 		return mathx.Quantile(mouseWall, 0.99), time.Since(start)
 	}
 
-	fairP99, fairTotal := run(AdmissionFair)
-	priP99, priTotal := run(AdmissionPriority)
-	t.Logf("mouse p99: fair %.1fms vs priority %.1fms; total: fair %v vs priority %v",
-		fairP99, priP99, fairTotal, priTotal)
+	fairP99, fairTotal := run("mouse")
+	baseP99, baseTotal := run("hog")
+	t.Logf("mouse p99: own tenant %.1fms vs hog's tenant %.1fms; total: %v vs %v",
+		fairP99, baseP99, fairTotal, baseTotal)
 
-	// Under global priority the mouse waits behind the hog's whole
-	// backlog; under fair share it waits a round-robin turn. Demand a
+	// Queued under the hog's tenant the mouse waits behind the hog's
+	// whole backlog; under its own it waits a round-robin turn. Demand a
 	// decisive separation, not a marginal one.
-	if fairP99 > priP99/2 {
-		t.Errorf("fair-share mouse p99 %.1fms vs priority %.1fms: starvation not prevented", fairP99, priP99)
+	if fairP99 > baseP99/2 {
+		t.Errorf("fair-share mouse p99 %.1fms vs %.1fms in the hog's queue: starvation not prevented", fairP99, baseP99)
 	}
 	// Fairness must not cost throughput: the same work drains in
 	// roughly the same time (10%% bound plus scheduling slack).
-	bound := time.Duration(float64(priTotal)*1.10) + 250*time.Millisecond
+	bound := time.Duration(float64(baseTotal)*1.10) + 250*time.Millisecond
 	if fairTotal > bound {
-		t.Errorf("fair-share drained in %v, want <= %v (priority %v + 10%%)", fairTotal, bound, priTotal)
+		t.Errorf("fair-share drained in %v, want <= %v (baseline %v + 10%%)", fairTotal, bound, baseTotal)
 	}
 }

@@ -32,10 +32,9 @@
 //     acknowledged, so a crashed service restarts into the same queue,
 //     retry schedules, result cache, and dead-letter ledger — completed
 //     reports byte-identical, in-flight jobs re-run deterministically.
-//   - Admission is per-tenant fair share by default: token-bucket rate
-//     limits at the door and deficit-round-robin dispatch behind it, so
-//     one tenant's burst cannot starve another (AdmissionPriority keeps
-//     the old global-priority discipline selectable).
+//   - Admission is per-tenant fair share: token-bucket rate limits at
+//     the door and deficit-round-robin dispatch behind it, so one
+//     tenant's burst cannot starve another.
 //
 // The HTTP surface (Handler, cmd/avfleet) exposes submission, per-job
 // status/report endpoints, and the /fleetz aggregate.
@@ -261,10 +260,6 @@ type Config struct {
 	// service folds its full state into an atomic snapshot and truncates
 	// the log (default 512; negative disables compaction).
 	SnapshotEvery int
-	// Admission selects the dispatch discipline: AdmissionFair (default,
-	// per-tenant deficit round-robin + token buckets) or
-	// AdmissionPriority (the global priority heap).
-	Admission string
 	// TenantRate is the default per-tenant admission rate in jobs/second
 	// (0 = unlimited); TenantBurst the default bucket capacity (default
 	// 8). Per-tenant overrides live in Limits / SetTenantLimit.
@@ -325,9 +320,6 @@ func (c *Config) fill() {
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 512
-	}
-	if c.Admission == "" {
-		c.Admission = AdmissionFair
 	}
 	if c.TenantBurst < 1 {
 		c.TenantBurst = 8
@@ -406,10 +398,6 @@ type cacheEntry struct {
 // before accepting new ones.
 func New(cfg Config) (*Service, error) {
 	cfg.fill()
-	if cfg.Admission != AdmissionFair && cfg.Admission != AdmissionPriority {
-		return nil, fmt.Errorf("%w: unknown admission discipline %q (have %s, %s)",
-			ErrBadJob, cfg.Admission, AdmissionFair, AdmissionPriority)
-	}
 	s := &Service{
 		cfg:       cfg,
 		pool:      parallel.NewPool(cfg.Workers, 0),
@@ -426,7 +414,7 @@ func New(cfg Config) (*Service, error) {
 	for name, l := range cfg.Limits {
 		s.limits[name] = l
 	}
-	s.queue = newAdmitQueue(cfg.Admission == AdmissionFair, func(tenant string) int {
+	s.queue = newAdmitQueue(func(tenant string) int {
 		return s.limitFor(tenant).Weight
 	})
 	s.cond = sync.NewCond(&s.mu)
@@ -706,10 +694,9 @@ func (s *Service) Wait(ctx context.Context, id int64) (Record, error) {
 	return snapshotLocked(rec), nil
 }
 
-// dispatch pulls admitted jobs off the admission queue — fair-share
-// deficit round-robin or global priority order — and runs each on its
-// own execution slot; slots bound concurrently simulating vehicles to
-// Config.Workers.
+// dispatch pulls admitted jobs off the admission queue in fair-share
+// deficit-round-robin order and runs each on its own execution slot;
+// slots bound concurrently simulating vehicles to Config.Workers.
 func (s *Service) dispatch() {
 	defer s.wg.Done()
 	for {
@@ -1081,7 +1068,6 @@ type DeadLetter struct {
 // (retries, sheds, rejections, dead letters, captured panics).
 type Status struct {
 	State      LadderState `json:"state"`
-	Admission  string      `json:"admission"`
 	QueueDepth int         `json:"queue_depth"`
 	QueueCap   int         `json:"queue_cap"`
 	InFlight   int         `json:"in_flight"`
@@ -1123,7 +1109,6 @@ func (s *Service) Fleetz() Status {
 	defer s.mu.Unlock()
 	st := Status{
 		State:      s.state,
-		Admission:  s.cfg.Admission,
 		QueueDepth: s.queue.Len(),
 		QueueCap:   s.cfg.QueueDepth,
 		InFlight:   s.inFlight,

@@ -65,10 +65,11 @@ func TestFleetIsolationUnderChaos(t *testing.T) {
 	const dur = 8 * time.Second
 
 	// The ground truth: the scenario run solo, outside the service. It
-	// drives testenv's environment and the service drives its own
-	// envCache entry, so the scenario layer's clean-leg memo, keyed on
-	// environment identity, never serves one the other's baseline leg:
-	// the byte comparison below covers both legs.
+	// drives testenv's environment and the service drives the one
+	// scenario.Run builds for the world, so the scenario layer's
+	// clean-leg memo, keyed on environment identity, never serves one
+	// the other's baseline leg: the byte comparison below covers both
+	// legs.
 	spec, err := scenario.ByName(scenario.NameCameraStall)
 	if err != nil {
 		t.Fatal(err)

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/autoware"
-	"repro/internal/hdmap"
 	"repro/internal/scenario"
 	"repro/internal/world"
 )
@@ -40,67 +38,19 @@ func worldFromParams(line string) (world.ScenarioConfig, error) {
 	return cfg, nil
 }
 
-// env is one built simulation environment: the generated world and its
-// HD map. Building the map costs seconds of wall clock; the fleet
-// amortizes it across every job sharing the same world params.
-type env struct {
-	once sync.Once
-	scen *world.Scenario
-	m    *hdmap.Map
-	err  error
-}
-
-// envCache shares built environments across jobs and across service
-// instances in one process, keyed by canonical world params. Scenarios
-// and maps are read-only after construction, so concurrent jobs may run
-// over one entry safely (TestParallelRunsAreByteIdentical in
-// internal/experiments prewarms concurrent stacks over testenv's shared
-// scenario and map).
-var envCache sync.Map // params line -> *env
-
-func sharedEnv(cfg world.ScenarioConfig) (*world.Scenario, *hdmap.Map, error) {
-	key := world.MarshalParams(cfg)
-	v, _ := envCache.LoadOrStore(key, &env{})
-	e := v.(*env)
-	e.once.Do(func() {
-		scen, err := world.BuildScenario(cfg)
-		if err != nil {
-			e.err = fmt.Errorf("fleet: building world: %w", err)
-			return
-		}
-		mc := hdmap.DefaultConfig()
-		mc.ScanSpacing = 10
-		m, err := hdmap.Build(scen, mc)
-		if err != nil {
-			e.err = fmt.Errorf("fleet: building map: %w", err)
-			return
-		}
-		e.scen, e.m = scen, m
-	})
-	return e.scen, e.m, e.err
-}
-
-// scenarioRunner is the production Runner: resolve the spec's world to
-// a cached environment, run the scenario under the attempt context, and
-// render the report. Jobs over one cached environment share their
-// fault-free leg through the scenario layer's memo, so most jobs run
-// only their faulted leg. Environment construction is not context-aware
-// (it is CPU-bound and cached); only the simulation legs observe
-// cancellation.
+// scenarioRunner is the production Runner: run the scenario under the
+// attempt context and render the report. scenario.Run builds each world
+// config's environment once per process, and jobs over one environment
+// share their fault-free leg through the scenario layer's memo, so most
+// jobs run only their faulted leg. Environment construction is not
+// context-aware (it is CPU-bound and cached); only the simulation legs
+// observe cancellation.
 type scenarioRunner struct{}
 
 func defaultRunner() Runner { return scenarioRunner{} }
 
 func (scenarioRunner) Run(ctx context.Context, spec scenario.Spec, det autoware.Detector, duration time.Duration) (*RunResult, error) {
-	cfg := world.DefaultScenarioConfig()
-	if spec.World != nil {
-		cfg = *spec.World
-	}
-	scen, m, err := sharedEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := scenario.RunWithEnvContext(ctx, scen, m, spec, det, duration)
+	res, err := scenario.Run(ctx, spec, det, duration)
 	if err != nil {
 		return nil, err
 	}

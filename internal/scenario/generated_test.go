@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/autoware"
+	"repro/internal/hdmap"
 	"repro/internal/testenv"
 	"repro/internal/world"
 )
@@ -68,7 +70,7 @@ func TestGeneratedScenarioRepeatable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		scen, m, err := buildEnv(cfg)
+		scen, m, err := environment(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -88,18 +90,18 @@ func TestGeneratedScenarioRepeatable(t *testing.T) {
 	}
 }
 
-// TestBuildEnvUsesSpecWorld pins the environment the self-building
-// entry points (Run, Tune) drive in: a pinned generated scenario gets
-// the city and HD map of its own world config, never the scripted
-// default's — a fault profile pinned on a generated city means nothing
-// applied to another one.
+// TestBuildEnvUsesSpecWorld pins the environment the entry points that
+// take none (Run, Tune) drive in: a pinned generated scenario gets the
+// city and HD map of its own world config, never the scripted default's
+// — a fault profile pinned on a generated city means nothing applied to
+// another one.
 func TestBuildEnvUsesSpecWorld(t *testing.T) {
 	t.Parallel()
 	spec, err := ByName("gen-fog-stall")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen, m, err := buildEnv(spec.worldConfig())
+	scen, m, err := environment(spec.worldConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,5 +117,75 @@ func TestBuildEnvUsesSpecWorld(t *testing.T) {
 	}
 	if m.Scans == testenv.Map().Scans && m.NDT.Len() == testenv.Map().NDT.Len() {
 		t.Errorf("%s: HD map matches the scripted default city's map", spec.Name)
+	}
+}
+
+// TestRunSharesEnvironments pins the identity the clean-leg memo keys
+// on: Run calls over equal world params drive one environment, pointer
+// for pointer, so the second is served the first one's clean leg, and
+// different params get an environment of their own. The fleet runs
+// most jobs on their faulted leg alone because of it.
+func TestRunSharesEnvironments(t *testing.T) {
+	// Not parallel: it counts the process-wide memo's hits, which the
+	// parallel tests move.
+	generate := func(seed uint64) world.ScenarioConfig {
+		t.Helper()
+		cfg, err := world.Generate(world.CompactSpace(), seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		return cfg
+	}
+	const duration = time.Second
+	a := generate(11)
+	hits := func() int {
+		cleanLegs.mu.Lock()
+		defer cleanLegs.mu.Unlock()
+		return cleanLegs.hits
+	}
+	run := func() {
+		t.Helper()
+		if _, err := Run(context.Background(), Spec{Name: "clean", World: &a}, autoware.DetectorSSD300, duration); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	before := hits()
+	run()
+	if got := hits() - before; got != 1 {
+		t.Errorf("a second run over one world hit the clean-leg memo %d times, want 1", got)
+	}
+
+	scen, m, err := environment(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, m2, err := environment(generate(11)); err != nil || s != scen || m2 != m {
+		t.Errorf("equal world params built a second environment (err %v)", err)
+	}
+
+	// Concurrent first uses of another world build it once.
+	b := generate(22)
+	type built struct {
+		scen *world.Scenario
+		m    *hdmap.Map
+		err  error
+	}
+	const callers = 4
+	out := make(chan built, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			s, m, err := environment(b)
+			out <- built{s, m, err}
+		}()
+	}
+	first := <-out
+	for i := 1; i < callers; i++ {
+		if got := <-out; got != first {
+			t.Errorf("concurrent callers got different environments for one world: %+v vs %+v", got, first)
+		}
+	}
+	if first.err != nil || first.scen == scen || first.m == m {
+		t.Errorf("different world params shared an environment (err %v)", first.err)
 	}
 }

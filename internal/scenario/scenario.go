@@ -2,18 +2,21 @@
 // twice over the same environment — once fault-free, once under a
 // named, seeded fault schedule with the graceful-degradation watchdog
 // attached — and reports the resulting latency distributions side by
-// side. The fault-free leg depends only on the environment, detector
-// and duration, so runs over one environment share it. Because every
-// layer underneath is deterministic, the same scenario, seed and
-// duration always produce a byte-identical report, which is what turns
-// the paper's accidental tail phenomena (contention inflation, message
-// drops, stale inputs) into regression-testable behaviors.
+// side. Each world config's environment (the world and its HD map) is
+// built once per process, and the fault-free leg depends only on the
+// environment, detector and duration, so runs over one world share
+// both. Because every layer underneath is deterministic, the same
+// scenario, seed and duration always produce a byte-identical report,
+// which is what turns the paper's accidental tail phenomena
+// (contention inflation, message drops, stale inputs) into
+// regression-testable behaviors.
 package scenario
 
 import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/avstack"
@@ -59,8 +62,9 @@ type Spec struct {
 	// World, when non-nil, replaces the scripted default drive with a
 	// procedurally generated parameterization (see world.Generate and
 	// internal/search): traffic mix, pedestrian bursts, weather, city
-	// topology. Run and Tune build the environment from it; RunWithEnv
-	// callers must pass an environment built from the same config.
+	// topology. Run and Tune drive the environment built from it;
+	// RunWithEnv callers must pass an environment built from the same
+	// config.
 	World *world.ScenarioConfig
 }
 
@@ -389,58 +393,76 @@ func (r *Result) NodeStat(node string) (NodeStat, bool) {
 	return NodeStat{}, false
 }
 
-// buildEnv builds the environment a drive parameterization resolves
-// to: its world and the HD map surveyed from it. Every entry point that
-// builds its own environment goes through here, so a spec's world
-// config always reaches the city its stacks drive in.
-func buildEnv(wcfg world.ScenarioConfig) (*world.Scenario, *hdmap.Map, error) {
-	scen, err := world.BuildScenario(wcfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario: building world: %w", err)
-	}
-	mc := hdmap.DefaultConfig()
-	mc.ScanSpacing = 10
-	m, err := hdmap.Build(scen, mc)
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario: building map: %w", err)
-	}
-	return scen, m, nil
+// env is one built environment: a world and the HD map surveyed from
+// it. Building the map costs seconds of wall clock, so it happens once
+// per world config per process.
+type env struct {
+	once sync.Once
+	scen *world.Scenario
+	m    *hdmap.Map
+	err  error
 }
 
-// Run executes the scenario over a freshly built environment. Building
-// the scenario's HD map dominates wall time; tests with a cached
-// environment should use RunWithEnv.
-func Run(spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
-	scen, m, err := buildEnv(spec.worldConfig())
-	if err != nil {
-		return nil, err
-	}
-	return RunWithEnv(scen, m, spec, det, duration)
+// envs holds every environment built in this process, keyed by the
+// canonical params line of its world config. Worlds and maps are
+// read-only once built, so any number of runs may drive one
+// concurrently. Because an environment is built once, runs over equal
+// params share one pair of pointers, which is the identity the
+// clean-leg memo keys on.
+var envs sync.Map // params line -> *env
+
+// environment returns the environment a drive parameterization resolves
+// to, building it on first use. Every entry point that does not take an
+// environment goes through here, so a spec's world config always
+// reaches the city its stacks drive in.
+func environment(wcfg world.ScenarioConfig) (*world.Scenario, *hdmap.Map, error) {
+	v, _ := envs.LoadOrStore(world.MarshalParams(wcfg), new(env))
+	e := v.(*env)
+	e.once.Do(func() {
+		scen, err := world.BuildScenario(wcfg)
+		if err != nil {
+			e.err = fmt.Errorf("scenario: building world: %w", err)
+			return
+		}
+		mc := hdmap.DefaultConfig()
+		mc.ScanSpacing = 10
+		m, err := hdmap.Build(scen, mc)
+		if err != nil {
+			e.err = fmt.Errorf("scenario: building map: %w", err)
+			return
+		}
+		e.scen, e.m = scen, m
+	})
+	return e.scen, e.m, e.err
 }
 
-// RunWithEnv executes the scenario over an existing environment: a
-// fault-free baseline leg beside a faulted leg with every layer the spec
-// arms. Identical inputs produce identical Results.
-func RunWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
-	return RunWithEnvContext(context.Background(), scen, m, spec, det, duration)
-}
-
-// RunWithEnvContext is RunWithEnv with cooperative cancellation: both
-// drive legs advance under the context, so a fleet job deadline stops
-// in-flight simulation promptly (the error wraps autoware.ErrCancelled)
-// instead of leaking the vehicle until drive end. Run to completion it
-// is byte-identical to RunWithEnv.
+// Run executes the scenario over the environment its world config
+// resolves to: a fault-free baseline leg beside a faulted leg with every
+// layer the spec arms. Both legs advance under ctx, so a fleet job
+// deadline stops in-flight simulation promptly (the error wraps
+// autoware.ErrCancelled). Identical inputs produce identical Results.
 //
 // The baseline leg depends only on the environment, the detector and
 // the duration, so it runs once per environment: later runs over the
-// same world and map take it from a process-wide memo and run only
-// their faulted leg.
-func RunWithEnvContext(ctx context.Context, scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
+// same world take it from a process-wide memo and run only their
+// faulted leg.
+func Run(ctx context.Context, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
+	scen, m, err := environment(spec.worldConfig())
+	if err != nil {
+		return nil, err
+	}
 	res, _, err := runWith(ctx, &cleanLegs, scen, m, spec, det, duration)
 	return res, err
 }
 
-// runWith is RunWithEnvContext over the clean legs of one memo. It also
+// RunWithEnv is Run over an environment the caller built, which must
+// come from the spec's world config.
+func RunWithEnv(scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
+	res, _, err := runWith(context.Background(), &cleanLegs, scen, m, spec, det, duration)
+	return res, err
+}
+
+// runWith is Run over a given environment and the clean legs of one memo. It also
 // returns the faulted stack.
 func runWith(ctx context.Context, legs *cleanMemo, scen *world.Scenario, m *hdmap.Map, spec Spec, det autoware.Detector, duration time.Duration) (*Result, *autoware.Stack, error) {
 	if err := spec.validate(duration); err != nil {

@@ -33,10 +33,10 @@ const transportGoldenDuration = 10 * time.Second
 const transportGoldenFile = "testdata/transport_goldens.txt"
 
 // runTransportScenario executes one spec with guard and supervision
-// forced on, through the same path RunWithEnvContext takes: the clean
-// leg from legs, then the faulted leg. scen and m are the environment
-// the spec's world resolves to (the shared testenv for builtins; a
-// spec-owned build for generated scenarios).
+// forced on, through the same path Run takes: the clean leg from legs,
+// then the faulted leg. scen and m are the environment the spec's world
+// resolves to (the shared testenv for builtins; the cached environment
+// of its own world for generated scenarios).
 func runTransportScenario(t *testing.T, legs *cleanMemo, spec Spec, scen *world.Scenario, m *hdmap.Map) (*Result, *autoware.Stack) {
 	t.Helper()
 	spec.Guard = true
@@ -79,7 +79,7 @@ func TestTransportGoldenReports(t *testing.T) {
 	}
 
 	// The pinned search winners run over their own generated worlds:
-	// each builds its environment, so its clean leg is its own, then
+	// each drives its world's environment, so its clean leg is its own, then
 	// hashes the same side-by-side report. Their lines append after the
 	// builtins, so pinning a new worst case never perturbs the
 	// pre-existing golden prefix.
@@ -88,7 +88,7 @@ func TestTransportGoldenReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range generated {
-		scen, m, err := buildEnv(*spec.World)
+		scen, m, err := environment(*spec.World)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}

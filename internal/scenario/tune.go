@@ -56,17 +56,17 @@ type TuneReport struct {
 }
 
 // Tune runs the deterministic auto-tuner on a scenario's faulted leg.
-// It builds the spec's environment, takes the criticality profile from
-// the drive's clean leg (the same memoized leg the scenario runs use),
-// then runs one faulted leg per seeded candidate schedule (none for the
-// Disabled baseline), and reports the candidate minimizing worst-path
-// p99. Everything underneath is deterministic, so the same inputs
+// Over the spec's environment, as Run resolves it, it takes the
+// criticality profile from the drive's clean leg (the same memoized leg
+// the scenario runs use), then runs one faulted leg per seeded
+// candidate schedule (none for the Disabled baseline), and reports the
+// candidate minimizing worst-path p99. Everything underneath is deterministic, so the same inputs
 // always elect the same winner.
 func Tune(spec Spec, det autoware.Detector, duration time.Duration, searchSeed uint64) (*TuneReport, error) {
 	if err := spec.validate(duration); err != nil {
 		return nil, err
 	}
-	scen, m, err := buildEnv(spec.worldConfig())
+	scen, m, err := environment(spec.worldConfig())
 	if err != nil {
 		return nil, err
 	}

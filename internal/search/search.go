@@ -1,8 +1,6 @@
 package search
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -133,16 +131,6 @@ func outcomeToCandidate(o Outcome) (Candidate, bool) {
 // underneath is deterministic, so the same Config always elects the
 // same worst case with the same measurements.
 func Run(cfg Config) (*Report, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation: the context is
-// checked between candidates and threaded into every drive, so a fleet
-// job deadline (or a ctrl-C) stops the in-flight evaluation within a
-// slice of wall clock — the error wraps autoware.ErrCancelled — rather
-// than leaking the stack until drive end. Run to completion it is
-// byte-identical to Run.
-func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.Space.Validate(); err != nil {
 		return nil, err
 	}
@@ -157,7 +145,6 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	h := &harness{
-		ctx:      ctx,
 		det:      cfg.Detector,
 		duration: cfg.Duration,
 		maps:     make(map[string]*hdmap.Map),
@@ -188,9 +175,6 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	best := baseline
 	bestEval := base
 	for i := 1; i < cfg.Budget; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("search: candidate %d: %w: %w", i, autoware.ErrCancelled, err)
-		}
 		stream := root.Split()
 		var c Candidate
 		// Alternate explore (fresh sample) and exploit (mutate the
@@ -206,11 +190,6 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 			continue
 		}
 		ev, err := h.eval(c)
-		if errors.Is(err, autoware.ErrCancelled) {
-			// Cancellation aborts the whole search; elimination is only
-			// for candidates the generator or stack rejects.
-			return nil, fmt.Errorf("search: candidate %d: %w", i, err)
-		}
 		if err != nil {
 			// Elimination, not abortion: a candidate the generator or
 			// stack rejects is recorded and skipped, same as the tuner.
@@ -263,7 +242,6 @@ func outcome(c Candidate, ev Eval, err error, feasible bool, budgetMS float64) O
 // weather — the map is surveyed offline in a quiet world), so mutations
 // that keep the city reuse the expensive build.
 type harness struct {
-	ctx      context.Context
 	det      autoware.Detector
 	duration time.Duration
 	maps     map[string]*hdmap.Map
@@ -315,9 +293,7 @@ func (h *harness) eval(c Candidate) (Eval, error) {
 	if _, err := avstack.AttachLayers(st, avstack.Layers{Faults: c.Schedule(), Supervise: true}); err != nil {
 		return Eval{}, err
 	}
-	if err := st.RunContext(h.ctx, h.duration); err != nil {
-		return Eval{}, err
-	}
+	st.Run(h.duration)
 
 	ev := Eval{Eval: sched.WorstPath(st.Recorder)}
 	if crit := sched.Analyze(chains.Chains()); crit.Chains() > 0 {
