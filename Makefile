@@ -97,6 +97,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkLiDARScan' -benchmem -benchtime=10x ./internal/sensor/
 	$(GO) test -run=NONE -bench='BenchmarkTrackerStep' -benchmem -benchtime=100x ./internal/nodes/tracking/
 	$(GO) test -run=NONE -bench='BenchmarkDirect7' -benchmem -benchtime=1000x ./internal/hdmap/
+	$(GO) test -run=NONE -bench='BenchmarkNDTAlign' -benchmem -benchtime=10x ./internal/nodes/localization/
 	$(GO) test -run=NONE -bench='BenchmarkConv2D|BenchmarkDetectorInfer' -benchmem -benchtime=10x ./internal/dnn/
 	$(GO) test -run=NONE -bench='BenchmarkVisionProcess' -benchmem -benchtime=10x ./internal/nodes/visiondet/
 	$(GO) test -run=NONE -bench='BenchmarkBusPublishFanout|BenchmarkQueuePush|BenchmarkRingSteadyState' -benchmem -benchtime=10x ./internal/ros/

@@ -45,17 +45,18 @@ func sharedSweep(t testing.TB) *Sweep {
 }
 
 // gridFingerprint hashes a map's NDT grid: a header, then every voxel in
-// Voxels order as the hex bits of its mean, its inverse covariance row
-// by row, and its count.
+// Voxels order as the hex bits of its mean, its full inverse covariance
+// row by row, each lower term read from its upper mirror, and its count.
 func gridFingerprint(sw *Sweep, m *Map) (header, sum string) {
 	header = fmt.Sprintf("scans=%d points=%d usable=%d\n", m.Scans, sw.Cloud.Len(), m.NDT.Len())
 	h := sha256.New()
 	h.Write([]byte(header))
+	upper := [3][3]int{{0, 1, 2}, {1, 3, 4}, {2, 4, 5}}
 	for _, vs := range m.NDT.Voxels {
 		fmt.Fprintf(h, "%x %x %x", vs.Mean.X, vs.Mean.Y, vs.Mean.Z)
-		for _, row := range vs.InvCov {
-			for _, v := range row {
-				fmt.Fprintf(h, " %x", v)
+		for _, row := range upper {
+			for _, k := range row {
+				fmt.Fprintf(h, " %x", vs.InvCov[k])
 			}
 		}
 		fmt.Fprintf(h, " %d\n", vs.N)

@@ -274,13 +274,15 @@ func (n *NDTMatching) align(cloud *pointcloud.Cloud, init geom.Pose) (pose geom.
 			pointHit := false
 			for _, vs := range buf {
 				d := wp.Sub(vs.Mean)
-				dv := [3]float64{d.X, d.Y, d.Z}
-				// Sigma^-1 * d
-				var sd [3]float64
-				for r := 0; r < 3; r++ {
-					sd[r] = vs.InvCov[r][0]*dv[0] + vs.InvCov[r][1]*dv[1] + vs.InvCov[r][2]*dv[2]
+				// Sigma^-1 * d over the upper triangle, each lower term
+				// read from its mirror in the same operand order.
+				ic := &vs.InvCov
+				sd := [3]float64{
+					ic[0]*d.X + ic[1]*d.Y + ic[2]*d.Z,
+					ic[1]*d.X + ic[3]*d.Y + ic[4]*d.Z,
+					ic[2]*d.X + ic[4]*d.Y + ic[5]*d.Z,
 				}
-				d2 := dv[0]*sd[0] + dv[1]*sd[1] + dv[2]*sd[2]
+				d2 := d.X*sd[0] + d.Y*sd[1] + d.Z*sd[2]
 				if d2 > n.cfg.OutlierMahalanobis {
 					continue
 				}
@@ -304,9 +306,7 @@ func (n *NDTMatching) align(cloud *pointcloud.Cloud, init geom.Pose) (pose geom.
 				g[1] += wgt * sd[1]
 				g[2] += wgt * (jYawX*sd[0] + jYawY*sd[1])
 				// J^T Sigma^-1 J over columns e0, e1, jy.
-				s00 := vs.InvCov[0][0]
-				s01 := vs.InvCov[0][1]
-				s11 := vs.InvCov[1][1]
+				s00, s01, s11 := ic[0], ic[1], ic[3]
 				h.AddAt(0, 0, wgt*s00)
 				h.AddAt(0, 1, wgt*s01)
 				h.AddAt(1, 0, wgt*s01)

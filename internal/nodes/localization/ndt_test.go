@@ -179,6 +179,22 @@ func TestNDTWorkGrowsWithIterations(t *testing.T) {
 	}
 }
 
+// BenchmarkNDTAlign measures one alignment of a filtered testenv scan
+// from a perturbed pose, the ndt_matching hot loop.
+func BenchmarkNDTAlign(b *testing.B) {
+	n := New(DefaultConfig(), testenv.Map())
+	s := testenv.Scenario()
+	snap := s.At(25)
+	cloud, _ := pointcloud.VoxelDownsample(testenv.LiDAR().Scan(&snap), 2.0)
+	truth := snap.Ego.Pose
+	init := geom.Pose{Pos: truth.Pos.Add(geom.V3(0.3, -0.2, 0)), Yaw: truth.Yaw + 0.01}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.align(cloud, init)
+	}
+}
+
 func TestNDTPanicsOnNilMap(t *testing.T) {
 	defer func() {
 		if recover() == nil {

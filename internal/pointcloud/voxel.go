@@ -155,25 +155,35 @@ func VoxelDownsampleInto(c *Cloud, leaf float64, dst *Cloud) (*Cloud, int) {
 }
 
 // VoxelStats holds the Gaussian statistics of the points inside one
-// usable voxel: mean, inverse covariance and population. This is the
-// per-cell model of the Normal Distributions Transform used by
+// usable voxel: mean, inverse covariance, key and population. This is
+// the per-cell model of the Normal Distributions Transform used by
 // ndt_matching and built by the hdmap package.
 type VoxelStats struct {
-	Mean   geom.Vec3
-	InvCov [3][3]float64
-	N      int
+	Mean geom.Vec3
+	// InvCov is the inverse covariance's upper triangle, row by row:
+	// (0,0) (0,1) (0,2) (1,1) (1,2) (2,2). BuildVoxelStats inverts an
+	// exactly symmetric covariance, so the lower triangle it drops
+	// holds the same bits (see invert3).
+	InvCov [6]float64
+	Key    VoxelKey
+	N      int32
 }
 
 // VoxelGrid is an NDT statistics grid: the Gaussians of a cloud's
 // usable voxels stored by value in first-touch order, behind an
-// open-addressed key index. Lookups neither hash through the runtime
-// nor chase a pointer per voxel, and iteration order is a pure function
-// of the input cloud.
+// open-addressed, linearly probed table of voxel numbers. A probe
+// compares against the key stored in the record, so the table holds 4
+// bytes per slot; lookups neither hash through the runtime nor chase a
+// pointer per voxel, and iteration order is a pure function of the
+// input cloud.
 type VoxelGrid struct {
 	// Voxels holds every usable voxel in the order the cloud first
 	// touched it.
 	Voxels []VoxelStats
-	index  voxelIndex
+	// table holds Voxels index plus one per slot, zero marking an empty
+	// slot. Its size is a power of two, at least twice len(Voxels).
+	table []int32
+	mask  uint32
 }
 
 // Len returns the number of usable voxels.
@@ -182,10 +192,18 @@ func (g *VoxelGrid) Len() int { return len(g.Voxels) }
 // Lookup returns the voxel with key k, or nil when it is unoccupied or
 // unusable.
 func (g *VoxelGrid) Lookup(k VoxelKey) *VoxelStats {
-	if i, ok := g.index.find(k); ok {
-		return &g.Voxels[i]
+	if len(g.Voxels) == 0 {
+		return nil
 	}
-	return nil
+	for i := hashKey(k) & g.mask; ; i = (i + 1) & g.mask {
+		v := g.table[i]
+		if v == 0 {
+			return nil
+		}
+		if vs := &g.Voxels[v-1]; vs.Key == k {
+			return vs
+		}
+	}
 }
 
 // BuildVoxelStats accumulates per-voxel Gaussian statistics for a cloud
@@ -224,7 +242,6 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 		a.n++
 	}
 	voxels := make([]VoxelStats, 0, len(cells))
-	keys := make([]VoxelKey, 0, len(cells))
 	for i := range cells {
 		a := &cells[i]
 		if a.n < minPoints {
@@ -250,21 +267,37 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 		if !ok {
 			continue
 		}
-		voxels = append(voxels, VoxelStats{Mean: m, InvCov: ic, N: a.n})
-		keys = append(keys, a.key)
+		voxels = append(voxels, VoxelStats{
+			Mean:   m,
+			InvCov: [6]float64{ic[0][0], ic[0][1], ic[0][2], ic[1][1], ic[1][2], ic[2][2]},
+			Key:    a.key,
+			N:      int32(a.n),
+		})
 	}
 	// The cells and their index die here. The grid keeps an exactly
-	// sized copy of the usable voxels and an index sized for them.
+	// sized copy of the usable voxels and a table sized for them. Keys
+	// are distinct, so each goes to the first empty slot of its probe
+	// sequence.
 	g := &VoxelGrid{Voxels: slices.Clone(voxels)}
-	g.index.reset(len(keys))
-	for i, k := range keys {
-		g.index.insert(k, int32(i))
+	size := tableSize(len(g.Voxels))
+	g.table = make([]int32, size)
+	g.mask = uint32(size - 1)
+	for i := range g.Voxels {
+		j := hashKey(g.Voxels[i].Key) & g.mask
+		for g.table[j] != 0 {
+			j = (j + 1) & g.mask
+		}
+		g.table[j] = int32(i + 1)
 	}
 	return g
 }
 
 // invert3 inverts a 3x3 matrix via the adjugate; ok is false when the
-// determinant is numerically zero.
+// determinant is numerically zero. For a symmetric m (b=d, c=g, f=h)
+// each lower term multiplies the same pair of values as its upper
+// mirror, operands swapped: (1,0)'s f*g - d*i is (0,1)'s c*h - b*i, and
+// likewise for (2,0) and (2,1). IEEE multiplication commutes, so the
+// inverse is symmetric bit for bit.
 func invert3(m [3][3]float64) ([3][3]float64, bool) {
 	a, b, c := m[0][0], m[0][1], m[0][2]
 	d, e, f := m[1][0], m[1][1], m[1][2]
@@ -281,13 +314,13 @@ func invert3(m [3][3]float64) ([3][3]float64, bool) {
 	}, true
 }
 
-// MahalanobisSq returns (p-mean)' InvCov (p-mean) for the voxel model.
+// MahalanobisSq returns (p-mean)' InvCov (p-mean) for the voxel model,
+// reading the upper triangle in place of each lower term.
 func (vs *VoxelStats) MahalanobisSq(p geom.Vec3) float64 {
 	d := p.Sub(vs.Mean)
-	v := [3]float64{d.X, d.Y, d.Z}
-	var t [3]float64
-	for i := 0; i < 3; i++ {
-		t[i] = vs.InvCov[i][0]*v[0] + vs.InvCov[i][1]*v[1] + vs.InvCov[i][2]*v[2]
-	}
-	return v[0]*t[0] + v[1]*t[1] + v[2]*t[2]
+	s := &vs.InvCov
+	t0 := s[0]*d.X + s[1]*d.Y + s[2]*d.Z
+	t1 := s[1]*d.X + s[3]*d.Y + s[4]*d.Z
+	t2 := s[2]*d.X + s[4]*d.Y + s[5]*d.Z
+	return d.X*t0 + d.Y*t1 + d.Z*t2
 }

@@ -2,10 +2,12 @@ package pointcloud
 
 // voxelIndex maps voxel keys to dense slot numbers with an
 // open-addressed, linearly probed table whose size is a power of two.
-// It replaces Go maps on the voxel hot paths: a probe hashes three
-// int32s with one multiply and compares keys inline, and reset clears
-// only the prefix of the table the next pass will use, so a pooled
-// index that once held a large cloud stays cheap for small ones.
+// It is the scratch index of the voxel downsample and of the statistics
+// build: a probe hashes three int32s with one multiply and compares
+// keys inline, and reset clears only the prefix of the table the next
+// pass will use, so a pooled index that once held a large cloud stays
+// cheap for small ones. A built VoxelGrid keeps a leaner table of voxel
+// numbers.
 type voxelIndex struct {
 	slots []indexSlot
 	mask  uint32
@@ -22,12 +24,20 @@ type indexSlot struct {
 // minIndexSize is the smallest table reset allocates.
 const minIndexSize = 64
 
-// reset empties the index and sizes it for about hint keys.
-func (ix *voxelIndex) reset(hint int) {
+// tableSize returns the table size for about hint keys: the smallest
+// power of two, and at least minIndexSize, that keeps the load at or
+// below one half.
+func tableSize(hint int) int {
 	size := minIndexSize
 	for size < 2*hint {
 		size <<= 1
 	}
+	return size
+}
+
+// reset empties the index and sizes it for about hint keys.
+func (ix *voxelIndex) reset(hint int) {
+	size := tableSize(hint)
 	if cap(ix.slots) < size {
 		ix.slots = make([]indexSlot, size)
 	} else {
@@ -47,22 +57,6 @@ func hashKey(k VoxelKey) uint32 {
 		uint64(uint32(k.Z))*0x165667B19E3779F9
 	h ^= h >> 32
 	return uint32(h)
-}
-
-// find returns k's slot number.
-func (ix *voxelIndex) find(k VoxelKey) (int32, bool) {
-	if ix.n == 0 {
-		return 0, false
-	}
-	for i := hashKey(k) & ix.mask; ; i = (i + 1) & ix.mask {
-		s := &ix.slots[i]
-		if s.val == 0 {
-			return 0, false
-		}
-		if s.key == k {
-			return s.val - 1, true
-		}
-	}
 }
 
 // insert returns k's slot number, first assigning it next when k is

@@ -31,12 +31,13 @@ func TestVoxelIndexMatchesMap(t *testing.T) {
 			want[k] = next
 		}
 		for k, w := range want {
-			if got, ok := ix.find(k); !ok || got != w {
-				t.Fatalf("round %d: find(%v) = (%d, %v), want %d", round, k, got, ok, w)
+			if got, added := ix.insert(k, -1); added || got != w {
+				t.Fatalf("round %d: re-insert(%v) = (%d, %v), want (%d, false)", round, k, got, added, w)
 			}
 		}
-		if _, ok := ix.find(VoxelKey{X: 1000}); ok {
-			t.Fatalf("round %d: found an absent key", round)
+		absent := int32(len(want))
+		if got, added := ix.insert(VoxelKey{X: 1000}, absent); !added || got != absent {
+			t.Fatalf("round %d: insert of an absent key = (%d, %v), want (%d, true)", round, got, added, absent)
 		}
 	}
 }
@@ -44,9 +45,11 @@ func TestVoxelIndexMatchesMap(t *testing.T) {
 // TestVoxelGridMatchesMapReference builds the statistics grid of a
 // random cloud both ways: the lean build, and the full reference build
 // behind a Go map. The grid must hold exactly the reference's usable
-// voxels, bit for bit and in first-touch order, and Lookup must find
-// each of them and nothing else: not a sparse voxel, not a degenerate
-// one, not an unoccupied key.
+// voxels, bit for bit and in first-touch order, each with its key and
+// with six inverse-covariance terms that equal the reference's full
+// inverse in both triangles. Lookup must find each of them and nothing
+// else: not a sparse voxel, not a degenerate one, not an unoccupied
+// key.
 func TestVoxelGridMatchesMapReference(t *testing.T) {
 	rng := mathx.NewRNG(37)
 	c := New(20005)

@@ -81,10 +81,16 @@ func referenceVoxelStats(c *Cloud, leaf float64, minPoints int) []refVoxelStats 
 	return out
 }
 
+// upper maps each term of a 3x3 symmetric matrix to its index in
+// VoxelStats.InvCov: a lower term reads its upper mirror.
+var upper = [3][3]int{{0, 1, 2}, {1, 3, 4}, {2, 4, 5}}
+
 // sameVoxelBits reports whether a lean voxel carries the reference
-// voxel's mean, inverse covariance and count, bit for bit.
+// voxel's key, mean and count, and whether its six inverse-covariance
+// terms equal the reference's full inverse in both triangles, bit for
+// bit.
 func sameVoxelBits(got VoxelStats, want refVoxelStats) bool {
-	if got.N != want.N {
+	if got.Key != want.key || int(got.N) != want.N {
 		return false
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -93,7 +99,7 @@ func sameVoxelBits(got VoxelStats, want refVoxelStats) bool {
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if !same(got.InvCov[i][j], want.InvCov[i][j]) {
+			if !same(got.InvCov[upper[i][j]], want.InvCov[i][j]) {
 				return false
 			}
 		}
