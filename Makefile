@@ -124,15 +124,24 @@ sched-smoke:
 	$(GO) test -count=1 -run='TestContentionTunedImprovesP99|TestChainLogCleanLegByteIdentical|TestSchedRepeatable' ./internal/scenario/
 	$(GO) test -count=1 ./internal/sched/
 
-# Adversarial latency search smoke: run a tiny seeded search twice over
-# the compact space (characterize exits non-zero if the elected worst
-# case undercuts the baseline) and demand byte-identical JSON reports —
-# the reproducibility contract behind every pinned gen-* scenario —
-# plus the search/world/faults codec and generator test suites.
+# Adversarial latency search smoke: re-run the committed search
+# (characterize exits non-zero if the elected worst case undercuts the
+# baseline) and fail unless its JSON record, which holds virtual-time
+# values only, is byte-identical to BENCH_search.json; then run a tiny
+# seeded search twice over the compact space and demand byte-identical
+# records — the reproducibility contract behind every pinned gen-*
+# scenario — plus the search/world/faults codec and generator test
+# suites. A deliberate re-pin rewrites the committed record with:
+#   go run ./cmd/characterize -exp search -duration 12s -seed 1 -budget 12 -space default -detector SSD300 -bench BENCH_search.json -out /dev/null
 search-smoke:
-	$(GO) run ./cmd/characterize -exp search -duration 7s -seed 3 -budget 3 -space compact -bench /tmp/search_a.json -out /dev/null
-	$(GO) run ./cmd/characterize -exp search -duration 7s -seed 3 -budget 3 -space compact -bench /tmp/search_b.json -out /dev/null
-	cmp /tmp/search_a.json /tmp/search_b.json
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/characterize" ./cmd/characterize || exit 1; \
+	"$$dir/characterize" -exp search -duration 12s -seed 1 -budget 12 -space default -detector SSD300 -bench "$$dir/search.json" -out /dev/null || exit 1; \
+	cmp "$$dir/search.json" BENCH_search.json || { echo "search-smoke: search record differs from BENCH_search.json"; exit 1; }; \
+	for r in a b; do \
+		"$$dir/characterize" -exp search -duration 7s -seed 3 -budget 3 -space compact -bench "$$dir/search_$$r.json" -out /dev/null || exit 1; \
+	done; \
+	cmp "$$dir/search_a.json" "$$dir/search_b.json" || { echo "search-smoke: compact search records differ between two runs"; exit 1; }
 	$(GO) test -count=1 -short ./internal/search/
 	$(GO) test -count=1 ./internal/world/ ./internal/faults/
 
@@ -158,14 +167,15 @@ journal-smoke:
 	$(GO) test -count=1 -run='TestFleetJournal|TestFairShareStarvation' ./internal/fleet/
 	$(GO) test -count=1 ./internal/journal/
 
-# Map-builder smoke: build the scripted world's HD map at 10 m scan
-# spacing into a temporary directory, then inspect the file. Fails
-# unless both commands exit 0 and info reports the point count the
-# build printed and 100% route coverage.
+# Map-builder smoke: build the scripted world's HD map with the default
+# scan spacing (hdmap.DefaultConfig, the map every run builds) into a
+# temporary directory, then inspect the file. Fails unless both commands
+# exit 0 and info reports the point count the build printed and 100%
+# route coverage.
 map-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/mapbuilder" ./cmd/mapbuilder || exit 1; \
-	"$$dir/mapbuilder" build -spacing 10 -out "$$dir/city.avmap" >"$$dir/build.txt"; st=$$?; cat "$$dir/build.txt"; \
+	"$$dir/mapbuilder" build -out "$$dir/city.avmap" >"$$dir/build.txt"; st=$$?; cat "$$dir/build.txt"; \
 	[ $$st -eq 0 ] || exit 1; \
 	"$$dir/mapbuilder" info -map "$$dir/city.avmap" >"$$dir/info.txt"; st=$$?; cat "$$dir/info.txt"; \
 	[ $$st -eq 0 ] || exit 1; \

@@ -320,9 +320,10 @@ func (s *System) RunScored(total, step time.Duration) QualityReport {
 }
 
 // Characterize runs the paper's full methodology — every table and
-// figure, then the findings checklist — over a fresh environment with
-// the given virtual drive duration per configuration, writing the
-// report to w.
+// figure, then the findings checklist — over the scripted drive's
+// environment (experiments.NewEnv, built once per process) with the
+// given virtual drive duration per configuration, writing the report
+// to w.
 func Characterize(w io.Writer, duration time.Duration) error {
 	if duration <= 0 {
 		return fmt.Errorf("avstack: non-positive duration %v", duration)

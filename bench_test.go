@@ -8,35 +8,22 @@ package repro_test
 
 import (
 	"io"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/autoware"
 	"repro/internal/experiments"
-	"repro/internal/world"
 )
-
-// worldScenario builds the scenario a tweaked config describes.
-func worldScenario(cfg autoware.Config) *world.Scenario {
-	return world.NewScenario(cfg.Scenario)
-}
 
 // benchDrive is the virtual duration per configuration in benches —
 // long enough for stable distributions, short enough to iterate.
 const benchDrive = 12 * time.Second
 
-var (
-	envOnce sync.Once
-	env     *experiments.Env
-	envErr  error
-)
-
 func benchEnv(b *testing.B) *experiments.Env {
 	b.Helper()
-	envOnce.Do(func() { env, envErr = experiments.NewEnv() })
-	if envErr != nil {
-		b.Fatal(envErr)
+	env, err := experiments.NewEnv()
+	if err != nil {
+		b.Fatal(err)
 	}
 	return env
 }
@@ -259,15 +246,17 @@ func BenchmarkAblationTrafficDensity(b *testing.B) {
 		mult := mult
 		b.Run(map[int]string{0: "empty", 1: "normal", 3: "rush"}[mult], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				// Denser traffic needs its own scenario (same city, so
-				// the cached map stays valid).
-				e := benchEnv(b)
+				// Denser traffic is a world of its own over the same
+				// city's HD map.
 				cfg := autoware.DefaultConfig(autoware.DetectorSSD300)
 				cfg.Scenario.NumCars *= mult
 				cfg.Scenario.NumPedestrians *= mult
 				cfg.Scenario.NumCyclists *= mult
-				scen := worldScenario(cfg)
-				s, err := autoware.BuildWithMap(cfg, scen, e.Map)
+				scen, m, err := autoware.Environment(cfg.Scenario)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := autoware.BuildWithMap(cfg, scen, m)
 				if err != nil {
 					b.Fatal(err)
 				}

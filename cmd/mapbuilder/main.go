@@ -1,11 +1,13 @@
 // Command mapbuilder runs the ndt_mapping-equivalent sweep: it drives
 // the mapping rig along the scenario's route, accumulates the
 // point-cloud map, and saves it for reuse — the step the paper performed
-// with Autoware's ndt_mapping utility before characterization.
+// with Autoware's ndt_mapping utility before characterization. The
+// default spacing is hdmap.DefaultConfig's, so a default build writes
+// the map every run builds in memory.
 //
 // Usage:
 //
-//	mapbuilder build -out city.avmap [-spacing 5]
+//	mapbuilder build -out city.avmap [-spacing 10]
 //	mapbuilder info  -map city.avmap
 package main
 
@@ -46,11 +48,11 @@ func fatal(err error) {
 func build(args []string) {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	out := fs.String("out", "city.avmap", "output map path")
-	spacing := fs.Float64("spacing", 5, "distance between mapping scans, meters")
+	cfg := hdmap.DefaultConfig()
+	spacing := fs.Float64("spacing", cfg.ScanSpacing, "distance between mapping scans, meters")
 	_ = fs.Parse(args)
 
 	scen := world.NewScenario(world.DefaultScenarioConfig())
-	cfg := hdmap.DefaultConfig()
 	cfg.ScanSpacing = *spacing
 
 	fmt.Printf("sweeping the mapping rig along the route (spacing %.1f m)...\n", *spacing)

@@ -100,13 +100,11 @@ type Config struct {
 // DefaultConfig mirrors the paper's setup: 10 Hz LiDAR, 12.5 Hz camera,
 // one high-end CPU + GPU, full stack.
 func DefaultConfig(det Detector) Config {
-	mapCfg := hdmap.DefaultConfig()
-	mapCfg.ScanSpacing = 10
 	return Config{
 		Detector:   det,
 		Mode:       ModeFull,
 		Scenario:   world.DefaultScenarioConfig(),
-		Map:        mapCfg,
+		Map:        hdmap.DefaultConfig(),
 		LiDAR:      sensor.DefaultLiDARConfig(),
 		Camera:     sensor.DefaultCameraConfig(),
 		CPU:        platform.DefaultCPUConfig(),

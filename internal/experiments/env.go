@@ -20,14 +20,13 @@ type Env struct {
 	Map      *hdmap.Map
 }
 
-// NewEnv builds the fixtures once.
+// NewEnv returns the scripted drive's environment, which
+// autoware.Environment builds once per process: every NewEnv, and every
+// scenario.Run over the scripted world, shares one world and one map.
 func NewEnv() (*Env, error) {
-	scen := world.NewScenario(world.DefaultScenarioConfig())
-	mc := hdmap.DefaultConfig()
-	mc.ScanSpacing = 10
-	m, err := hdmap.Build(scen, mc)
+	scen, m, err := autoware.Environment(world.DefaultScenarioConfig())
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building map: %w", err)
+		return nil, err
 	}
 	return &Env{Scenario: scen, Map: m}, nil
 }

@@ -58,9 +58,6 @@ func (p Pose) Forward() Vec2 {
 // XY returns the ground-plane position.
 func (p Pose) XY() Vec2 { return p.Pos.XY() }
 
-// DistanceTo returns the planar distance between two poses.
-func (p Pose) DistanceTo(q Pose) float64 { return p.XY().Dist(q.XY()) }
-
 // String implements fmt.Stringer.
 func (p Pose) String() string {
 	return fmt.Sprintf("pose{%s yaw=%.3f}", p.Pos, p.Yaw)

@@ -27,9 +27,7 @@ func sharedMap(t testing.TB) (*Map, *world.Scenario) {
 	t.Helper()
 	testMapOnce.Do(func() {
 		testScen = world.NewScenario(world.DefaultScenarioConfig())
-		cfg := DefaultConfig()
-		cfg.ScanSpacing = 10 // coarser for test speed
-		sw, err := SweepRoute(testScen, cfg)
+		sw, err := SweepRoute(testScen, DefaultConfig())
 		if err != nil {
 			panic(err)
 		}

@@ -61,10 +61,6 @@ type NDTMatching struct {
 	lastIMUStamp time.Duration
 	lastIMU      *msgs.IMU
 	lastGNSS     *msgs.GNSS
-	// Instrumentation for the work model and the µarch traces.
-	lastIterations int
-	lastMatched    int
-	lastLookups    int
 
 	// Gauss-Newton scratch reused across iterations and scans: the
 	// gradient, the 3x3 Hessian approximation, and the voxel buffer.
@@ -103,12 +99,6 @@ func (n *NDTMatching) Subscribes() []ros.SubSpec {
 
 // Pose returns the current estimate (valid after initialization).
 func (n *NDTMatching) Pose() (geom.Pose, bool) { return n.pose, n.initialized }
-
-// LastStats reports (iterations, matched points, voxel lookups) of the
-// most recent alignment, for tests and the µarch trace generators.
-func (n *NDTMatching) LastStats() (int, int, int) {
-	return n.lastIterations, n.lastMatched, n.lastLookups
-}
 
 // Process implements ros.Node.
 func (n *NDTMatching) Process(in *ros.Message, now time.Duration) ros.Result {
@@ -159,11 +149,8 @@ func (n *NDTMatching) match(in *ros.Message, pc *msgs.PointCloud) ros.Result {
 		n.initialized = true
 	}
 
-	pose, fitness, iters, matched, lookups := n.align(pc.Cloud, n.pose)
+	pose, fitness, iters, _, lookups := n.align(pc.Cloud, n.pose)
 	n.pose = pose
-	n.lastIterations = iters
-	n.lastMatched = matched
-	n.lastLookups = lookups
 
 	np := float64(pc.Cloud.Len())
 	it := float64(iters)

@@ -1,6 +1,7 @@
 package localization
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -54,6 +55,40 @@ func TestNDTAlignRecoversPerturbation(t *testing.T) {
 	}
 	if iters < 1 || fitness <= 0 {
 		t.Errorf("iters=%d fitness=%v", iters, fitness)
+	}
+}
+
+// TestNDTAlignConvergesInBasin pins the matcher's basin of
+// convergence over the scripted drive: from offsets up to 1.08 m and
+// 0.04 rad, align stops on Epsilon before MaxIterations and ends within
+// 1 cm and 1e-3 rad of the truth. From TestNDTAlignRecoversPerturbation's
+// 1.44 m it runs into the iteration cap instead (DESIGN.md §4b).
+func TestNDTAlignConvergesInBasin(t *testing.T) {
+	offsets := []struct{ dx, dy, dyaw float64 }{
+		{0.3, -0.2, 0.01},
+		{0.9, -0.6, 0.04},
+	}
+	for _, at := range []float64{25, 40, 60} {
+		cloud, truth := filteredScanAt(t, at)
+		for _, o := range offsets {
+			t.Run(fmt.Sprintf("t=%gs/off=%g,%g,%g", at, o.dx, o.dy, o.dyaw), func(t *testing.T) {
+				n := newTestNode(t)
+				init := geom.Pose{
+					Pos: truth.Pos.Add(geom.V3(o.dx, o.dy, 0)),
+					Yaw: geom.WrapAngle(truth.Yaw + o.dyaw),
+				}
+				pose, _, iters, _, _ := n.align(cloud, init)
+				if iters >= n.cfg.MaxIterations {
+					t.Errorf("ran %d of %d iterations without meeting Epsilon", iters, n.cfg.MaxIterations)
+				}
+				if d := pose.XY().Dist(truth.XY()); d > 0.01 {
+					t.Errorf("position error %.4f m, want < 0.01", d)
+				}
+				if d := math.Abs(geom.AngleDiff(pose.Yaw, truth.Yaw)); d > 1e-3 {
+					t.Errorf("yaw error %.5f rad, want < 1e-3", d)
+				}
+			})
+		}
 	}
 }
 

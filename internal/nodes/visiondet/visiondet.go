@@ -41,8 +41,6 @@ func DefaultConfig(arch dnn.Arch) Config {
 type Node struct {
 	cfg Config
 	det *dnn.Detector
-	// lastDetections is kept for tests/inspection.
-	lastDetections []dnn.Detection
 	// work is the full-size architecture's cost of one frame, the same
 	// for every frame. Its kernel slice is clipped to its length, so an
 	// append by any consumer copies instead of writing into it.
@@ -76,9 +74,6 @@ func (n *Node) Subscribes() []ros.SubSpec {
 	return []ros.SubSpec{{Topic: TopicImageRaw, Depth: n.cfg.QueueDepth}}
 }
 
-// LastDetections returns the detections of the most recent frame.
-func (n *Node) LastDetections() []dnn.Detection { return n.lastDetections }
-
 // labelFor maps the functional detector's class index to a message label.
 func labelFor(class int) msgs.ObjectLabel {
 	switch dnn.ClassNames[class] {
@@ -109,7 +104,6 @@ func (n *Node) Process(in *ros.Message, _ time.Duration) ros.Result {
 		return ros.Result{}
 	}
 	dets := n.det.Infer(&dnn.Tensor{C: 3, H: im.H, W: im.W, Data: im.Pix})
-	n.lastDetections = dets
 
 	objects := make([]msgs.DetectedObject, 0, len(dets))
 	for i, d := range dets {

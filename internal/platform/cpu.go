@@ -202,9 +202,6 @@ func (c *CPU) completionCheck(gen uint64) {
 	}
 }
 
-// Runnable returns the number of in-flight tasks.
-func (c *CPU) Runnable() int { return len(c.tasks) }
-
 // BusyTotal returns total core-seconds consumed so far.
 func (c *CPU) BusyTotal() float64 {
 	c.advance()

@@ -15,7 +15,9 @@ import (
 )
 
 // cleanLegMemoSize bounds the clean-leg memo. Each entry pins the world
-// and HD map it is keyed on; fleet traffic shares a handful of worlds.
+// and HD map it is keyed on, which autoware.Environment keeps live
+// anyway: one world per params line, one 4.6 MB map per city and ego
+// speed. Fleet traffic shares a handful of worlds.
 const cleanLegMemoSize = 8
 
 // cleanLeg is what a drive's fault-free leg contributes to a report. It

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/autoware"
-	"repro/internal/hdmap"
 	"repro/internal/testenv"
 	"repro/internal/world"
 )
@@ -70,7 +69,7 @@ func TestGeneratedScenarioRepeatable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		scen, m, err := environment(cfg)
+		scen, m, err := autoware.Environment(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -101,7 +100,7 @@ func TestBuildEnvUsesSpecWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen, m, err := environment(spec.worldConfig())
+	scen, m, err := autoware.Environment(spec.worldConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,24 +119,19 @@ func TestBuildEnvUsesSpecWorld(t *testing.T) {
 	}
 }
 
-// TestRunSharesEnvironments pins the identity the clean-leg memo keys
-// on: Run calls over equal world params drive one environment, pointer
-// for pointer, so the second is served the first one's clean leg, and
-// different params get an environment of their own. The fleet runs
-// most jobs on their faulted leg alone because of it.
+// TestRunSharesEnvironments pins the clean-leg memo's use of the
+// shared environments: a second Run over equal world params drives the
+// pointers autoware.Environment returned for the first, so it is
+// served the first one's clean leg. The fleet runs most jobs on their
+// faulted leg alone because of it. TestEnvironmentShares in
+// internal/autoware pins the pointers themselves.
 func TestRunSharesEnvironments(t *testing.T) {
 	// Not parallel: it counts the process-wide memo's hits, which the
 	// parallel tests move.
-	generate := func(seed uint64) world.ScenarioConfig {
-		t.Helper()
-		cfg, err := world.Generate(world.CompactSpace(), seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		return cfg
+	a, err := world.Generate(world.CompactSpace(), 11)
+	if err != nil {
+		t.Fatal(err)
 	}
-	const duration = time.Second
-	a := generate(11)
 	hits := func() int {
 		cleanLegs.mu.Lock()
 		defer cleanLegs.mu.Unlock()
@@ -145,7 +139,7 @@ func TestRunSharesEnvironments(t *testing.T) {
 	}
 	run := func() {
 		t.Helper()
-		if _, err := Run(context.Background(), Spec{Name: "clean", World: &a}, autoware.DetectorSSD300, duration); err != nil {
+		if _, err := Run(context.Background(), Spec{Name: "clean", World: &a}, autoware.DetectorSSD300, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,38 +148,5 @@ func TestRunSharesEnvironments(t *testing.T) {
 	run()
 	if got := hits() - before; got != 1 {
 		t.Errorf("a second run over one world hit the clean-leg memo %d times, want 1", got)
-	}
-
-	scen, m, err := environment(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, m2, err := environment(generate(11)); err != nil || s != scen || m2 != m {
-		t.Errorf("equal world params built a second environment (err %v)", err)
-	}
-
-	// Concurrent first uses of another world build it once.
-	b := generate(22)
-	type built struct {
-		scen *world.Scenario
-		m    *hdmap.Map
-		err  error
-	}
-	const callers = 4
-	out := make(chan built, callers)
-	for i := 0; i < callers; i++ {
-		go func() {
-			s, m, err := environment(b)
-			out <- built{s, m, err}
-		}()
-	}
-	first := <-out
-	for i := 1; i < callers; i++ {
-		if got := <-out; got != first {
-			t.Errorf("concurrent callers got different environments for one world: %+v vs %+v", got, first)
-		}
-	}
-	if first.err != nil || first.scen == scen || first.m == m {
-		t.Errorf("different world params shared an environment (err %v)", first.err)
 	}
 }

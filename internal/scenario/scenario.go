@@ -2,21 +2,21 @@
 // twice over the same environment — once fault-free, once under a
 // named, seeded fault schedule with the graceful-degradation watchdog
 // attached — and reports the resulting latency distributions side by
-// side. Each world config's environment (the world and its HD map) is
-// built once per process, and the fault-free leg depends only on the
-// environment, detector and duration, so runs over one world share
-// both. Because every layer underneath is deterministic, the same
-// scenario, seed and duration always produce a byte-identical report,
-// which is what turns the paper's accidental tail phenomena
-// (contention inflation, message drops, stale inputs) into
-// regression-testable behaviors.
+// side. Run and Tune take the environment (the world and its HD map)
+// from autoware.Environment, which builds each world once per params
+// line and each map once per city and ego speed. The fault-free leg
+// depends only on the environment, detector and duration, so runs over
+// one world share both. Because every layer underneath is
+// deterministic, the same scenario, seed and duration always produce a
+// byte-identical report, which is what turns the paper's accidental
+// tail phenomena (contention inflation, message drops, stale inputs)
+// into regression-testable behaviors.
 package scenario
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/avstack"
@@ -393,61 +393,19 @@ func (r *Result) NodeStat(node string) (NodeStat, bool) {
 	return NodeStat{}, false
 }
 
-// env is one built environment: a world and the HD map surveyed from
-// it. Building the map costs seconds of wall clock, so it happens once
-// per world config per process.
-type env struct {
-	once sync.Once
-	scen *world.Scenario
-	m    *hdmap.Map
-	err  error
-}
-
-// envs holds every environment built in this process, keyed by the
-// canonical params line of its world config. Worlds and maps are
-// read-only once built, so any number of runs may drive one
-// concurrently. Because an environment is built once, runs over equal
-// params share one pair of pointers, which is the identity the
-// clean-leg memo keys on.
-var envs sync.Map // params line -> *env
-
-// environment returns the environment a drive parameterization resolves
-// to, building it on first use. Every entry point that does not take an
-// environment goes through here, so a spec's world config always
-// reaches the city its stacks drive in.
-func environment(wcfg world.ScenarioConfig) (*world.Scenario, *hdmap.Map, error) {
-	v, _ := envs.LoadOrStore(world.MarshalParams(wcfg), new(env))
-	e := v.(*env)
-	e.once.Do(func() {
-		scen, err := world.BuildScenario(wcfg)
-		if err != nil {
-			e.err = fmt.Errorf("scenario: building world: %w", err)
-			return
-		}
-		mc := hdmap.DefaultConfig()
-		mc.ScanSpacing = 10
-		m, err := hdmap.Build(scen, mc)
-		if err != nil {
-			e.err = fmt.Errorf("scenario: building map: %w", err)
-			return
-		}
-		e.scen, e.m = scen, m
-	})
-	return e.scen, e.m, e.err
-}
-
-// Run executes the scenario over the environment its world config
-// resolves to: a fault-free baseline leg beside a faulted leg with every
-// layer the spec arms. Both legs advance under ctx, so a fleet job
-// deadline stops in-flight simulation promptly (the error wraps
-// autoware.ErrCancelled). Identical inputs produce identical Results.
+// Run executes the scenario over the environment autoware.Environment
+// returns for its world config: a fault-free baseline leg beside a
+// faulted leg with every layer the spec arms. Both legs advance under
+// ctx, so a fleet job deadline stops in-flight simulation promptly (the
+// error wraps autoware.ErrCancelled). Identical inputs produce identical
+// Results.
 //
 // The baseline leg depends only on the environment, the detector and
 // the duration, so it runs once per environment: later runs over the
 // same world take it from a process-wide memo and run only their
 // faulted leg.
 func Run(ctx context.Context, spec Spec, det autoware.Detector, duration time.Duration) (*Result, error) {
-	scen, m, err := environment(spec.worldConfig())
+	scen, m, err := autoware.Environment(spec.worldConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func TestTransportGoldenReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range generated {
-		scen, m, err := environment(*spec.World)
+		scen, m, err := autoware.Environment(*spec.World)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}

@@ -66,7 +66,7 @@ func Tune(spec Spec, det autoware.Detector, duration time.Duration, searchSeed u
 	if err := spec.validate(duration); err != nil {
 		return nil, err
 	}
-	scen, m, err := environment(spec.worldConfig())
+	scen, m, err := autoware.Environment(spec.worldConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/avstack"
 	"repro/internal/autoware"
 	"repro/internal/faults"
-	"repro/internal/hdmap"
 	"repro/internal/mathx"
 	"repro/internal/sched"
 	"repro/internal/world"
@@ -144,11 +143,6 @@ func Run(cfg Config) (*Report, error) {
 		cfg.BudgetMS = DefaultBudgetMS
 	}
 
-	h := &harness{
-		det:      cfg.Detector,
-		duration: cfg.Duration,
-		maps:     make(map[string]*hdmap.Map),
-	}
 	rep := &Report{
 		SearchSeed:      cfg.Seed,
 		Space:           cfg.SpaceName,
@@ -162,7 +156,7 @@ func Run(cfg Config) (*Report, error) {
 	// no faults. Always feasible by construction; its sample count sets
 	// the feasibility floor, its p99 the inflation reference.
 	baseline := Candidate{Name: "baseline-scripted", World: world.DefaultScenarioConfig(), FaultSeed: 0x0BA5E}
-	base, err := h.eval(baseline)
+	base, err := eval(baseline, cfg.Detector, cfg.Duration)
 	if err != nil {
 		return nil, fmt.Errorf("search: baseline eval: %w", err)
 	}
@@ -189,7 +183,7 @@ func Run(cfg Config) (*Report, error) {
 			rep.Candidates = append(rep.Candidates, Outcome{Name: fmt.Sprintf("gen%02d", i), Error: err.Error()})
 			continue
 		}
-		ev, err := h.eval(c)
+		ev, err := eval(c, cfg.Detector, cfg.Duration)
 		if err != nil {
 			// Elimination, not abortion: a candidate the generator or
 			// stack rejects is recorded and skipped, same as the tuner.
@@ -237,52 +231,19 @@ func outcome(c Candidate, ev Eval, err error, feasible bool, budgetMS float64) O
 	return o
 }
 
-// harness evaluates candidates over cached HD maps. Maps depend only on
-// the static city and the ego route (never on traffic, bursts, or
-// weather — the map is surveyed offline in a quiet world), so mutations
-// that keep the city reuse the expensive build.
-type harness struct {
-	det      autoware.Detector
-	duration time.Duration
-	maps     map[string]*hdmap.Map
-}
-
-func mapKey(cfg world.ScenarioConfig) string {
-	c := cfg.City
-	return fmt.Sprintf("%d|%g|%g|%g|%x|%x|%g",
-		c.Blocks, c.BlockSize, c.StreetWidth, c.BuildingDensity, c.Seed, c.FurnitureSeed, cfg.EgoSpeed)
-}
-
-func (h *harness) mapFor(cfg world.ScenarioConfig, scen *world.Scenario) (*hdmap.Map, error) {
-	key := mapKey(cfg)
-	if m, ok := h.maps[key]; ok {
-		return m, nil
-	}
-	mc := hdmap.DefaultConfig()
-	mc.ScanSpacing = 10
-	m, err := hdmap.Build(scen, mc)
-	if err != nil {
-		return nil, err
-	}
-	h.maps[key] = m
-	return m, nil
-}
-
-// eval runs one candidate: generated world, guard attached (the search
+// eval runs one candidate over the environment autoware.Environment
+// returns for its world (candidates that keep the city and ego speed
+// share one HD map): generated world, guard attached (the search
 // measures the hardened stack, as the pinned scenarios do), the
 // candidate's fault schedule injected, default supervision seeded from
 // the fault seed, full drive, then worst-path extraction and lineage
 // criticality attribution.
-func (h *harness) eval(c Candidate) (Eval, error) {
-	scen, err := world.BuildScenario(c.World)
+func eval(c Candidate, det autoware.Detector, duration time.Duration) (Eval, error) {
+	scen, m, err := autoware.Environment(c.World)
 	if err != nil {
 		return Eval{}, err
 	}
-	m, err := h.mapFor(c.World, scen)
-	if err != nil {
-		return Eval{}, err
-	}
-	acfg := autoware.DefaultConfig(h.det)
+	acfg := autoware.DefaultConfig(det)
 	acfg.Scenario = c.World
 	acfg.Guard = true
 	st, err := autoware.BuildWithMap(acfg, scen, m)
@@ -293,7 +254,7 @@ func (h *harness) eval(c Candidate) (Eval, error) {
 	if _, err := avstack.AttachLayers(st, avstack.Layers{Faults: c.Schedule(), Supervise: true}); err != nil {
 		return Eval{}, err
 	}
-	st.Run(h.duration)
+	st.Run(duration)
 
 	ev := Eval{Eval: sched.WorstPath(st.Recorder)}
 	if crit := sched.Analyze(chains.Chains()); crit.Chains() > 0 {

@@ -24,8 +24,8 @@ func Scenario() *world.Scenario {
 	return scen
 }
 
-// Map returns the shared HD map (built with coarse scan spacing for
-// test speed; coverage is still complete).
+// Map returns the shared HD map, built as autoware.Environment builds
+// the default world's.
 func Map() *hdmap.Map {
 	build()
 	return hmap
@@ -41,9 +41,7 @@ func Sweep() *hdmap.Sweep {
 func build() {
 	once.Do(func() {
 		scen = world.NewScenario(world.DefaultScenarioConfig())
-		cfg := hdmap.DefaultConfig()
-		cfg.ScanSpacing = 10
-		sw, err := hdmap.SweepRoute(scen, cfg)
+		sw, err := hdmap.SweepRoute(scen, hdmap.DefaultConfig())
 		if err != nil {
 			panic(err)
 		}

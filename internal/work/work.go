@@ -67,15 +67,6 @@ func (w Work) GPUFMAs() float64 {
 	return s
 }
 
-// GPUBytes returns the total device memory traffic.
-func (w Work) GPUBytes() float64 {
-	var s float64
-	for _, k := range w.Kernels {
-		s += k.Bytes
-	}
-	return s
-}
-
 // Scale returns a copy of w with all CPU-side costs multiplied by f.
 // GPU kernels are not scaled.
 func (w Work) Scale(f float64) Work {

@@ -385,6 +385,3 @@ func (s *Scenario) At(t float64) Snapshot {
 	}
 	return snap
 }
-
-// NumActors returns the number of scripted traffic actors.
-func (s *Scenario) NumActors() int { return len(s.actors) }
