@@ -51,17 +51,25 @@ fuzz-smoke:
 # Paper-table smoke: regenerate every table and figure, then the
 # findings, at -workers 1 and -workers 2, and fail unless the two
 # reports and their CSV exports are byte-identical and -duration 0
-# exits non-zero. The verdicts are not asserted: at 8 s F2, F4 and F5
-# read DEVIATION.
+# exits non-zero. Then -exp findings, which simulates its three
+# configurations across -workers, at -workers 1 and 2: both outputs
+# must equal the lines under the full report's findings header. The
+# verdicts are not asserted: at 8 s F2, F4 and F5 read DEVIATION.
 characterize-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/characterize" ./cmd/characterize || exit 1; \
 	for w in 1 2; do \
 		"$$dir/characterize" -duration 8s -workers $$w -out "$$dir/w$$w.txt" -csv "$$dir/csv$$w" || exit 1; \
+		"$$dir/characterize" -exp findings -duration 8s -workers $$w -out "$$dir/findings$$w.txt" || exit 1; \
 	done; \
 	grep -q '^=== Findings ===$$' "$$dir/w1.txt" || { echo "characterize-smoke: no findings section"; exit 1; }; \
 	cmp "$$dir/w1.txt" "$$dir/w2.txt" || { echo "characterize-smoke: reports differ between -workers 1 and 2"; exit 1; }; \
 	diff -r "$$dir/csv1" "$$dir/csv2" || { echo "characterize-smoke: CSV exports differ between -workers 1 and 2"; exit 1; }; \
+	sed '1,/^=== Findings ===$$/d' "$$dir/w1.txt" >"$$dir/findings_all.txt"; \
+	[ -s "$$dir/findings_all.txt" ] || { echo "characterize-smoke: empty findings section"; exit 1; }; \
+	for w in 1 2; do \
+		cmp "$$dir/findings$$w.txt" "$$dir/findings_all.txt" || { echo "characterize-smoke: -exp findings at -workers $$w differs from the full report's findings"; exit 1; }; \
+	done; \
 	if "$$dir/characterize" -duration 0 -out /dev/null; then echo "characterize-smoke: -duration 0 exited 0"; exit 1; fi; \
 	echo "characterize-smoke ok"
 

@@ -10,15 +10,16 @@
 //	characterize [-exp all|findings|fig5|tab3|fig6|tab5|tab6|tab7|fig7|fig8|scene|tune|search]
 //	             [-duration 60s] [-out report.txt] [-csv DIR] [-workers N]
 //	             [-faults <scenario>] [-supervise] [-shed 100ms] [-guard]
-//	             [-sched] [-seed 1] [-bench BENCH_sched.json]
+//	             [-sched] [-seed 1] [-bench FILE]
 //	             [-budget 12] [-space default|compact]
 //
 // -exp tune runs the scheduler auto-tuner instead of the paper tables:
 // a clean profiling drive measures per-node criticality from lineage
 // chains, then every seeded candidate schedule replays the chaos
 // scenario named by -faults (default: contention) and the one with the
-// lowest worst-path p99 wins. The full search is serialized to -bench
-// as BENCH_sched.json; candidate 0 is always the no-scheduler baseline,
+// lowest worst-path p99 wins. The full search is serialized to the
+// -bench file when one is named (the committed record is
+// BENCH_sched.json); candidate 0 is always the no-scheduler baseline,
 // so the winner is never worse than not scheduling. -seed drives the
 // candidate search; the whole procedure is deterministic.
 //
@@ -32,9 +33,9 @@
 // worst-path p99 wins. It is the tuner's mirror image: tune minimizes
 // the tail, search hunts latency-budget violations to pin as
 // regression scenarios. -space picks the sampling space, -seed drives
-// every decision, and the full search is serialized to -bench (default
-// BENCH_search.json here). Same seed ⇒ byte-identical report and the
-// same elected worst case.
+// every decision, and the full search is serialized to the -bench file
+// when one is named (the committed record is BENCH_search.json). Same
+// seed ⇒ byte-identical report and the same elected worst case.
 //
 // -guard attaches the input-integrity layer (internal/guard) to every
 // run. For the paper tables the input is clean, so the guarded report
@@ -89,7 +90,7 @@ func main() {
 	guard := flag.Bool("guard", false, "attach the input-integrity guard (no-op on the clean paper tables; forces the guard onto a -faults run)")
 	schedFlag := flag.Bool("sched", false, "force the pinned contention-tuned schedule onto the chaos scenario's faulted run (-faults only)")
 	seed := flag.Uint64("seed", 1, "candidate-search seed for -exp tune and -exp search")
-	bench := flag.String("bench", "", "write the -exp tune/search results to this JSON file (default BENCH_sched.json / BENCH_search.json)")
+	bench := flag.String("bench", "", "write the -exp tune/search record to this JSON file (without it no record is written)")
 	budget := flag.Int("budget", 12, "evaluated candidates for -exp search, including the scripted baseline")
 	space := flag.String("space", "default", "sampling space for -exp search: default or compact")
 	flag.Parse()
@@ -127,7 +128,7 @@ func main() {
 			fatal(err)
 		}
 		writeTuneReport(w, rep)
-		writeBench(orDefault(*bench, "BENCH_sched.json"), rep)
+		writeBench(*bench, rep)
 		// Tune's contract: candidate 0 is the no-scheduler baseline and
 		// is always feasible, so the winner can never be worse. Treat a
 		// violation as the bug it would be (sched-smoke relies on this).
@@ -163,7 +164,7 @@ func main() {
 			fatal(err)
 		}
 		writeSearchReport(w, rep)
-		writeBench(orDefault(*bench, "BENCH_search.json"), rep)
+		writeBench(*bench, rep)
 		// Search's contract, mirroring tune's: the scripted baseline is
 		// always feasible, so the elected worst case can never be better
 		// (lower-p99) than it. search-smoke relies on this.
@@ -311,8 +312,12 @@ func writeSearchReport(w io.Writer, rep *search.Report) {
 	}
 }
 
-// writeBench serializes a search/tune report to its JSON artifact.
+// writeBench serializes a search/tune report to the JSON file name,
+// and writes nothing when name is empty.
 func writeBench(name string, rep any) {
+	if name == "" {
+		return
+	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -321,13 +326,6 @@ func writeBench(name string, rep any) {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "search results written to %s\n", name)
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }
 
 func fatal(err error) {

@@ -40,7 +40,7 @@ type Runs struct {
 	env      *Env
 	Duration time.Duration
 	// Workers bounds how many configurations simulate concurrently in
-	// Prewarm. <= 1 means serial (the default).
+	// Prewarm and Findings. <= 1 means serial (the default).
 	Workers int
 	// Guard attaches the input-integrity layer to every stack. On clean
 	// sensor input (these runs inject no faults) the guard is a no-op;
@@ -111,22 +111,30 @@ func (r *Runs) get(m map[autoware.Detector]*autoware.Stack, det autoware.Detecto
 // reported in configuration order, so failures are deterministic too.
 // After Prewarm, every experiment harness is a pure cache read.
 func (r *Runs) Prewarm() error {
-	type job func() error
-	var jobs []job
+	var fs []fetch
 	for _, det := range autoware.Detectors() {
-		det := det
-		jobs = append(jobs, func() error { _, err := r.Full(det); return err })
-		jobs = append(jobs, func() error { _, err := r.Saturated(det); return err })
+		fs = append(fs, fetch{r.Full, det}, fetch{r.Saturated, det})
 	}
 	for _, det := range []autoware.Detector{autoware.DetectorSSD512, autoware.DetectorYOLOv3} {
-		det := det
-		jobs = append(jobs, func() error { _, err := r.Standalone(det); return err })
+		fs = append(fs, fetch{r.Standalone, det})
 	}
-	workers := r.Workers
-	if workers <= 1 {
-		workers = 1
-	}
-	return parallel.FirstError(len(jobs), workers, func(i int) error { return jobs[i]() })
+	return r.fetchAll(fs)
+}
+
+// fetch names one configuration: a getter (Full, Standalone or
+// Saturated) and its detector.
+type fetch struct {
+	get func(autoware.Detector) (*autoware.Stack, error)
+	det autoware.Detector
+}
+
+// fetchAll simulates the configurations fs names across at most
+// Workers goroutines and returns the first error in list order.
+func (r *Runs) fetchAll(fs []fetch) error {
+	return parallel.FirstError(len(fs), max(r.Workers, 1), func(i int) error {
+		_, err := fs[i].get(fs[i].det)
+		return err
+	})
 }
 
 // warm prewarms the configuration matrix when Workers allow

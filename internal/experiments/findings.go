@@ -7,10 +7,20 @@ import (
 )
 
 // Findings checks the paper's five findings against the completed runs
-// and returns one line per finding with a pass/deviation verdict.
+// and returns one line per finding with a pass/deviation verdict. It
+// first simulates the three configurations it reads across
+// runs.Workers.
 func Findings(runs *Runs) ([]string, error) {
 	var out []string
 
+	err := runs.fetchAll([]fetch{
+		{runs.Full, autoware.DetectorSSD512},
+		{runs.Full, autoware.DetectorSSD300},
+		{runs.Standalone, autoware.DetectorSSD512},
+	})
+	if err != nil {
+		return nil, err
+	}
 	ssd512, err := runs.Full(autoware.DetectorSSD512)
 	if err != nil {
 		return nil, err

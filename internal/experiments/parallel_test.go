@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,14 +21,20 @@ var csvArtifacts = []string{
 	"fig8_modes.csv",
 }
 
-// exportCSV runs the whole configuration matrix at the given worker
-// count (serial runs warm lazily; WriteCSV prewarms parallel runs
-// concurrently) and returns the bytes of every CSV artifact.
-func exportCSV(t *testing.T, workers int, duration time.Duration) map[string][]byte {
+// exportCSV runs the findings, then the whole configuration matrix, at
+// the given worker count (serial runs warm lazily; Findings simulates
+// its three configurations and WriteCSV prewarms the rest
+// concurrently), and returns the findings and the bytes of every CSV
+// artifact.
+func exportCSV(t *testing.T, workers int, duration time.Duration) ([]string, map[string][]byte) {
 	t.Helper()
 	env := &experiments.Env{Scenario: testenv.Scenario(), Map: testenv.Map()}
 	runs := experiments.NewRuns(env, duration)
 	runs.Workers = workers
+	findings, err := experiments.Findings(runs)
+	if err != nil {
+		t.Fatalf("Findings (workers=%d): %v", workers, err)
+	}
 	dir := t.TempDir()
 	if err := experiments.WriteCSV(dir, runs); err != nil {
 		t.Fatalf("WriteCSV (workers=%d): %v", workers, err)
@@ -43,22 +50,25 @@ func exportCSV(t *testing.T, workers int, duration time.Duration) map[string][]b
 		}
 		out[name] = b
 	}
-	return out
+	return findings, out
 }
 
 // TestParallelRunsAreByteIdentical is the tentpole's determinism
-// regression: the exported CSV artifacts must match byte-for-byte
-// between a serial (lazily warmed) run and a 4-worker prewarmed run.
-// Host parallelism may only change wall-clock time, never a single
-// virtual-time sample.
+// regression: the findings and the exported CSV artifacts must match
+// byte-for-byte between a serial (lazily warmed) run and a 4-worker
+// prewarmed run. Host parallelism may only change wall-clock time,
+// never a single virtual-time sample.
 func TestParallelRunsAreByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix simulation in -short mode")
 	}
 	// Past the 3 s warmup so every artifact has real samples.
 	const duration = 6 * time.Second
-	serial := exportCSV(t, 1, duration)
-	parallel := exportCSV(t, 4, duration)
+	serialFindings, serial := exportCSV(t, 1, duration)
+	parallelFindings, parallel := exportCSV(t, 4, duration)
+	if !slices.Equal(serialFindings, parallelFindings) {
+		t.Errorf("findings differ between workers=1 and workers=4:\n%q\n%q", serialFindings, parallelFindings)
+	}
 	for _, name := range csvArtifacts {
 		if !bytes.Equal(serial[name], parallel[name]) {
 			t.Errorf("%s differs between workers=1 and workers=4 (serial %d bytes, parallel %d bytes)",

@@ -44,9 +44,14 @@ func sharedSweep(t testing.TB) *Sweep {
 
 // gridFingerprint hashes a map's NDT grid: a header, then every voxel in
 // Voxels order as the hex bits of its mean, its full inverse covariance
-// row by row, each lower term read from its upper mirror, and its count.
+// row by row, each lower term read from its upper mirror, and its
+// population, the sweep's points in its key.
 func gridFingerprint(sw *Sweep, m *Map) (header, sum string) {
 	header = fmt.Sprintf("scans=%d points=%d usable=%d\n", m.Scans, sw.Cloud.Len(), m.NDT.Len())
+	population := map[pointcloud.VoxelKey]int{}
+	for _, p := range sw.Cloud.Points {
+		population[pointcloud.KeyFor(p.Pos, sw.NDTLeaf)]++
+	}
 	h := sha256.New()
 	h.Write([]byte(header))
 	upper := [3][3]int{{0, 1, 2}, {1, 3, 4}, {2, 4, 5}}
@@ -57,7 +62,7 @@ func gridFingerprint(sw *Sweep, m *Map) (header, sum string) {
 				fmt.Fprintf(h, " %x", vs.InvCov[k])
 			}
 		}
-		fmt.Fprintf(h, " %d\n", vs.N)
+		fmt.Fprintf(h, " %d\n", population[vs.Key()])
 	}
 	return header, fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -81,7 +86,7 @@ func requireSameGrid(t *testing.T, got, want *Map) {
 }
 
 // TestNDTGridPinned pins the shared map's grid bits: every usable
-// voxel's mean, inverse covariance and count, in first-touch order.
+// voxel's mean, inverse covariance and population, in first-touch order.
 func TestNDTGridPinned(t *testing.T) {
 	m, _ := sharedMap(t)
 	header, sum := gridFingerprint(sharedSweep(t), m)

@@ -139,9 +139,13 @@ func TestBuildVoxelStats(t *testing.T) {
 	if stats.Len() == 0 {
 		t.Fatal("no voxels")
 	}
+	population := map[VoxelKey]int{}
+	for _, p := range c.Points {
+		population[KeyFor(p.Pos, 10.0)]++
+	}
 	var main *VoxelStats
 	for i := range stats.Voxels {
-		if vs := &stats.Voxels[i]; main == nil || vs.N > main.N {
+		if vs := &stats.Voxels[i]; main == nil || population[vs.Key()] > population[main.Key()] {
 			main = vs
 		}
 	}

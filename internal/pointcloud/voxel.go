@@ -155,61 +155,115 @@ func VoxelDownsampleInto(c *Cloud, leaf float64, dst *Cloud) (*Cloud, int) {
 }
 
 // VoxelStats holds the Gaussian statistics of the points inside one
-// usable voxel: mean, inverse covariance, key and population. This is
+// usable voxel: its packed key, mean and inverse covariance. This is
 // the per-cell model of the Normal Distributions Transform used by
-// ndt_matching and built by the hdmap package.
+// ndt_matching and built by the hdmap package. The key comes first, so
+// a probe's key compare and the mean it then reads share a cache line.
 type VoxelStats struct {
+	// key is the voxel's key packed by packKey.
+	key  uint64
 	Mean geom.Vec3
 	// InvCov is the inverse covariance's upper triangle, row by row:
 	// (0,0) (0,1) (0,2) (1,1) (1,2) (2,2). BuildVoxelStats inverts an
 	// exactly symmetric covariance, so the lower triangle it drops
 	// holds the same bits (see invert3).
 	InvCov [6]float64
-	Key    VoxelKey
-	N      int32
+}
+
+// Key returns the voxel's key.
+func (vs *VoxelStats) Key() VoxelKey {
+	const mask = 1<<keyBits - 1
+	return VoxelKey{
+		X: int32(vs.key>>(2*keyBits)&mask) - keyBias,
+		Y: int32(vs.key>>keyBits&mask) - keyBias,
+		Z: int32(vs.key&mask) - keyBias,
+	}
+}
+
+// keyBits is the width of one axis of a packed key, and keyBias the
+// bias added to each coordinate before packing.
+const (
+	keyBits = 21
+	keyBias = 1 << (keyBits - 1)
+)
+
+// packKey packs k into one uint64, each coordinate biased by 2^20 into
+// 21 bits. ok is false when a coordinate lies outside the packable
+// range (-2^20, 2^20), about a million cells either side of the origin
+// (2,100 km at a 2 m leaf); a NaN point's key (math.MinInt32 on amd64)
+// is outside it.
+func packKey(k VoxelKey) (packed uint64, ok bool) {
+	// A packable coordinate biases to 1 .. 2^21-1, so x, y and z, one
+	// less and wrapped, fall below span exactly when all three pack.
+	const span = 2*keyBias - 1
+	x, y, z := uint32(k.X)+keyBias-1, uint32(k.Y)+keyBias-1, uint32(k.Z)+keyBias-1
+	if x >= span || y >= span || z >= span {
+		return 0, false
+	}
+	return uint64(x+1)<<(2*keyBits) | uint64(y+1)<<keyBits | uint64(z+1), true
 }
 
 // VoxelGrid is an NDT statistics grid: the Gaussians of a cloud's
 // usable voxels stored by value in first-touch order, behind an
-// open-addressed, linearly probed table of voxel numbers. A probe
-// compares against the key stored in the record, so the table holds 4
-// bytes per slot; lookups neither hash through the runtime nor chase a
-// pointer per voxel, and iteration order is a pure function of the
-// input cloud.
+// open-addressed, linearly probed table. Each slot holds a voxel number
+// and a one-byte tag from the key's hash, so a probe reads one tag byte
+// per slot and reads a voxel number and a record only when the tag
+// matches; lookups neither hash through the runtime nor chase a pointer
+// per voxel, and iteration order is a pure function of the input cloud.
 type VoxelGrid struct {
 	// Voxels holds every usable voxel in the order the cloud first
 	// touched it.
 	Voxels []VoxelStats
-	// table holds Voxels index plus one per slot, zero marking an empty
-	// slot. Its size is a power of two, at least twice len(Voxels).
-	table []int32
+	// slots holds the Voxels index of each occupied slot, and tags its
+	// tag, zero marking an empty slot. Their length is a power of two
+	// that keeps the load at or below three quarters.
+	slots []int32
+	tags  []uint8
 	mask  uint32
 }
+
+// gridTableSize returns the slot count of a grid of n voxels: the
+// smallest power of two, and at least minIndexSize, that keeps the load
+// at or below three quarters.
+func gridTableSize(n int) int {
+	size := minIndexSize
+	for 4*n > 3*size {
+		size <<= 1
+	}
+	return size
+}
+
+// tagOf returns the slot tag of a key hash: its top byte, never zero.
+func tagOf(h uint32) uint8 { return max(uint8(h>>24), 1) }
 
 // Len returns the number of usable voxels.
 func (g *VoxelGrid) Len() int { return len(g.Voxels) }
 
-// Lookup returns the voxel with key k, or nil when it is unoccupied or
-// unusable.
+// Lookup returns the voxel with key k, or nil when it is unoccupied,
+// unusable or outside the packable range.
 func (g *VoxelGrid) Lookup(k VoxelKey) *VoxelStats {
-	if len(g.Voxels) == 0 {
+	packed, ok := packKey(k)
+	if !ok || len(g.Voxels) == 0 {
 		return nil
 	}
-	for i := hashKey(k) & g.mask; ; i = (i + 1) & g.mask {
-		v := g.table[i]
-		if v == 0 {
+	h := hashKey(k)
+	tag := tagOf(h)
+	for i := h & g.mask; ; i = (i + 1) & g.mask {
+		switch g.tags[i] {
+		case 0:
 			return nil
-		}
-		if vs := &g.Voxels[v-1]; vs.Key == k {
-			return vs
+		case tag:
+			if vs := &g.Voxels[g.slots[i]]; vs.key == packed {
+				return vs
+			}
 		}
 	}
 }
 
 // BuildVoxelStats accumulates per-voxel Gaussian statistics for a cloud
-// and keeps the usable voxels: those with at least minPoints points and
-// an invertible covariance. The grid holds nothing else, so matching
-// never meets a voxel it must skip.
+// and keeps the usable voxels: those with at least minPoints points, a
+// key inside the packable range and an invertible covariance. The grid
+// holds nothing else, so matching never meets a voxel it must skip.
 func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 	if leaf <= 0 {
 		panic("pointcloud: non-positive voxel leaf size")
@@ -244,7 +298,8 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 	voxels := make([]VoxelStats, 0, len(cells))
 	for i := range cells {
 		a := &cells[i]
-		if a.n < minPoints {
+		packed, ok := packKey(a.key)
+		if a.n < minPoints || !ok {
 			continue
 		}
 		inv := 1 / float64(a.n)
@@ -268,10 +323,9 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 			continue
 		}
 		voxels = append(voxels, VoxelStats{
+			key:    packed,
 			Mean:   m,
 			InvCov: [6]float64{ic[0][0], ic[0][1], ic[0][2], ic[1][1], ic[1][2], ic[2][2]},
-			Key:    a.key,
-			N:      int32(a.n),
 		})
 	}
 	// The cells and their index die here. The grid keeps an exactly
@@ -279,15 +333,18 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 	// are distinct, so each goes to the first empty slot of its probe
 	// sequence.
 	g := &VoxelGrid{Voxels: slices.Clone(voxels)}
-	size := tableSize(len(g.Voxels))
-	g.table = make([]int32, size)
+	size := gridTableSize(len(g.Voxels))
+	g.slots = make([]int32, size)
+	g.tags = make([]uint8, size)
 	g.mask = uint32(size - 1)
 	for i := range g.Voxels {
-		j := hashKey(g.Voxels[i].Key) & g.mask
-		for g.table[j] != 0 {
+		h := hashKey(g.Voxels[i].Key())
+		j := h & g.mask
+		for g.tags[j] != 0 {
 			j = (j + 1) & g.mask
 		}
-		g.table[j] = int32(i + 1)
+		g.slots[j] = int32(i)
+		g.tags[j] = tagOf(h)
 	}
 	return g
 }

@@ -7,7 +7,7 @@ package pointcloud
 // keys inline, and reset clears only the prefix of the table the next
 // pass will use, so a pooled index that once held a large cloud stays
 // cheap for small ones. A built VoxelGrid keeps a leaner table of voxel
-// numbers.
+// numbers and tags.
 type voxelIndex struct {
 	slots []indexSlot
 	mask  uint32

@@ -9,7 +9,7 @@ import (
 // refVoxelStats is one occupied voxel as the full statistics build
 // recorded it: usable or not, with the covariance beside its inverse.
 type refVoxelStats struct {
-	key    VoxelKey
+	Key    VoxelKey
 	Mean   geom.Vec3
 	Cov    [3][3]float64
 	InvCov [3][3]float64
@@ -55,7 +55,7 @@ func referenceVoxelStats(c *Cloud, leaf float64, minPoints int) []refVoxelStats 
 	for i := range cells {
 		a := &cells[i]
 		vs := &out[i]
-		vs.key = keys[i]
+		vs.Key = keys[i]
 		vs.N = a.n
 		inv := 1 / float64(a.n)
 		m := a.sum.Scale(inv)
@@ -86,11 +86,10 @@ func referenceVoxelStats(c *Cloud, leaf float64, minPoints int) []refVoxelStats 
 var upper = [3][3]int{{0, 1, 2}, {1, 3, 4}, {2, 4, 5}}
 
 // sameVoxelBits reports whether a lean voxel carries the reference
-// voxel's key, mean and count, and whether its six inverse-covariance
-// terms equal the reference's full inverse in both triangles, bit for
-// bit.
+// voxel's key and mean, and whether its six inverse-covariance terms
+// equal the reference's full inverse in both triangles, bit for bit.
 func sameVoxelBits(got VoxelStats, want refVoxelStats) bool {
-	if got.Key != want.key || int(got.N) != want.N {
+	if got.Key() != want.Key {
 		return false
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
