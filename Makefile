@@ -37,8 +37,9 @@ bench-check:
 	cd cmd/bench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test -count=1 ./...
 
 # Short fuzzing pass over the repo's codecs: rosbag, ring, guard
-# payloads, and the scenario-params line (seed corpora are checked in
-# under each package's testdata/fuzz). Go allows one -fuzz target per
+# payloads, the scenario-params line, the journal's frames, and the
+# fleet's replay of journal entries (seed corpora are checked in under
+# each package's testdata/fuzz). Go allows one -fuzz target per
 # invocation, so each target gets its own ~10s run.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBagDecode -fuzztime=10s ./internal/ros/
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzGuardValidate -fuzztime=10s ./internal/guard/
 	$(GO) test -run=NONE -fuzz=FuzzScenarioParams -fuzztime=10s ./internal/world/
 	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=10s ./internal/journal/
+	$(GO) test -run=NONE -fuzz=FuzzFleetReplay -fuzztime=10s ./internal/fleet/
 
 # Paper-table smoke: regenerate every table and figure, then the
 # findings, at -workers 1 and -workers 2, and fail unless the two
@@ -169,7 +171,8 @@ fleet-smoke:
 # and verify completed reports survived byte-identically, every admitted
 # job is accounted for, queued work resumes and the pinned stall jobs
 # dead-letter deterministically. Then the package's in-process crash
-# recovery, torn-tail salvage and fair-share starvation tests.
+# recovery, torn-tail salvage, replay-matches-live and fair-share
+# starvation tests, and the journal's tests, its fault sweep included.
 journal-smoke:
 	$(GO) run ./cmd/avfleet -journal-smoke
 	$(GO) test -count=1 -run='TestFleetJournal|TestFairShareStarvation' ./internal/fleet/

@@ -63,7 +63,7 @@ func (s *Service) observeVirtualLocked(key string, e2e float64) {
 }
 
 // driftedVirtualLocked lists scenario families whose recent virtual
-// p99 exceeds DriftFactor × their baseline p99, sorted. Callers hold
+// p99 exceeds driftFactor × their baseline p99, sorted. Callers hold
 // s.mu.
 func (s *Service) driftedVirtualLocked() []string {
 	var drifted []string
@@ -71,7 +71,7 @@ func (s *Service) driftedVirtualLocked() []string {
 		if len(b.base) < baselineMin || len(b.recent) < baselineMin {
 			continue
 		}
-		if mathx.Quantile(b.recent, 0.99) > s.cfg.DriftFactor*mathx.Quantile(b.base, 0.99) {
+		if mathx.Quantile(b.recent, 0.99) > driftFactor*mathx.Quantile(b.base, 0.99) {
 			drifted = append(drifted, prefix)
 		}
 	}

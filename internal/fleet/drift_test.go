@@ -33,7 +33,7 @@ func TestVirtualDriftDetection(t *testing.T) {
 	var e2e atomic.Value
 	e2e.Store(10.0)
 	svc := mustNew(t, Config{
-		Workers: 1, QueueDepth: 32, DriftFactor: 2, Resolve: passResolve,
+		Workers: 1, QueueDepth: 32, Resolve: passResolve,
 		Runner: runnerFunc(func(ctx context.Context, spec scenario.Spec, det autoware.Detector, d time.Duration) (*RunResult, error) {
 			return &RunResult{Report: []byte("ok\n"), E2EP99: e2e.Load().(float64)}, nil
 		}),

@@ -83,7 +83,7 @@ type tenantQ struct {
 // per-tenant token-bucket rate limits at the door (bucket) and
 // deficit-round-robin dispatch behind it, so one tenant's burst fills
 // only its own queue and costs only its own turns. Each tenant owns a
-// heap (priority desc, admission seq asc), and dispatch walks an
+// heap (priority desc, ID asc), and dispatch walks an
 // activation ring: a tenant at the head earns Weight credits and is
 // served while credit lasts, then the ring advances — so a tenant that
 // queued 100 jobs still yields the next turn to every other active
@@ -197,7 +197,7 @@ func (q *admitQueue) evictBelow(floor int) []*Record {
 		q.rebuildRing()
 	}
 	q.size -= len(shed)
-	sort.Slice(shed, func(i, j int) bool { return shed[i].seq < shed[j].seq })
+	sort.Slice(shed, func(i, j int) bool { return shed[i].ID < shed[j].ID })
 	return shed
 }
 
@@ -213,7 +213,7 @@ func (q *admitQueue) drain() []*Record {
 	q.ring = nil
 	q.ringIdx = 0
 	q.size = 0
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -6,9 +6,11 @@
 // against its own faults, this layer protects vehicles from *each
 // other* — robustness is the headline, not throughput:
 //
-//   - Admission is a bounded priority queue with explicit rejection
-//     (ErrFleetSaturated): overload produces 429s, never unbounded
-//     buffering.
+//   - Admission is a bounded priority queue, and overload is answered
+//     explicitly, never by unbounded buffering: the degradation ladder
+//     (below) refuses best-effort work with 429s and then everything
+//     with 503s before the queue fills, and a full queue
+//     (ErrFleetSaturated, a 429) is the backstop behind it.
 //   - Per-job wall-clock deadlines propagate as context cancellation
 //     into the run (autoware.Stack.RunContext), so an expired job stops
 //     simulating within a slice of wall clock instead of leaking until
@@ -27,10 +29,12 @@
 //     same job key yields a byte-identical report whether run solo,
 //     under contention, or after a retry — every vehicle is its own
 //     virtual-time simulation, so host scheduling cannot leak in.
-//   - With Config.Journal set, every job state transition is written to
-//     a CRC32C-framed write-ahead log (internal/journal) before it is
-//     acknowledged, so a crashed service restarts into the same queue,
-//     retry schedules, result cache, and dead-letter ledger — completed
+//   - With Config.Journal set, every job state transition is an entry
+//     in a CRC32C-framed write-ahead log (internal/journal), written
+//     before it is applied and fsynced before it is acknowledged; the
+//     service's durable state is those entries applied in order, so a
+//     crashed service restarts into the same records, queue, retry
+//     schedules, result cache, and dead-letter ledger — completed
 //     reports byte-identical, in-flight jobs re-run deterministically.
 //   - Admission is per-tenant fair share: token-bucket rate limits at
 //     the door and deficit-round-robin dispatch behind it, so one
@@ -81,6 +85,11 @@ var (
 	// token-bucket rate limit; the concrete error is a *ThrottleError
 	// carrying the retry-after hint.
 	ErrTenantThrottled = errors.New("fleet: tenant rate limit exceeded")
+	// ErrJournal refuses a submission or limit change whose entry could
+	// not be journaled. The journal stops at its first failed write, so
+	// every later one is refused too, until the service restarts on the
+	// same directory.
+	ErrJournal = errors.New("fleet: journal unavailable")
 )
 
 // Chaos is test-only attempt perturbation, reusing the fault-kind
@@ -103,8 +112,8 @@ type Job struct {
 	// "default".
 	Tenant string `json:"tenant,omitempty"`
 	// Priority orders admission (higher first) and shedding (lowest
-	// evicted first). Jobs below Config.ShedPriority are rejected while
-	// the ladder sheds.
+	// evicted first). Priority 0 is the best-effort class: it is
+	// rejected, and evicted from the queue, while the ladder sheds.
 	Priority int `json:"priority,omitempty"`
 	// Scenario names a registry scenario (builtin or pinned gen-*
 	// search winner). Exactly one of Scenario and Params must be set.
@@ -186,11 +195,11 @@ type Record struct {
 	// restart: it was admitted by a previous process incarnation.
 	Resumed bool `json:"resumed,omitempty"`
 
-	report   []byte
+	report []byte
+	// hash is the report's content hash, as journaled with it.
+	hash     string
 	enqueued time.Time
 	done     chan struct{}
-	seq      int64
-	shedable bool
 	// resumeFrom is the attempt index execution continues at — zero for
 	// fresh jobs, the replayed retry count for journal-recovered ones,
 	// so the seeded backoff schedule resumes exactly where it stopped.
@@ -205,8 +214,9 @@ type Config struct {
 	// Workers bounds concurrently simulating vehicles (default
 	// parallel.MaxWorkers()).
 	Workers int
-	// QueueDepth bounds the admission queue; a full queue rejects with
-	// ErrFleetSaturated (default 64).
+	// QueueDepth bounds the admission queue (default 64). The ladder's
+	// water marks are fractions of it; a full queue rejects with
+	// ErrFleetSaturated, which the default marks never reach.
 	QueueDepth int
 	// Detector is the vision configuration vehicles run with (default
 	// SSD300, the cheapest).
@@ -231,12 +241,10 @@ type Config struct {
 	// the default, negative disables caching).
 	CacheSize int
 	// TargetP99 is the completion wall-time the ladder considers
-	// healthy; observed p99 above TargetP99×DriftFactor trips the
-	// shedding state. 0 disables drift detection (queue depth alone
-	// drives the ladder).
+	// healthy; observed p99 above twice TargetP99 trips the shedding
+	// state. 0 disables drift detection (queue depth alone drives the
+	// ladder).
 	TargetP99 time.Duration
-	// DriftFactor scales TargetP99 into the drift threshold (default 2).
-	DriftFactor float64
 	// ShedHighWater is the queue occupancy (0..1) entering the shedding
 	// state (default 0.75); DrainHighWater the occupancy entering
 	// draining (default 0.95); LowWater the occupancy returning to
@@ -244,10 +252,6 @@ type Config struct {
 	ShedHighWater  float64
 	DrainHighWater float64
 	LowWater       float64
-	// ShedPriority is the admission floor while shedding: submissions
-	// with Priority below it are rejected, queued jobs below it are
-	// evicted (default 1, so priority 0 is the best-effort class).
-	ShedPriority int
 	// AllowChaos enables Job.Chaos (tests and the smoke harness only).
 	AllowChaos bool
 	// Journal is the write-ahead log directory. Empty disables
@@ -303,9 +307,6 @@ func (c *Config) fill() {
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
 	}
-	if c.DriftFactor <= 0 {
-		c.DriftFactor = 2
-	}
 	if c.ShedHighWater <= 0 {
 		c.ShedHighWater = 0.75
 	}
@@ -314,9 +315,6 @@ func (c *Config) fill() {
 	}
 	if c.LowWater <= 0 {
 		c.LowWater = 0.25
-	}
-	if c.ShedPriority == 0 {
-		c.ShedPriority = 1
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 512
@@ -342,12 +340,17 @@ const (
 	LadderDraining LadderState = "draining"
 )
 
-// tenantAgg accumulates one tenant's counters and samples.
-type tenantAgg struct {
-	submitted, completed, failed, retries, shed, rejected, cacheHits, throttled int64
-	e2e                                                                         []float64 // completed jobs' worst-path p99 (ms)
-	wall                                                                        []float64 // completed jobs' wall time (ms)
-}
+const (
+	// driftFactor scales a latency target or baseline into the drift
+	// threshold that trips shedding.
+	driftFactor = 2
+	// shedPriority is the admission floor while shedding: submissions
+	// with Priority below it are rejected, queued jobs below it are
+	// evicted.
+	shedPriority = 1
+	// deadLetterCap bounds the /fleetz dead-letter ledger.
+	deadLetterCap = 128
+)
 
 // Service is the fleet server. Create with New, stop with Close.
 type Service struct {
@@ -355,21 +358,23 @@ type Service struct {
 	pool *parallel.Pool
 	sem  chan struct{}
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	queue      *admitQueue
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue *admitQueue
+	// Durable state: what applyLocked builds from journal entries.
+	// Beside it, Submit counts door tallies live, dispatch marks records
+	// running and recovery marks them resumed.
 	records    map[int64]*Record
 	nextID     int64
-	nextSeq    int64
-	state      LadderState
-	tenants    map[string]*tenantAgg
 	limits     map[string]TenantLimit
-	buckets    map[string]*bucket
+	limitRevs  map[string]int64
+	doors      map[string]*doorTally
 	baselines  map[string]*baseline
 	cache      map[string]cacheEntry
 	cacheOrder []string
-	cacheHits  int64
-	dead       []*Record
+	// Live-only state.
+	state      LadderState
+	buckets    map[string]*bucket
 	recentWall []float64
 	inFlight   int
 	closed     bool
@@ -389,6 +394,7 @@ type Service struct {
 
 type cacheEntry struct {
 	report []byte
+	hash   string
 	e2e    float64
 }
 
@@ -404,8 +410,9 @@ func New(cfg Config) (*Service, error) {
 		sem:       make(chan struct{}, cfg.Workers),
 		records:   make(map[int64]*Record),
 		state:     LadderNominal,
-		tenants:   make(map[string]*tenantAgg),
 		limits:    make(map[string]TenantLimit),
+		limitRevs: make(map[string]int64),
+		doors:     make(map[string]*doorTally),
 		buckets:   make(map[string]*bucket),
 		baselines: make(map[string]*baseline),
 		cache:     make(map[string]cacheEntry),
@@ -461,9 +468,13 @@ func (s *Service) SetTenantLimit(tenant string, limit TenantLimit) error {
 	if s.closed {
 		return ErrFleetClosed
 	}
-	s.limits[tenant] = limit
+	e := walEntry{Op: opLimit, Tenant: tenant, Limit: &limit, Rev: s.limitRevs[tenant] + 1}
+	if err := s.logLocked(e, true); err != nil {
+		return err
+	}
+	s.applyLocked(e)
 	delete(s.buckets, tenant)
-	return s.logLocked(walEntry{Op: opLimit, Tenant: tenant, Limit: &limit}, true)
+	return nil
 }
 
 // Close stops admission, waits for in-flight vehicles to finish, and
@@ -479,7 +490,7 @@ func (s *Service) Close() {
 	s.closed = true
 	if s.jl == nil {
 		for _, rec := range s.queue.drain() {
-			s.finishLocked(rec, StateFailed, fmt.Errorf("%w: queued at shutdown", ErrFleetClosed))
+			s.commitLocked(endEntry(rec, opFail, nil, fmt.Errorf("%w: queued at shutdown", ErrFleetClosed)), true)
 		}
 	}
 	s.cond.Broadcast()
@@ -502,24 +513,26 @@ func (s *Service) Close() {
 	s.pool.Close()
 }
 
-// tenant returns (creating) a tenant's aggregate. Callers hold s.mu.
-func (s *Service) tenantLocked(name string) *tenantAgg {
-	t := s.tenants[name]
-	if t == nil {
-		t = &tenantAgg{}
-		s.tenants[name] = t
+// doorLocked returns (creating) a tenant's door tally. Callers hold
+// s.mu.
+func (s *Service) doorLocked(tenant string) *doorTally {
+	d := s.doors[tenant]
+	if d == nil {
+		d = &doorTally{}
+		s.doors[tenant] = d
 	}
-	return t
+	return d
 }
 
 // Submit validates and admits a job. The returned record is a live
 // handle: use Wait (or the record's ID with Get) to observe completion.
-// Rejections are explicit errors — ErrFleetSaturated on a full queue,
-// ErrFleetShedding for low-priority load while shedding,
-// ErrFleetDraining while draining, *ThrottleError past the tenant's
-// rate limit — and are counted per tenant. On a journaled service the
-// admission is fsynced to the WAL before Submit returns: an
-// acknowledged job is never silently lost to a crash.
+// Rejections are explicit errors — ErrFleetShedding for best-effort
+// load while shedding, ErrFleetDraining while draining, ErrFleetSaturated
+// on a full queue, *ThrottleError past the tenant's rate limit — and
+// are counted in the tenant's door tally. On a journaled service the
+// admission is fsynced to the WAL before it is applied and Submit
+// returns: an acknowledged job is never silently lost to a crash, and
+// one that could not be journaled is refused with ErrJournal.
 func (s *Service) Submit(job Job) (*Record, error) {
 	if job.Tenant == "" {
 		job.Tenant = "default"
@@ -527,108 +540,83 @@ func (s *Service) Submit(job Job) (*Record, error) {
 	if err := validate(job, s.cfg.AllowChaos); err != nil {
 		return nil, err
 	}
-	duration := job.Duration
-	if duration <= 0 {
-		duration = s.cfg.Duration
+	if job.Duration <= 0 {
+		job.Duration = s.cfg.Duration
 	}
-	key := job.key(s.cfg.Detector, duration)
+	key := job.key(s.cfg.Detector, job.Duration)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrFleetClosed
 	}
-	agg := s.tenantLocked(job.Tenant)
 
 	// Degradation ladder, before the cache: a draining service answers
 	// nothing new, a shedding one only its protected classes.
 	switch s.state {
 	case LadderDraining:
-		agg.rejected++
+		s.doorLocked(job.Tenant).Rejected++
 		return nil, ErrFleetDraining
 	case LadderShedding:
-		if job.Priority < s.cfg.ShedPriority {
-			agg.rejected++
-			agg.shed++
+		if job.Priority < shedPriority {
+			d := s.doorLocked(job.Tenant)
+			d.Rejected++
+			d.Shed++
 			return nil, ErrFleetShedding
 		}
 	}
 
-	agg.submitted++
-
-	// Cache hit: served without re-simulation, no queue slot and no
-	// rate-limit token consumed. Journaled as a single self-contained
-	// admit entry so the record survives a restart.
+	now := time.Now()
+	e := walEntry{Op: opAdmit, Key: key, Tenant: job.Tenant, Job: &job, Enq: now.UnixNano()}
 	if ent, ok := s.cache[key]; ok {
-		rec := s.newRecordLocked(job, key, duration)
-		rec.State = StateDone
-		rec.CacheHit = true
-		rec.report = ent.report
-		rec.E2EP99 = ent.e2e
-		rec.WallMS = 0
-		if err := s.logLocked(admitEntry(rec), true); err != nil {
-			delete(s.records, rec.ID)
-			return nil, fmt.Errorf("fleet: journaling admission: %w", err)
+		// Cache hit: served without re-simulation, no queue slot and no
+		// rate-limit token consumed. The admit entry carries the report,
+		// so it alone rebuilds the record.
+		e.CacheHit = true
+		e.Report = ent.report
+		e.Hash = ent.hash
+		e.E2E = ent.e2e
+	} else {
+		// Queue-depth check before the token bucket: a saturated
+		// rejection must not also burn one of the tenant's tokens.
+		if s.queue.Len() >= s.cfg.QueueDepth {
+			s.doorLocked(job.Tenant).Rejected++
+			s.reladderLocked()
+			return nil, ErrFleetSaturated
 		}
-		agg.completed++
-		agg.cacheHits++
-		s.cacheHits++
-		agg.e2e = append(agg.e2e, ent.e2e)
-		agg.wall = append(agg.wall, 0)
-		close(rec.done)
-		return rec, nil
+		if limit := s.limitFor(job.Tenant); limit.Rate > 0 {
+			b := s.buckets[job.Tenant]
+			if b == nil {
+				b = &bucket{}
+				s.buckets[job.Tenant] = b
+			}
+			if wait, ok := b.take(s.now(), limit.Rate, limit.Burst); !ok {
+				d := s.doorLocked(job.Tenant)
+				d.Rejected++
+				d.Throttled++
+				return nil, &ThrottleError{Tenant: job.Tenant, RetryAfter: wait}
+			}
+		}
 	}
 
-	// Queue-depth check before the token bucket: a saturated rejection
-	// must not also burn one of the tenant's tokens.
-	if s.queue.Len() >= s.cfg.QueueDepth {
-		agg.rejected++
+	e.ID = s.nextID + 1
+	if err := s.logLocked(e, true); err != nil {
+		// The ID is used up all the same: the frame may have reached
+		// disk, and a later job must not share its ID.
+		s.nextID = e.ID
+		return nil, err
+	}
+	s.applyLocked(e)
+	rec := s.records[e.ID]
+	// The same instant, with its monotonic reading, so the deadline and
+	// wall times of a live job do not move with the wall clock.
+	rec.enqueued = now
+	if !rec.CacheHit {
+		s.queue.push(rec)
 		s.reladderLocked()
-		return nil, ErrFleetSaturated
+		s.cond.Signal()
 	}
-
-	if limit := s.limitFor(job.Tenant); limit.Rate > 0 {
-		b := s.buckets[job.Tenant]
-		if b == nil {
-			b = &bucket{}
-			s.buckets[job.Tenant] = b
-		}
-		if wait, ok := b.take(s.now(), limit.Rate, limit.Burst); !ok {
-			agg.rejected++
-			agg.throttled++
-			return nil, &ThrottleError{Tenant: job.Tenant, RetryAfter: wait}
-		}
-	}
-
-	rec := s.newRecordLocked(job, key, duration)
-	rec.Backoff = BackoffSchedule(s.cfg.RetrySeed, key, s.cfg.RetryBase, s.cfg.RetryBudget)
-	rec.shedable = true
-	if err := s.logLocked(admitEntry(rec), true); err != nil {
-		delete(s.records, rec.ID)
-		return nil, fmt.Errorf("fleet: journaling admission: %w", err)
-	}
-	s.queue.push(rec)
-	s.reladderLocked()
-	s.cond.Signal()
 	return rec, nil
-}
-
-func (s *Service) newRecordLocked(job Job, key string, duration time.Duration) *Record {
-	s.nextID++
-	s.nextSeq++
-	job.Duration = duration
-	rec := &Record{
-		ID:       s.nextID,
-		Job:      job,
-		Key:      key,
-		State:    StateQueued,
-		Tenant:   job.Tenant,
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
-		seq:      s.nextSeq,
-	}
-	s.records[rec.ID] = rec
-	return rec
 }
 
 // validate rejects structurally bad jobs at admission; scenario
@@ -713,7 +701,6 @@ func (s *Service) dispatch() {
 			return
 		}
 		rec := s.queue.pop()
-		rec.shedable = false
 		rec.State = StateRunning
 		s.inFlight++
 		s.reladderLocked()
@@ -737,12 +724,6 @@ func (s *Service) execute(rec *Record) {
 	defer cancel()
 
 	for attempt := rec.resumeFrom; ; attempt++ {
-		s.mu.Lock()
-		// Attempt markers are advisory (appended, not fsynced): losing
-		// one to a crash only means the attempt re-runs, and attempts
-		// are deterministic in virtual time.
-		s.logLocked(walEntry{Op: opStart, ID: rec.ID, Attempt: attempt}, false)
-		s.mu.Unlock()
 		start := time.Now()
 		res, err := s.attempt(ctx, rec, attempt)
 		a := Attempt{WallMS: float64(time.Since(start)) / 1e6}
@@ -752,35 +733,28 @@ func (s *Service) execute(rec *Record) {
 			a.Err = err.Error()
 			a.Outcome = classify(err)
 		}
-		s.mu.Lock()
-		rec.Attempts = append(rec.Attempts, a)
-		s.mu.Unlock()
 
-		if err == nil {
-			s.complete(rec, res)
+		switch {
+		case err == nil:
+			s.finish(walEntry{
+				Op: opDone, ID: rec.ID, Try: &a, Report: res.Report, Hash: reportHash(res.Report),
+				E2E: res.E2EP99, Wall: float64(time.Since(rec.enqueued)) / 1e6,
+			})
 			return
-		}
-		// The job deadline is final: a dead context cannot host another
-		// attempt, whatever the failure class.
-		if ctx.Err() != nil {
-			s.finish(rec, StateFailed, fmt.Errorf("fleet: job deadline: %w", err))
+		case ctx.Err() != nil:
+			// The job deadline is final: a dead context cannot host
+			// another attempt, whatever the failure class.
+			s.finish(endEntry(rec, opFail, &a, fmt.Errorf("fleet: job deadline: %w", err)))
 			return
-		}
-		if !transient(err) {
-			s.finish(rec, StateFailed, err)
+		case !transient(err):
+			s.finish(endEntry(rec, opFail, &a, err))
 			return
-		}
-		if attempt >= len(rec.Backoff) {
-			s.mu.Lock()
-			rec.DeadLetter = true
-			s.mu.Unlock()
-			s.finish(rec, StateFailed, fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, attempt+1, err))
+		case attempt >= len(rec.Backoff):
+			s.finish(endEntry(rec, opDead, &a, fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, attempt+1, err)))
 			return
 		}
 		s.mu.Lock()
-		rec.Retries++
-		s.tenantLocked(rec.Tenant).retries++
-		s.logLocked(walEntry{Op: opRetry, ID: rec.ID, Attempt: attempt, Outcome: a.Outcome, Err: a.Err}, false)
+		s.commitLocked(walEntry{Op: opRetry, ID: rec.ID, Attempt: attempt, Try: &a}, false)
 		s.mu.Unlock()
 		select {
 		case <-time.After(rec.Backoff[attempt]):
@@ -855,92 +829,41 @@ func transient(err error) bool {
 	return false
 }
 
-// complete records a successful job: the terminal transition journaled
-// (fsynced, with the report's content hash so replay can verify it),
-// report cached by key, aggregates updated, ladder re-evaluated.
-func (s *Service) complete(rec *Record, res *RunResult) {
+// endEntry is the entry that fails, dead-letters or sheds rec with
+// err, carrying the attempt that ended it if one did.
+func endEntry(rec *Record, op string, try *Attempt, err error) walEntry {
+	return walEntry{Op: op, ID: rec.ID, Try: try, Err: err.Error(), Wall: float64(time.Since(rec.enqueued)) / 1e6}
+}
+
+// finish commits a running job's terminal entry (fsynced; a done entry
+// carries the report's content hash so replay can verify it), then
+// frees its slot: the ladder is re-evaluated and the WAL compacted
+// when due.
+func (s *Service) finish(e walEntry) {
 	s.mu.Lock()
-	rec.State = StateDone
-	rec.report = res.Report
-	rec.E2EP99 = res.E2EP99
-	rec.WallMS = float64(time.Since(rec.enqueued)) / 1e6
-	s.logLocked(walEntry{
-		Op: opDone, ID: rec.ID, Report: res.Report, Hash: reportHash(res.Report),
-		E2E: res.E2EP99, Wall: rec.WallMS, Retries: rec.Retries,
-	}, true)
-	s.cacheInsertLocked(rec.Key, res.Report, res.E2EP99)
-	agg := s.tenantLocked(rec.Tenant)
-	agg.completed++
-	agg.e2e = append(agg.e2e, res.E2EP99)
-	agg.wall = append(agg.wall, rec.WallMS)
-	s.observeWallLocked(rec.WallMS)
-	s.observeVirtualLocked(rec.Key, res.E2EP99)
+	defer s.mu.Unlock()
+	s.commitLocked(e, true)
+	if e.Op == opDone {
+		s.observeWallLocked(e.Wall)
+	}
 	s.inFlight--
 	s.reladderLocked()
 	s.maybeCompactLocked()
-	close(rec.done)
-	s.mu.Unlock()
 }
 
 // cacheInsertLocked adds a result to the bounded key cache.
-func (s *Service) cacheInsertLocked(key string, report []byte, e2e float64) {
+func (s *Service) cacheInsertLocked(key string, report []byte, hash string, e2e float64) {
 	if s.cfg.CacheSize <= 0 {
 		return
 	}
 	if _, dup := s.cache[key]; dup {
 		return
 	}
-	s.cache[key] = cacheEntry{report: report, e2e: e2e}
+	s.cache[key] = cacheEntry{report: report, hash: hash, e2e: e2e}
 	s.cacheOrder = append(s.cacheOrder, key)
 	for len(s.cacheOrder) > s.cfg.CacheSize {
 		delete(s.cache, s.cacheOrder[0])
 		s.cacheOrder = s.cacheOrder[1:]
-	}
-}
-
-// finish records a terminal failure or shed.
-func (s *Service) finish(rec *Record, state JobState, err error) {
-	s.mu.Lock()
-	s.inFlight--
-	s.finishLocked(rec, state, err)
-	s.reladderLocked()
-	s.maybeCompactLocked()
-	s.mu.Unlock()
-}
-
-func (s *Service) finishLocked(rec *Record, state JobState, err error) {
-	rec.State = state
-	rec.Err = err.Error()
-	rec.WallMS = float64(time.Since(rec.enqueued)) / 1e6
-	op := opFail
-	switch {
-	case state == StateShed:
-		op = opShed
-	case rec.DeadLetter:
-		op = opDead
-	}
-	s.logLocked(walEntry{
-		Op: op, ID: rec.ID, Err: rec.Err, Wall: rec.WallMS, Retries: rec.Retries,
-	}, true)
-	agg := s.tenantLocked(rec.Tenant)
-	switch state {
-	case StateShed:
-		agg.shed++
-	default:
-		agg.failed++
-	}
-	if rec.DeadLetter {
-		s.deadLetterLocked(rec)
-	}
-	close(rec.done)
-}
-
-// deadLetterLocked appends to the bounded dead-letter ledger.
-func (s *Service) deadLetterLocked(rec *Record) {
-	s.dead = append(s.dead, rec)
-	const deadCap = 128
-	if len(s.dead) > deadCap {
-		s.dead = s.dead[len(s.dead)-deadCap:]
 	}
 }
 
@@ -960,7 +883,7 @@ func (s *Service) observeWallLocked(ms float64) {
 func (s *Service) driftingLocked() bool {
 	if s.cfg.TargetP99 > 0 && len(s.recentWall) >= 8 {
 		p99 := mathx.Quantile(s.recentWall, 0.99)
-		if p99 > s.cfg.DriftFactor*float64(s.cfg.TargetP99)/1e6 {
+		if p99 > driftFactor*float64(s.cfg.TargetP99)/1e6 {
 			return true
 		}
 	}
@@ -990,12 +913,12 @@ func (s *Service) reladderLocked() {
 
 // shedQueuedLocked evicts queued jobs below the shed-priority floor.
 func (s *Service) shedQueuedLocked() {
-	for _, rec := range s.queue.evictBelow(s.cfg.ShedPriority) {
-		s.finishLocked(rec, StateShed, ErrJobShed)
+	for _, rec := range s.queue.evictBelow(shedPriority) {
+		s.commitLocked(endEntry(rec, opShed, nil, ErrJobShed), true)
 	}
 }
 
-// jobHeap orders pending jobs by (priority desc, admission seq asc).
+// jobHeap orders pending jobs by (priority desc, ID asc).
 type jobHeap []*Record
 
 func (h jobHeap) Len() int { return len(h) }
@@ -1003,7 +926,7 @@ func (h jobHeap) Less(i, j int) bool {
 	if h[i].Job.Priority != h[j].Job.Priority {
 		return h[i].Job.Priority > h[j].Job.Priority
 	}
-	return h[i].seq < h[j].seq
+	return h[i].ID < h[j].ID
 }
 func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*Record)) }
@@ -1072,7 +995,7 @@ type Status struct {
 	QueueCap   int         `json:"queue_cap"`
 	InFlight   int         `json:"in_flight"`
 	// Drifting lists scenario-family key prefixes whose virtual-time
-	// p99 has drifted past DriftFactor × their established baseline.
+	// p99 has drifted past twice their established baseline.
 	Drifting    []string            `json:"drifting,omitempty"`
 	Fleet       TenantStatus        `json:"fleet"`
 	Tenants     []TenantStatus      `json:"tenants"`
@@ -1083,27 +1006,51 @@ type Status struct {
 	Journal     *JournalStatus      `json:"journal,omitempty"`
 }
 
-func (t *tenantAgg) status(name string) TenantStatus {
-	e2e := mathx.Summarize(t.e2e)
-	wall := mathx.Summarize(t.wall)
-	return TenantStatus{
-		Tenant:    name,
-		Submitted: t.submitted,
-		Completed: t.completed,
-		Failed:    t.failed,
-		Retries:   t.retries,
-		Shed:      t.shed,
-		Rejected:  t.rejected,
-		Throttled: t.throttled,
-		CacheHits: t.cacheHits,
-		E2EP50:    e2e.Median,
-		E2EP99:    e2e.P99,
-		WallP50:   wall.Median,
-		WallP99:   wall.P99,
+// tenantSum adds up a tenant's /fleetz status from its records and
+// door tally.
+type tenantSum struct {
+	st   TenantStatus
+	e2e  []float64 // completed jobs' worst-path p99 (ms)
+	wall []float64 // completed jobs' wall time (ms)
+}
+
+func (a *tenantSum) addRecord(rec *Record) {
+	a.st.Submitted++
+	a.st.Retries += int64(rec.Retries)
+	switch rec.State {
+	case StateDone:
+		a.st.Completed++
+		a.e2e = append(a.e2e, rec.E2EP99)
+		a.wall = append(a.wall, rec.WallMS)
+	case StateFailed:
+		a.st.Failed++
+	case StateShed:
+		a.st.Shed++
+	}
+	if rec.CacheHit {
+		a.st.CacheHits++
 	}
 }
 
-// Fleetz assembles the aggregate status report.
+func (a *tenantSum) addDoor(d *doorTally) {
+	a.st.Rejected += d.Rejected
+	a.st.Throttled += d.Throttled
+	a.st.Shed += d.Shed
+}
+
+func (a *tenantSum) status(name string) TenantStatus {
+	st := a.st
+	st.Tenant = name
+	e2e := mathx.Summarize(a.e2e)
+	wall := mathx.Summarize(a.wall)
+	st.E2EP50, st.E2EP99 = e2e.Median, e2e.P99
+	st.WallP50, st.WallP99 = wall.Median, wall.P99
+	return st
+}
+
+// Fleetz assembles the aggregate status report. Tenant counters,
+// quantiles and the dead-letter ledger are computed from the records
+// and door tallies on each call.
 func (s *Service) Fleetz() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1116,42 +1063,42 @@ func (s *Service) Fleetz() Status {
 		CacheSize:  len(s.cache),
 		PoolPanics: s.pool.Panicked(),
 	}
-	fleet := &tenantAgg{}
-	names := make([]string, 0, len(s.tenants))
-	for name := range s.tenants {
-		names = append(names, name)
+	var fleet tenantSum
+	tenants := make(map[string]*tenantSum)
+	tenant := func(name string) *tenantSum {
+		a := tenants[name]
+		if a == nil {
+			a = &tenantSum{}
+			tenants[name] = a
+		}
+		return a
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := s.tenants[name]
-		st.Tenants = append(st.Tenants, t.status(name))
-		fleet.submitted += t.submitted
-		fleet.completed += t.completed
-		fleet.failed += t.failed
-		fleet.retries += t.retries
-		fleet.shed += t.shed
-		fleet.rejected += t.rejected
-		fleet.throttled += t.throttled
-		fleet.cacheHits += t.cacheHits
-		fleet.e2e = append(fleet.e2e, t.e2e...)
-		fleet.wall = append(fleet.wall, t.wall...)
+	for _, id := range s.sortedIDsLocked() {
+		rec := s.records[id]
+		tenant(rec.Tenant).addRecord(rec)
+		fleet.addRecord(rec)
+		if rec.DeadLetter {
+			st.DeadLetters = append(st.DeadLetters, DeadLetter{
+				ID: rec.ID, Tenant: rec.Tenant, Key: rec.Key,
+				Attempts: len(rec.Attempts), Err: rec.Err,
+			})
+		}
+	}
+	if n := len(st.DeadLetters); n > deadLetterCap {
+		st.DeadLetters = st.DeadLetters[n-deadLetterCap:]
+	}
+	for name, d := range s.doors {
+		tenant(name).addDoor(d)
+		fleet.addDoor(d)
+	}
+	for _, name := range sortedKeys(tenants) {
+		st.Tenants = append(st.Tenants, tenants[name].status(name))
 	}
 	st.Fleet = fleet.status("fleet")
-	limited := make([]string, 0, len(s.limits))
-	for name := range s.limits {
-		limited = append(limited, name)
-	}
-	sort.Strings(limited)
-	for _, name := range limited {
+	for _, name := range sortedKeys(s.limits) {
 		l := s.limitFor(name)
 		st.Limits = append(st.Limits, TenantLimitStatus{
 			Tenant: name, Rate: l.Rate, Burst: l.Burst, Weight: l.Weight,
-		})
-	}
-	for _, rec := range s.dead {
-		st.DeadLetters = append(st.DeadLetters, DeadLetter{
-			ID: rec.ID, Tenant: rec.Tenant, Key: rec.Key,
-			Attempts: len(rec.Attempts), Err: rec.Err,
 		})
 	}
 	if s.cfg.Journal != "" {

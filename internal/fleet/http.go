@@ -14,8 +14,9 @@ import (
 //	POST /jobs           submit a job (JSON body: Job); ?wait=1 blocks
 //	                     until the job is terminal and returns its
 //	                     final record. Overload answers are explicit:
-//	                     429 saturated/shedding/throttled (with
-//	                     Retry-After), 503 draining/closed, 400 invalid
+//	                     429 shedding/saturated/throttled (with
+//	                     Retry-After), 503 draining/closed or a journal
+//	                     that cannot take the admission, 400 invalid
 //	                     job.
 //	GET  /jobs           list job records (JSON); ?state= narrows to
 //	                     queued|running|done|failed|shed or the special
@@ -129,8 +130,8 @@ func getRecord(s *Service, w http.ResponseWriter, r *http.Request) (Record, bool
 
 // httpError maps service errors onto the status codes the overload
 // contract promises: saturation, shedding, and rate-limit throttling
-// are retryable 429s (with Retry-After), draining and shutdown are
-// 503s, validation is a 400. Retry-After is always a positive integer
+// are retryable 429s (with Retry-After), draining, shutdown and a
+// stopped journal are 503s, validation is a 400. Retry-After is always a positive integer
 // of seconds — the throttle hint rounds up so a client that honors it
 // finds a token waiting.
 func httpError(w http.ResponseWriter, err error) {
@@ -143,7 +144,7 @@ func httpError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrFleetSaturated), errors.Is(err, ErrFleetShedding):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, ErrFleetDraining), errors.Is(err, ErrFleetClosed):
+	case errors.Is(err, ErrFleetDraining), errors.Is(err, ErrFleetClosed), errors.Is(err, ErrJournal):
 		w.Header().Set("Retry-After", "5")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, ErrBadJob):
