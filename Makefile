@@ -40,15 +40,18 @@ bench-check:
 # payloads, the scenario-params line, the journal's frames, and the
 # fleet's replay of journal entries (seed corpora are checked in under
 # each package's testdata/fuzz). Go allows one -fuzz target per
-# invocation, so each target gets its own ~10s run.
+# invocation, so each target gets its own ~10s run. Go minimizes each
+# new interesting input for up to -fuzzminimizetime (60s by default)
+# without counting it toward -fuzztime, so it is capped at 1s to leave
+# the 10s to fuzzing.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzBagDecode -fuzztime=10s ./internal/ros/
-	$(GO) test -run=NONE -fuzz=FuzzBagRoundTrip -fuzztime=10s ./internal/ros/
-	$(GO) test -run=NONE -fuzz=FuzzRingPushPop -fuzztime=10s ./internal/ros/
-	$(GO) test -run=NONE -fuzz=FuzzGuardValidate -fuzztime=10s ./internal/guard/
-	$(GO) test -run=NONE -fuzz=FuzzScenarioParams -fuzztime=10s ./internal/world/
-	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=10s ./internal/journal/
-	$(GO) test -run=NONE -fuzz=FuzzFleetReplay -fuzztime=10s ./internal/fleet/
+	$(GO) test -run=NONE -fuzz=FuzzBagDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/ros/
+	$(GO) test -run=NONE -fuzz=FuzzBagRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/ros/
+	$(GO) test -run=NONE -fuzz=FuzzRingPushPop -fuzztime=10s -fuzzminimizetime=1s ./internal/ros/
+	$(GO) test -run=NONE -fuzz=FuzzGuardValidate -fuzztime=10s -fuzzminimizetime=1s ./internal/guard/
+	$(GO) test -run=NONE -fuzz=FuzzScenarioParams -fuzztime=10s -fuzzminimizetime=1s ./internal/world/
+	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/journal/
+	$(GO) test -run=NONE -fuzz=FuzzFleetReplay -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet/
 
 # Paper-table smoke: regenerate every table and figure, then the
 # findings, at -workers 1 and -workers 2, and fail unless the two

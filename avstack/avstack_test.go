@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/autoware"
+	"repro/internal/platform"
+	"repro/internal/sched"
 )
 
 // One shared full system per test binary; construction synthesizes the
@@ -79,9 +83,37 @@ func TestAttachLayersZeroAndInvalid(t *testing.T) {
 	if inj, err := s.AttachLayers(Layers{}); inj != nil || err != nil {
 		t.Errorf("zero Layers = %v, %v; want no injector and no error", inj, err)
 	}
-	bad := Layers{Watch: WatchdogConfig{Policies: []WatchPolicy{{Node: "n", Timeout: time.Second}}}}
+	bad := Layers{Watch: []WatchPolicy{{Node: "n", Timeout: time.Second}}}
 	if _, err := s.AttachLayers(bad); err == nil {
 		t.Error("a watch policy without a topic was accepted")
+	}
+}
+
+// TestAttachLayersShedBudget pins the shed budget the executor runs
+// with: a positive scheduler knob replaces Layers.ShedBudget, and
+// either alone is installed as set.
+func TestAttachLayersShedBudget(t *testing.T) {
+	const layers, knob = 100 * time.Millisecond, 80 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		l    Layers
+		want time.Duration
+	}{
+		{"neither", Layers{}, 0},
+		{"layers only", Layers{ShedBudget: layers}, layers},
+		{"sched only", Layers{Sched: &sched.Knobs{ShedBudget: knob}}, knob},
+		{"both, the knob wins", Layers{ShedBudget: layers, Sched: &sched.Knobs{ShedBudget: knob}}, knob},
+		{"sched without a budget", Layers{ShedBudget: layers, Sched: &sched.Knobs{}}, layers},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := &autoware.Stack{Executor: &platform.Executor{}}
+			if _, err := AttachLayers(st, tc.l); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Executor.ShedBudget; got != tc.want {
+				t.Errorf("executor ShedBudget = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -27,12 +27,12 @@ type Layers struct {
 	// ShedBudget sheds, at dispatch, any queued frame whose oldest
 	// sensor origin is older than the budget. Zero disables.
 	ShedBudget time.Duration
-	// Watch configures the graceful-degradation watchdog; no policies
-	// attaches none.
-	Watch WatchdogConfig
+	// Watch lists the graceful-degradation watchdog's policies; none
+	// attaches no watchdog.
+	Watch []WatchPolicy
 	// Sched, when non-nil, attaches the critical-path deadline scheduler
-	// with these knobs. Its QueueDepth is a build option and is not read
-	// here.
+	// with these knobs. A positive Sched.ShedBudget replaces ShedBudget.
+	// Its QueueDepth is a build option and is not read here.
 	Sched *sched.Knobs
 	// Criticality is the profile the scheduler's priority tie-break
 	// reads; nil falls back to registration order.
@@ -47,7 +47,8 @@ type Layers struct {
 //  2. supervision, whose callback filter wraps the injector's and so
 //     sees its crash verdicts — the one order that matters, since the
 //     layers' observers each see every event regardless;
-//  3. the shed budget;
+//  3. the shed budget: the scheduler knobs' when positive, else
+//     ShedBudget;
 //  4. the watchdog;
 //  5. the scheduler, which picks only among the dispatches every layer
 //     above let stand.
@@ -70,10 +71,14 @@ func AttachLayers(stack *autoware.Stack, l Layers) (*faults.Injector, error) {
 		}
 		sup.Attach(stack.Executor, stack.Recorder)
 	}
-	if l.ShedBudget > 0 {
-		stack.Executor.ShedBudget = l.ShedBudget
+	budget := l.ShedBudget
+	if l.Sched != nil && l.Sched.ShedBudget > 0 {
+		budget = l.Sched.ShedBudget
 	}
-	if len(l.Watch.Policies) > 0 {
+	if budget > 0 {
+		stack.Executor.ShedBudget = budget
+	}
+	if len(l.Watch) > 0 {
 		if err := attachWatchdog(stack, l.Watch); err != nil {
 			return nil, err
 		}
@@ -94,18 +99,16 @@ func defaultSupervision(stack *autoware.Stack, seed uint64) supervise.Config {
 	cfg := supervise.Config{Seed: seed}
 	if stack.Tracker != nil {
 		cfg.Policies = append(cfg.Policies, supervise.Policy{
-			Node:            autoware.TrackerNodeName,
-			Topic:           tracking.TopicObjects,
-			LivenessTimeout: time.Second,
-			Checkpoint:      stack.Tracker,
+			Node:       autoware.TrackerNodeName,
+			Topic:      tracking.TopicObjects,
+			Checkpoint: stack.Tracker,
 		})
 	}
 	if stack.NDT != nil {
 		cfg.Policies = append(cfg.Policies, supervise.Policy{
-			Node:            autoware.LocalizerNodeName,
-			Topic:           localization.TopicCurrentPose,
-			LivenessTimeout: time.Second,
-			Checkpoint:      stack.NDT,
+			Node:       autoware.LocalizerNodeName,
+			Topic:      localization.TopicCurrentPose,
+			Checkpoint: stack.NDT,
 		})
 	}
 	return cfg

@@ -8,26 +8,18 @@ import (
 	"repro/internal/platform"
 )
 
-// FallbackPolicy selects what the watchdog does while a watched node's
-// output is stale.
-type FallbackPolicy string
+// watchPeriod is the watchdog's staleness check and substitution
+// cadence.
+const watchPeriod = 100 * time.Millisecond
 
-// Fallback policies.
-const (
-	// FallbackLastGood republishes the last fresh output each check
-	// period, keeping downstream consumers fed with (flagged) stale data.
-	FallbackLastGood FallbackPolicy = "last-good"
-	// FallbackSkipFrame publishes nothing: downstream consumers skip the
-	// frames, and the degraded interval records the outage.
-	FallbackSkipFrame FallbackPolicy = "skip-frame"
-	// FallbackDegrade publishes the output of a cheaper path derived
-	// from the last fresh output (Degrade hook; last-good when nil).
-	FallbackDegrade FallbackPolicy = "degrade"
-)
+// fallbackLastGood names the watchdog's one fallback in degraded
+// intervals: republish the last fresh output each check period, keeping
+// downstream consumers fed with (flagged) stale data.
+const fallbackLastGood = "last-good"
 
 // WatchPolicy declares graceful degradation for one node: which output
-// topic to watch for staleness, when to consider it stale, and what to
-// substitute while it is.
+// topic to watch for staleness and when to consider it stale. While it
+// is, the watchdog republishes the topic's last fresh output.
 type WatchPolicy struct {
 	// Node names the watched node (reporting key).
 	Node string
@@ -36,30 +28,14 @@ type WatchPolicy struct {
 	// Timeout declares the output stale when no fresh publication
 	// arrived for this long.
 	Timeout time.Duration
-	// Policy selects the fallback behavior.
-	Policy FallbackPolicy
-	// Degrade derives the cheaper-path output from the last fresh
-	// payload (FallbackDegrade only). Nil falls back to the payload
-	// itself.
-	Degrade func(lastGood any) any
-}
-
-// WatchdogConfig configures the degradation layer.
-type WatchdogConfig struct {
-	// Period is the staleness check (and substitution) cadence.
-	// Defaults to 100 ms.
-	Period time.Duration
-	// Policies lists the watched nodes.
-	Policies []WatchPolicy
 }
 
 // watchdog is the graceful-degradation layer: it detects stale node
-// outputs via header stamps, applies per-node fallback policies while
+// outputs via header stamps, republishes the last fresh output while
 // the fault persists, and records recovery once fresh output resumes.
 // Degraded intervals are surfaced through the stack's trace recorder.
 type watchdog struct {
 	stack  *autoware.Stack
-	period time.Duration
 	states []*watchState
 }
 
@@ -79,13 +55,9 @@ type watchState struct {
 // attachWatchdog builds the layer over a stack, observes the executor's
 // Published events and starts the periodic staleness check. A policy
 // without a node, topic or timeout is an error.
-func attachWatchdog(stack *autoware.Stack, cfg WatchdogConfig) error {
-	period := cfg.Period
-	if period <= 0 {
-		period = 100 * time.Millisecond
-	}
-	w := &watchdog{stack: stack, period: period}
-	for i, p := range cfg.Policies {
+func attachWatchdog(stack *autoware.Stack, policies []WatchPolicy) error {
+	w := &watchdog{stack: stack}
+	for i, p := range policies {
 		if p.Node == "" || p.Topic == "" || p.Timeout <= 0 {
 			return fmt.Errorf("avstack: watch policy %d needs node, topic and timeout", i)
 		}
@@ -95,7 +67,7 @@ func attachWatchdog(stack *autoware.Stack, cfg WatchdogConfig) error {
 		})
 	}
 	stack.Executor.Observe(w.observe)
-	stack.Sim.After(w.period, w.tick)
+	stack.Sim.After(watchPeriod, w.tick)
 	return nil
 }
 
@@ -137,7 +109,7 @@ func (w *watchdog) tick() {
 		case stale:
 			if !st.degraded {
 				st.degraded = true
-				rec.OnDegrade(st.policy.Node, string(st.policy.Policy), now)
+				rec.OnDegrade(st.policy.Node, fallbackLastGood, now)
 			}
 			w.substitute(st)
 		case st.degraded:
@@ -145,20 +117,16 @@ func (w *watchdog) tick() {
 			rec.OnRecover(st.policy.Node, now)
 		}
 	}
-	w.stack.Sim.After(w.period, w.tick)
+	w.stack.Sim.After(watchPeriod, w.tick)
 }
 
-// substitute publishes one fallback output per check period while
-// degraded (except under skip-frame, which stays silent).
+// substitute republishes the last fresh output once per check period
+// while degraded.
 func (w *watchdog) substitute(st *watchState) {
-	if st.policy.Policy == FallbackSkipFrame || st.lastGood == nil {
+	if st.lastGood == nil {
 		return
 	}
-	payload := st.lastGood
-	if st.policy.Policy == FallbackDegrade && st.policy.Degrade != nil {
-		payload = st.policy.Degrade(st.lastGood)
-	}
-	st.pending[payload]++
-	w.stack.Executor.Publish(st.policy.Topic, payload)
+	st.pending[st.lastGood]++
+	w.stack.Executor.Publish(st.policy.Topic, st.lastGood)
 	w.stack.Recorder.OnSubstitute(st.policy.Node)
 }

@@ -149,7 +149,7 @@ func main() {
 		Faults:     spec.Schedule(),
 		Supervise:  *supervise || spec.Supervise,
 		ShedBudget: *shed,
-		Watch:      avstack.WatchdogConfig{Period: spec.WatchPeriod, Policies: spec.Watch},
+		Watch:      spec.Watch,
 	}
 	if layers.ShedBudget == 0 {
 		layers.ShedBudget = spec.ShedBudget

@@ -406,7 +406,7 @@ func New(cfg Config) (*Service, error) {
 	cfg.fill()
 	s := &Service{
 		cfg:       cfg,
-		pool:      parallel.NewPool(cfg.Workers, 0),
+		pool:      parallel.NewPool(cfg.Workers),
 		sem:       make(chan struct{}, cfg.Workers),
 		records:   make(map[int64]*Record),
 		state:     LadderNominal,
@@ -892,7 +892,10 @@ func (s *Service) driftingLocked() bool {
 
 // reladderLocked re-evaluates the degradation ladder from queue
 // occupancy and latency drift, with hysteresis, and applies the
-// shedding state's queue eviction. Callers hold s.mu.
+// shedding state's queue eviction. An eviction changes occupancy, so
+// the ladder is evaluated once more after it: a queue the eviction
+// emptied leaves shedding unless drift still holds it there. Callers
+// hold s.mu.
 func (s *Service) reladderLocked() {
 	occ := float64(s.queue.Len()) / float64(s.cfg.QueueDepth)
 	drift := s.driftingLocked()
@@ -906,16 +909,19 @@ func (s *Service) reladderLocked() {
 	case occ <= s.cfg.LowWater && !drift:
 		s.state = LadderNominal
 	}
-	if s.state == LadderShedding {
-		s.shedQueuedLocked()
+	if s.state == LadderShedding && s.shedQueuedLocked() > 0 {
+		s.reladderLocked()
 	}
 }
 
-// shedQueuedLocked evicts queued jobs below the shed-priority floor.
-func (s *Service) shedQueuedLocked() {
-	for _, rec := range s.queue.evictBelow(shedPriority) {
+// shedQueuedLocked evicts queued jobs below the shed-priority floor and
+// returns how many it evicted.
+func (s *Service) shedQueuedLocked() int {
+	shed := s.queue.evictBelow(shedPriority)
+	for _, rec := range shed {
 		s.commitLocked(endEntry(rec, opShed, nil, ErrJobShed), true)
 	}
+	return len(shed)
 }
 
 // jobHeap orders pending jobs by (priority desc, ID asc).

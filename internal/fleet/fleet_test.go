@@ -429,18 +429,18 @@ func TestFleetLadder(t *testing.T) {
 // TestFleetLadderDefaultMarks pins overload under the default water
 // marks (shed at 3/4 of QueueDepth, drain at 0.95): the ladder answers
 // before the queue is full, so ErrFleetSaturated never shows. With one
-// job running and eight slots, six best-effort submissions are
-// admitted; the sixth reaches the shed mark, all six are evicted, and
-// later best-effort work is refused with ErrFleetShedding (a 429).
-// Protected work fills all eight slots; the eighth enters draining, and
-// later work is refused with ErrFleetDraining (a 503).
+// job running and eight slots, every sixth best-effort submission
+// reaches the shed mark and all six queued are evicted; the emptied
+// queue takes the ladder back to nominal, so all twelve are admitted
+// and shed. Protected work fills all eight slots; the eighth enters
+// draining, and later work is refused with ErrFleetDraining (a 503).
 func TestFleetLadderDefaultMarks(t *testing.T) {
 	for _, tc := range []struct {
 		priority, admitted int
 		refusal            error
 		final              JobState
 	}{
-		{priority: 0, admitted: 6, refusal: ErrFleetShedding, final: StateShed},
+		{priority: 0, admitted: 12, final: StateShed},
 		{priority: 1, admitted: 8, refusal: ErrFleetDraining, final: StateDone},
 	} {
 		gate := make(chan struct{})
@@ -466,6 +466,46 @@ func TestFleetLadderDefaultMarks(t *testing.T) {
 			}
 		}
 		svc.Close()
+	}
+}
+
+// TestFleetLadderNominalAfterEviction pins the ladder right after a
+// shedding eviction empties the queue: with one job running and eight
+// slots, the sixth best-effort submission reaches the shed mark and all
+// six are evicted. With nothing queued and no drift the ladder is back
+// at nominal, so the next best-effort submission is admitted and runs.
+func TestFleetLadderNominalAfterEviction(t *testing.T) {
+	gate := make(chan struct{})
+	svc := mustNew(t, Config{Workers: 1, QueueDepth: 8, Resolve: passResolve, Runner: deterministicRunner("hold", gate)})
+	released := false
+	defer func() {
+		if !released {
+			close(gate)
+		}
+		svc.Close()
+	}()
+	hold := submit(t, svc, Job{Tenant: "t", Priority: 1, Scenario: "hold"})
+	waitState(t, svc, hold.ID, StateRunning)
+	var evicted []int64
+	for i := 0; i < 6; i++ {
+		evicted = append(evicted, submit(t, svc, Job{Tenant: "t", Scenario: fmt.Sprintf("j%d", i)}).ID)
+	}
+	for _, id := range evicted {
+		if rec := waitDone(t, svc, id); rec.State != StateShed {
+			t.Errorf("job %d: state %s, want %s", id, rec.State, StateShed)
+		}
+	}
+	if got := svc.State(); got != LadderNominal {
+		t.Errorf("ladder %s over an empty queue, want %s", got, LadderNominal)
+	}
+	after, err := svc.Submit(Job{Tenant: "t", Scenario: "after"})
+	if err != nil {
+		t.Fatalf("best-effort submission after the eviction: %v, want admitted", err)
+	}
+	close(gate)
+	released = true
+	if rec := waitDone(t, svc, after.ID); rec.State != StateDone {
+		t.Errorf("job after the eviction: state %s, want %s", rec.State, StateDone)
 	}
 }
 

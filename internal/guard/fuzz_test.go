@@ -54,7 +54,7 @@ func payloadFromBytes(data []byte) (cloud *msgs.PointCloud, dets *msgs.DetectedO
 }
 
 // FuzzGuardValidate feeds arbitrary bit patterns through the validator
-// registry and the full guard pipeline. Invariants: no validator ever
+// map and the full guard pipeline. Invariants: no validator ever
 // panics, every Inspect returns a verdict whose Quarantine flag and
 // Cause agree, and a payload the validators reject is always
 // quarantined with CauseMalformed regardless of its stamp.
@@ -108,7 +108,7 @@ func FuzzGuardValidate(f *testing.F) {
 			if v.Quarantine != (v.Cause != "") {
 				t.Fatalf("inconsistent verdict on %s: %+v", in.topic, v)
 			}
-			if in.bad && g.cfg.Validators.For(in.topic) != nil {
+			if in.bad && validators[in.topic] != nil {
 				if !v.Quarantine || v.Cause != CauseMalformed {
 					t.Fatalf("invalid payload on %s escaped: %+v", in.topic, v)
 				}

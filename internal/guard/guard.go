@@ -52,49 +52,32 @@ const (
 // PointIngress names the guard's detection point in integrity traces.
 const PointIngress = "ingress"
 
-// Config tunes the guard.
-type Config struct {
-	// Holdback bounds tolerated reordering: a stamp within Holdback of
+// Time-sanitization bounds. Every guarded stack runs with these values.
+const (
+	// holdback bounds tolerated reordering: a stamp within holdback of
 	// the topic's newest accepted stamp is admitted late (counted as
 	// reordered); older than that is quarantined as a rewind.
-	// Default 150ms.
-	Holdback time.Duration
-	// FutureTolerance bounds how far ahead of arrival time a stamp may
-	// run before it is quarantined. Default 10ms.
-	FutureTolerance time.Duration
-	// DupWindow is how many recent stamps per topic are remembered for
-	// duplicate detection. Default 32.
-	DupWindow int
-	// Validators maps topics to payload validators; nil uses
-	// DefaultRegistry. Topics without a validator skip payload checks
-	// but still get time sanitization.
-	Validators *Registry
-}
+	holdback = 150 * time.Millisecond
+	// futureTolerance bounds how far ahead of arrival time a stamp may
+	// run before it is quarantined.
+	futureTolerance = 10 * time.Millisecond
+	// dupWindow is how many recent stamps per topic are remembered for
+	// duplicate detection.
+	dupWindow = 32
+)
 
-func (c Config) withDefaults() Config {
-	if c.Holdback <= 0 {
-		c.Holdback = 150 * time.Millisecond
-	}
-	if c.FutureTolerance <= 0 {
-		c.FutureTolerance = 10 * time.Millisecond
-	}
-	if c.DupWindow <= 0 {
-		c.DupWindow = 32
-	}
-	if c.Validators == nil {
-		c.Validators = DefaultRegistry()
-	}
-	return c
-}
+// Config has no fields: the guard has no settings. It stays only
+// because cmd/bench calls New(Config{}); a later benchmark change drops
+// the argument and deletes this type.
+type Config struct{}
 
 // topicClock is the per-topic clock model: the newest accepted stamp
-// (high-water mark), an EWMA of the inter-arrival period, and a ring
-// of recent stamps for duplicate detection.
+// (high-water mark) and a ring of recent stamps for duplicate
+// detection.
 type topicClock struct {
 	head     time.Duration // newest accepted stamp
-	period   float64       // EWMA inter-arrival, seconds
 	seen     uint64        // accepted frames
-	recent   []time.Duration
+	recent   [dupWindow]time.Duration
 	recentN  int // valid entries in recent
 	recentAt int // next ring slot
 }
@@ -131,7 +114,6 @@ type causeKey struct {
 // payload validation or time sanitization. Create with New, wire with
 // Attach.
 type Guard struct {
-	cfg    Config
 	clocks map[string]*topicClock
 	counts map[causeKey]int
 
@@ -140,10 +122,9 @@ type Guard struct {
 	reordered   uint64
 }
 
-// New creates a guard; zero-value fields of cfg take defaults.
-func New(cfg Config) *Guard {
+// New creates a guard.
+func New(Config) *Guard {
 	return &Guard{
-		cfg:    cfg.withDefaults(),
 		clocks: make(map[string]*topicClock),
 		counts: make(map[causeKey]int),
 	}
@@ -157,7 +138,7 @@ func (g *Guard) Attach(ex *platform.Executor) { ex.IngressFilter = g.Inspect }
 // both malformed and mistimed is attributed to the corruption, which
 // is the root cause.
 func (g *Guard) Inspect(topic string, stamp time.Duration, payload any, now time.Duration) platform.IngressVerdict {
-	if v := g.cfg.Validators.For(topic); v != nil {
+	if v := validators[topic]; v != nil {
 		if err := v(payload); err != nil {
 			return g.quarantine(topic, CauseMalformed)
 		}
@@ -165,32 +146,24 @@ func (g *Guard) Inspect(topic string, stamp time.Duration, payload any, now time
 
 	tc := g.clocks[topic]
 	if tc == nil {
-		tc = &topicClock{recent: make([]time.Duration, g.cfg.DupWindow)}
+		tc = &topicClock{}
 		g.clocks[topic] = tc
 	}
 
-	if stamp > now+g.cfg.FutureTolerance {
+	if stamp > now+futureTolerance {
 		return g.quarantine(topic, CauseFutureStamp)
 	}
 	if tc.isDuplicate(stamp) {
 		return g.quarantine(topic, CauseDuplicate)
 	}
 	if tc.seen > 0 && stamp < tc.head {
-		if tc.head-stamp > g.cfg.Holdback {
+		if tc.head-stamp > holdback {
 			return g.quarantine(topic, CauseStampRewind)
 		}
 		// Late but within holdback: admit without advancing the
 		// high-water mark, like a reorder buffer releasing a straggler.
 		g.reordered++
 	} else {
-		if tc.seen > 0 && stamp > tc.head {
-			dt := (stamp - tc.head).Seconds()
-			if tc.period == 0 {
-				tc.period = dt
-			} else {
-				tc.period += 0.125 * (dt - tc.period)
-			}
-		}
 		tc.head = stamp
 	}
 	tc.seen++
@@ -229,14 +202,4 @@ func (g *Guard) Counts() []CauseCount {
 		return out[i].Cause < out[j].Cause
 	})
 	return out
-}
-
-// Period returns the EWMA inter-arrival period the clock model holds
-// for a topic, zero before two in-order frames arrived.
-func (g *Guard) Period(topic string) time.Duration {
-	tc := g.clocks[topic]
-	if tc == nil {
-		return 0
-	}
-	return time.Duration(tc.period * float64(time.Second))
 }

@@ -51,59 +51,30 @@ var (
 // float, not a real surface.
 const MaxAbsCoord = 1e6
 
-// Registry maps topics to validators.
-type Registry struct {
-	byTopic map[string]Validator
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byTopic: make(map[string]Validator)}
-}
-
-// Register installs (or replaces) the validator for a topic. A nil
-// validator removes the entry.
-func (r *Registry) Register(topic string, v Validator) {
-	if v == nil {
-		delete(r.byTopic, topic)
-		return
-	}
-	r.byTopic[topic] = v
-}
-
-// For returns the validator for a topic, nil when none is registered.
-func (r *Registry) For(topic string) Validator {
-	return r.byTopic[topic]
-}
-
-// DefaultRegistry wires every topic of the Autoware-style graph to its
+// validators wires every topic of the Autoware-style graph to its
 // payload validator: clouds on the LiDAR chain, images, object arrays
 // on the detection/tracking chain, poses and nav sensors on the
-// localization chain, grids, lanes and twists downstream.
-func DefaultRegistry() *Registry {
-	r := NewRegistry()
-	for _, t := range []string{
-		filters.TopicPointsRaw, filters.TopicFilteredPoints,
-		filters.TopicPointsGround, filters.TopicPointsNoGround,
-	} {
-		r.Register(t, ValidatePointCloud)
-	}
-	r.Register(visiondet.TopicImageRaw, ValidateImage)
-	for _, t := range []string{
-		lidardet.TopicObjects, fusion.TopicObjects,
-		tracking.TopicObjects, prediction.TopicPredictedObjects,
-	} {
-		r.Register(t, ValidateDetections)
-	}
-	r.Register(localization.TopicCurrentPose, ValidatePose)
-	r.Register(localization.TopicGNSS, ValidateGNSS)
-	r.Register(localization.TopicIMU, ValidateIMU)
-	r.Register(costmap.TopicObjectsCostmap, ValidateGrid)
-	r.Register(planning.TopicGlobalRoute, ValidateLanes)
-	r.Register(planning.TopicLocalPath, ValidateLanes)
-	r.Register(motion.TopicTwistRaw, ValidateTwist)
-	r.Register(motion.TopicTwistCmd, ValidateTwist)
-	return r
+// localization chain, grids, lanes and twists downstream. Topics
+// without a validator skip payload checks but still get time
+// sanitization.
+var validators = map[string]Validator{
+	filters.TopicPointsRaw:           ValidatePointCloud,
+	filters.TopicFilteredPoints:      ValidatePointCloud,
+	filters.TopicPointsGround:        ValidatePointCloud,
+	filters.TopicPointsNoGround:      ValidatePointCloud,
+	visiondet.TopicImageRaw:          ValidateImage,
+	lidardet.TopicObjects:            ValidateDetections,
+	fusion.TopicObjects:              ValidateDetections,
+	tracking.TopicObjects:            ValidateDetections,
+	prediction.TopicPredictedObjects: ValidateDetections,
+	localization.TopicCurrentPose:    ValidatePose,
+	localization.TopicGNSS:           ValidateGNSS,
+	localization.TopicIMU:            ValidateIMU,
+	costmap.TopicObjectsCostmap:      ValidateGrid,
+	planning.TopicGlobalRoute:        ValidateLanes,
+	planning.TopicLocalPath:          ValidateLanes,
+	motion.TopicTwistRaw:             ValidateTwist,
+	motion.TopicTwistCmd:             ValidateTwist,
 }
 
 // ValidatePointCloud rejects clouds with non-finite or physically

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestTasksCapturesPanicAmongHealthyTasks is the pool-survival
@@ -71,7 +70,7 @@ func TestFirstErrorSurfacesPanicDeterministically(t *testing.T) {
 // ones to a live pool: the panic arrives as that task's error, the
 // workers stay up for later submissions, and the panic counter ticks.
 func TestPoolSurvivesPanickingTask(t *testing.T) {
-	p := NewPool(2, 8)
+	p := NewPool(2)
 	defer p.Close()
 
 	var dones []<-chan error
@@ -115,46 +114,12 @@ func TestPoolSurvivesPanickingTask(t *testing.T) {
 	}
 }
 
-// TestPoolTrySubmitSaturation fills the queue behind a blocked worker
-// and demands the explicit rejection signal, not unbounded buffering.
-func TestPoolTrySubmitSaturation(t *testing.T) {
-	p := NewPool(1, 1)
-	defer p.Close()
-
-	release := make(chan struct{})
-	blocker, err := p.Submit(func() error { <-release; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the worker to pick the blocker up, then fill the queue.
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Queued() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the blocking task")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := p.TrySubmit(func() error { return nil }); err != nil {
-		t.Fatalf("first queued TrySubmit: %v", err)
-	}
-	if _, err := p.TrySubmit(func() error { return nil }); !errors.Is(err, ErrPoolSaturated) {
-		t.Fatalf("saturated TrySubmit = %v, want ErrPoolSaturated", err)
-	}
-	close(release)
-	if err := <-blocker; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPoolCloseRejectsNewWork pins the post-Close contract.
 func TestPoolCloseRejectsNewWork(t *testing.T) {
-	p := NewPool(1, 0)
+	p := NewPool(1)
 	p.Close()
 	if _, err := p.Submit(func() error { return nil }); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrPoolClosed", err)
-	}
-	if _, err := p.TrySubmit(func() error { return nil }); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("TrySubmit after Close = %v, want ErrPoolClosed", err)
 	}
 	p.Close() // idempotent
 }

@@ -64,9 +64,6 @@ type SchedPolicy interface {
 	// Priority returns the node's criticality (higher = more critical);
 	// it breaks ties between candidates with equal deadlines.
 	Priority(node string) float64
-	// NodeShedBudget returns the per-node deadline-shedding budget. A
-	// zero return falls back to the executor's global ShedBudget.
-	NodeShedBudget(node string) time.Duration
 	// MaxInflight caps how many callbacks may be CPU-resident at once
 	// (0 = uncapped). The cap applies at admission; a callback releases
 	// its slot at the CPU/GPU pipeline boundary (the preemption point),
@@ -84,11 +81,6 @@ type Executor struct {
 	GPU    *GPU
 	Bus    *ros.Bus
 	Jitter *Jitter
-
-	// CommBandwidth models intra-host message transport, bytes/second.
-	CommBandwidth float64
-	// CommLatency is the fixed per-message transport cost.
-	CommLatency time.Duration
 
 	runtimes  map[string]*nodeRuntime
 	order     []string // registration order for deterministic dispatch
@@ -225,9 +217,7 @@ type CallbackVerdict struct {
 func NewExecutor(sim *Sim, cpu *CPU, gpu *GPU, bus *ros.Bus, jit *Jitter) *Executor {
 	return &Executor{
 		Sim: sim, CPU: cpu, GPU: gpu, Bus: bus, Jitter: jit,
-		CommBandwidth: 8e9,
-		CommLatency:   40 * time.Microsecond,
-		runtimes:      make(map[string]*nodeRuntime),
+		runtimes: make(map[string]*nodeRuntime),
 	}
 }
 
@@ -248,9 +238,16 @@ func (e *Executor) AddNode(n ros.Node, opts NodeOptions) {
 	e.order = append(e.order, n.Name())
 }
 
+// Intra-host message transport: a fixed per-message cost plus the
+// payload's bytes at commBandwidth bytes/second.
+const (
+	commLatency   = 40 * time.Microsecond
+	commBandwidth = 8e9
+)
+
 // commDelay models message transport for a payload.
-func (e *Executor) commDelay(payload any) time.Duration {
-	return e.CommLatency + time.Duration(PayloadBytes(payload)/e.CommBandwidth*float64(time.Second))
+func commDelay(payload any) time.Duration {
+	return commLatency + time.Duration(PayloadBytes(payload)/commBandwidth*float64(time.Second))
 }
 
 // PayloadBytes estimates the serialized size of a payload, for the
@@ -291,7 +288,7 @@ func (e *Executor) Publish(topic string, payload any) {
 
 // deliver performs the delayed enqueue + dispatch for one publication.
 func (e *Executor) deliver(topic string, stamp time.Duration, payload any, origins []ros.Origin) {
-	delay := e.commDelay(payload)
+	delay := commDelay(payload)
 	copies := 0
 	if e.PublishFilter != nil {
 		v := e.PublishFilter(topic, payload, e.Sim.Now())
@@ -474,22 +471,16 @@ func (e *Executor) tryDispatch(rt *nodeRuntime) {
 }
 
 // start is the dispatch tail both dispatchers share, run on an input
-// just popped for an idle node: the deadline shed check (against the
-// scheduler's per-node budget when it sets one, else ShedBudget), then
-// the callback filter's crash-drop and stall verdicts, then the
-// callback. The popped message carries the queue's reference, and
-// every path ends in exactly one Release: here for shed and crash-drop
-// verdicts, which leave the node idle, in completeCallback once a
-// callback ran. A stall marks the node busy until the callback runs.
+// just popped for an idle node: the deadline shed check against
+// ShedBudget, then the callback filter's crash-drop and stall
+// verdicts, then the callback. The popped message carries the queue's
+// reference, and every path ends in exactly one Release: here for shed
+// and crash-drop verdicts, which leave the node idle, in
+// completeCallback once a callback ran. A stall marks the node busy
+// until the callback runs.
 func (e *Executor) start(rt *nodeRuntime, msg *ros.Message) {
 	name := rt.node.Name()
-	budget := e.ShedBudget
-	if e.Sched != nil {
-		if b := e.Sched.NodeShedBudget(name); b > 0 {
-			budget = b
-		}
-	}
-	if budget > 0 && e.overBudget(msg, budget) {
+	if e.ShedBudget > 0 && e.overBudget(msg) {
 		e.Bus.RecordShed(msg.Topic)
 		msg.Release()
 		return
@@ -511,12 +502,11 @@ func (e *Executor) start(rt *nodeRuntime, msg *ros.Message) {
 }
 
 // overBudget reports whether a message's oldest sensor origin already
-// exceeds the given shedding budget. Messages without origin lineage
-// are never shed.
-func (e *Executor) overBudget(m *ros.Message, budget time.Duration) bool {
+// exceeds ShedBudget. Messages without origin lineage are never shed.
+func (e *Executor) overBudget(m *ros.Message) bool {
 	now := e.Sim.Now()
 	for _, o := range m.Header.Origins {
-		if now-o.Stamp > budget {
+		if now-o.Stamp > e.ShedBudget {
 			return true
 		}
 	}

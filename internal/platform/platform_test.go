@@ -451,9 +451,8 @@ func TestExecutorProcessesOldestStampFirst(t *testing.T) {
 }
 
 func TestExecutorCommDelayScalesWithPayload(t *testing.T) {
-	ex, _ := newTestExecutor()
-	small := ex.commDelay("tiny")
-	big := ex.commDelay(&msgs.OccupancyGrid{Data: make([]int8, 1<<20)})
+	small := commDelay("tiny")
+	big := commDelay(&msgs.OccupancyGrid{Data: make([]int8, 1<<20)})
 	if big <= small {
 		t.Errorf("large payload should take longer: %v vs %v", big, small)
 	}

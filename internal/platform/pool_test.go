@@ -33,19 +33,11 @@ func (sinkNode) Process(in *ros.Message, now time.Duration) ros.Result {
 }
 
 // stubPolicy switches the executor to the deadline (EDF) dispatcher
-// with flat priorities, one CPU-resident callback at a time, and an
-// optional per-node shed budget for the relay.
-type stubPolicy struct{ relayShed time.Duration }
+// with flat priorities and one CPU-resident callback at a time.
+type stubPolicy struct{}
 
 func (stubPolicy) Priority(string) float64 { return 0 }
-func (p stubPolicy) NodeShedBudget(node string) time.Duration {
-	if node == "relay" {
-		return p.relayShed
-	}
-	return 0
-}
-
-func (stubPolicy) MaxInflight() int { return 1 }
+func (stubPolicy) MaxInflight() int        { return 1 }
 
 // TestExecutorPoolDrainsToZero runs a finite burst through a two-node
 // chain and lets the simulation drain completely, on both dispatchers
@@ -73,12 +65,10 @@ func TestExecutorPoolDrainsToZero(t *testing.T) {
 				ex.AddNode(relayNode{}, NodeOptions{})
 				ex.AddNode(sinkNode{}, NodeOptions{})
 
-				switch {
-				case edf && v == "shed":
-					ex.Sched = stubPolicy{relayShed: shedBudget}
-				case edf:
+				if edf {
 					ex.Sched = stubPolicy{}
-				case v == "shed":
+				}
+				if v == "shed" {
 					ex.ShedBudget = shedBudget
 				}
 				var relayInputs, filterDrops, stalls int

@@ -41,8 +41,6 @@ type Spec struct {
 	// Watch lists the graceful-degradation policies to install on the
 	// faulted run (the baseline never needs them).
 	Watch []avstack.WatchPolicy
-	// WatchPeriod overrides the watchdog check cadence (default 100 ms).
-	WatchPeriod time.Duration
 	// Supervise attaches the default supervision layer (restart with
 	// backoff + checkpoint restore) to the faulted run, seeded from Seed.
 	Supervise bool
@@ -174,7 +172,6 @@ func builtins() []Spec {
 				Node:    autoware.VisionNodeName,
 				Topic:   visionObjectsTopic,
 				Timeout: 400 * time.Millisecond,
-				Policy:  avstack.FallbackLastGood,
 			}},
 		},
 		{
@@ -458,7 +455,7 @@ func runFaulted(ctx context.Context, scen *world.Scenario, m *hdmap.Map, spec Sp
 		Faults:      spec.Schedule(),
 		Supervise:   spec.Supervise,
 		ShedBudget:  spec.ShedBudget,
-		Watch:       avstack.WatchdogConfig{Period: spec.WatchPeriod, Policies: spec.Watch},
+		Watch:       spec.Watch,
 		Sched:       spec.Sched,
 		Criticality: crit,
 	})

@@ -200,8 +200,9 @@ func TestCrashRecoverBoundedRecovery(t *testing.T) {
 	if o.Detected < fault.Start || o.Detected > fault.Start+500*time.Millisecond {
 		t.Errorf("detected at %v, want within 500ms of %v", o.Detected, fault.Start)
 	}
-	// Bounded recovery: the final backoff is at most BackoffMax plus
-	// jitter (2.5 s), plus one dispatch — well under 3 s past the fault.
+	// Bounded recovery: the final backoff is at most the supervisor's
+	// 2 s cap plus its 25% jitter (2.5 s), plus one dispatch — well under
+	// 3 s past the fault.
 	if o.Recovered <= fault.End() || o.Recovered > fault.End()+3*time.Second {
 		t.Errorf("recovered at %v, want within 3s after the fault cleared at %v", o.Recovered, fault.End())
 	}

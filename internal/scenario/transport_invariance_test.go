@@ -43,7 +43,7 @@ func TestTransportRepeatable(t *testing.T) {
 
 // TestSchedRepeatable extends the determinism contract to the deadline
 // scheduler: two runs of the contention-tuned scenario — EDF pick,
-// criticality tie-breaks, per-node shedding and the admission cap all
+// criticality tie-breaks, deadline shedding and the admission cap all
 // active — each on a fresh clean-leg memo, so the clean leg whose
 // chains set the priorities reruns too, must produce a bit-exact
 // latency fingerprint. The scheduler reads only virtual-time state, so

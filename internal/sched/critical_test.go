@@ -258,12 +258,9 @@ func TestPolicyKnobs(t *testing.T) {
 	}
 	crit := Analyze([]trace.Chain{chain})
 
-	p := NewPolicy(crit, Knobs{UsePriorities: true, ShedBudget: ms(80), MaxInflight: 3})
+	p := NewPolicy(crit, Knobs{UsePriorities: true, MaxInflight: 3})
 	if p.Priority("B") <= 0 {
 		t.Errorf("priorities enabled but Priority(B) = %v", p.Priority("B"))
-	}
-	if got := p.NodeShedBudget("B"); got != ms(80) {
-		t.Errorf("NodeShedBudget = %v, want 80ms", got)
 	}
 	if p.MaxInflight() != 3 {
 		t.Errorf("MaxInflight = %d, want 3", p.MaxInflight())
@@ -273,8 +270,8 @@ func TestPolicyKnobs(t *testing.T) {
 	if off.Priority("B") != 0 {
 		t.Errorf("priorities disabled but Priority(B) = %v", off.Priority("B"))
 	}
-	if off.NodeShedBudget("B") != 0 || off.MaxInflight() != 0 {
-		t.Errorf("zero knobs leaked: shed=%v cap=%d", off.NodeShedBudget("B"), off.MaxInflight())
+	if off.MaxInflight() != 0 {
+		t.Errorf("zero knobs leaked: cap=%d", off.MaxInflight())
 	}
 	if nilCrit := NewPolicy(nil, Knobs{UsePriorities: true}); nilCrit.Priority("B") != 0 {
 		t.Errorf("nil criticality but Priority(B) = %v", nilCrit.Priority("B"))

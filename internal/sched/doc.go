@@ -11,8 +11,9 @@
 // comes from the drive that actually ran, not hand tuning. Policy turns
 // a Criticality profile plus a Knobs setting into the executor's
 // SchedPolicy: earliest-origin-deadline dispatch with criticality
-// tie-breaks, per-node deadline-shedding budgets, and a CPU admission
-// cap whose slot frees at the CPU/GPU pipeline boundary. Tune runs a
+// tie-breaks and a CPU admission cap whose slot frees at the CPU/GPU
+// pipeline boundary. A knob setting's shed budget is one budget for
+// every node, installed as the executor's ShedBudget. Tune runs a
 // deterministic seeded search over the knob space (priorities on/off,
 // shed budget, inflight cap, detector queue depth) and picks the
 // candidate minimizing end-to-end p99, rejecting any that guts the

@@ -4,9 +4,9 @@ import (
 	"time"
 )
 
-// Knobs is the tunable configuration a Policy applies — the search space
+// Knobs is the tunable configuration of the scheduler — the search space
 // of the auto-tuner. The zero value is the identity schedule: no
-// priorities, no per-node shedding, no admission cap, stock queue depth.
+// priorities, no shedding, no admission cap, stock queue depth.
 type Knobs struct {
 	// UsePriorities enables the criticality tie-break in the executor's
 	// deadline pick. Off, ties fall through to registration order (the
@@ -14,9 +14,10 @@ type Knobs struct {
 	// baseline.
 	UsePriorities bool
 	// ShedBudget, when positive, sheds any candidate whose oldest origin
-	// is staler than this at dispatch, on every node. It generalizes the
-	// executor's global ShedBudget: frames that can no longer make the
-	// 100 ms budget are removed before they burn contended CPU time.
+	// is staler than this at dispatch, on every node: frames that can no
+	// longer make the 100 ms budget are removed before they burn
+	// contended CPU time. avstack.AttachLayers installs it as the
+	// executor's ShedBudget, in place of any Layers.ShedBudget.
 	ShedBudget time.Duration
 	// MaxInflight, when positive, caps concurrently admitted callbacks.
 	// A slot is held for the CPU phase only — it frees at the CPU/GPU
@@ -30,9 +31,10 @@ type Knobs struct {
 }
 
 // Policy implements platform.SchedPolicy from a measured Criticality
-// profile plus a Knobs setting. It is stateless at dispatch time: every
-// method is a pure read, so installing it cannot perturb virtual time
-// beyond the dispatch decisions it exists to make.
+// profile plus a Knobs setting's priorities and admission cap. It is
+// stateless at dispatch time: every method is a pure read, so
+// installing it cannot perturb virtual time beyond the dispatch
+// decisions it exists to make.
 type Policy struct {
 	crit  *Criticality
 	knobs Knobs
@@ -45,12 +47,6 @@ func NewPolicy(crit *Criticality, k Knobs) *Policy {
 	return &Policy{crit: crit, knobs: k}
 }
 
-// Knobs returns the configuration the policy was built with.
-func (p *Policy) Knobs() Knobs { return p.knobs }
-
-// Criticality returns the profile the policy was built with (may be nil).
-func (p *Policy) Criticality() *Criticality { return p.crit }
-
 // Priority returns the node's criticality share when the priority
 // tie-break is enabled, else 0 for every node (deadline order with
 // registration-order ties — still deterministic).
@@ -59,12 +55,6 @@ func (p *Policy) Priority(node string) float64 {
 		return 0
 	}
 	return p.crit.Priority(node)
-}
-
-// NodeShedBudget returns the per-node staleness budget (0 disables
-// per-node shedding and defers to the executor's global budget).
-func (p *Policy) NodeShedBudget(node string) time.Duration {
-	return p.knobs.ShedBudget
 }
 
 // MaxInflight returns the admission cap (0 = uncapped).

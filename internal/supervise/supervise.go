@@ -58,17 +58,33 @@ type Checkpointer interface {
 	Restore(snapshot any)
 }
 
+// Supervision timing. Every supervised stack runs with these values.
+const (
+	// checkPeriod is the liveness-check and checkpoint cadence.
+	checkPeriod = 100 * time.Millisecond
+	// checkpointEvery is the minimum spacing between checkpoints of a
+	// healthy node.
+	checkpointEvery = time.Second
+	// backoffBase is the first restart delay; each failed probe doubles
+	// it up to backoffMax.
+	backoffBase = 200 * time.Millisecond
+	backoffMax  = 2 * time.Second
+	// backoffJitter is the uniform extra fraction added to each delay,
+	// drawn from the node's seeded stream.
+	backoffJitter = 0.25
+	// livenessTimeout declares a node with a watched topic down when no
+	// fresh output arrived for this long.
+	livenessTimeout = time.Second
+)
+
 // Policy declares supervision for one node.
 type Policy struct {
 	// Node names the supervised node.
 	Node string
 	// Topic is the node's output topic watched for header-stamp
-	// liveness (required when LivenessTimeout is set).
+	// liveness; empty disables liveness detection (the node is then
+	// only supervised through missed dispatches).
 	Topic string
-	// LivenessTimeout declares the node down when no fresh output
-	// arrived for this long; zero disables liveness detection (the
-	// node is then only supervised through missed dispatches).
-	LivenessTimeout time.Duration
 	// Checkpoint, when non-nil, is snapshotted periodically and
 	// restored on restart, so a crash loses only the state since the
 	// last checkpoint instead of silently keeping stale in-memory
@@ -76,44 +92,12 @@ type Policy struct {
 	Checkpoint Checkpointer
 }
 
-// Config tunes the supervisor.
+// Config selects the supervised nodes.
 type Config struct {
 	// Seed drives the backoff jitter through per-node split streams.
 	Seed uint64
-	// Period is the liveness-check and checkpoint cadence (default 100 ms).
-	Period time.Duration
-	// CheckpointEvery is the minimum spacing between checkpoints of a
-	// healthy node (default 1 s).
-	CheckpointEvery time.Duration
-	// BackoffBase is the first restart delay (default 200 ms); each
-	// failed probe doubles it up to BackoffMax (default 2 s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BackoffJitter is the uniform extra fraction added to each delay,
-	// drawn from the node's seeded stream (default 0.25).
-	BackoffJitter float64
 	// Policies lists the supervised nodes.
 	Policies []Policy
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.Period <= 0 {
-		c.Period = 100 * time.Millisecond
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = time.Second
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 200 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.BackoffJitter <= 0 {
-		c.BackoffJitter = 0.25
-	}
-	return c
 }
 
 // Validate checks the policies.
@@ -130,9 +114,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("supervise: duplicate policy for node %q", p.Node)
 		}
 		seen[p.Node] = true
-		if p.LivenessTimeout > 0 && p.Topic == "" {
-			return fmt.Errorf("supervise: liveness policy for %q needs a topic", p.Node)
-		}
 	}
 	return nil
 }
@@ -179,7 +160,6 @@ type nodeState struct {
 
 // Supervisor is an attached supervision layer over one stack.
 type Supervisor struct {
-	cfg    Config
 	sim    *platform.Sim
 	rec    *trace.Recorder
 	states map[string]*nodeState
@@ -191,8 +171,7 @@ func New(cfg Config) (*Supervisor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	s := &Supervisor{cfg: cfg, states: make(map[string]*nodeState)}
+	s := &Supervisor{states: make(map[string]*nodeState)}
 	// Decorrelate the jitter streams from fault-injector streams built
 	// from the same seed.
 	root := mathx.NewRNG(cfg.Seed ^ 0x5095_EC70_12BA_CC0F)
@@ -214,7 +193,7 @@ func (s *Supervisor) Attach(ex *platform.Executor, rec *trace.Recorder) {
 
 	s.chainCallbackFilter(ex)
 	ex.Observe(s.observe)
-	s.sim.After(s.cfg.Period, s.tick)
+	s.sim.After(checkPeriod, s.tick)
 }
 
 // chainCallbackFilter wraps the installed callback filter (the fault
@@ -280,16 +259,15 @@ func (s *Supervisor) tick() {
 			continue
 		}
 		if cp := st.policy.Checkpoint; cp != nil &&
-			(st.snapshot == nil || now-st.snapshotAt >= s.cfg.CheckpointEvery) {
+			(st.snapshot == nil || now-st.snapshotAt >= checkpointEvery) {
 			st.snapshot = cp.Snapshot()
 			st.snapshotAt = now
 		}
-		if st.policy.LivenessTimeout > 0 && st.seenOut &&
-			now-st.lastFresh > st.policy.LivenessTimeout {
+		if st.seenOut && now-st.lastFresh > livenessTimeout {
 			s.declareDown(st, CauseStaleOutput, now)
 		}
 	}
-	s.sim.After(s.cfg.Period, s.tick)
+	s.sim.After(checkPeriod, s.tick)
 }
 
 // declareDown opens an outage and schedules the first restart attempt.
@@ -316,17 +294,17 @@ func (s *Supervisor) scheduleRestart(st *nodeState) {
 	s.sim.After(s.backoff(st), func() { s.restart(st) })
 }
 
-// backoff returns BackoffBase·2^attempt capped at BackoffMax, with a
-// uniform extra of up to BackoffJitter of the delay.
+// backoff returns backoffBase·2^attempt capped at backoffMax, with a
+// uniform extra of up to backoffJitter of the delay.
 func (s *Supervisor) backoff(st *nodeState) time.Duration {
-	d := s.cfg.BackoffBase
-	for i := 0; i < st.attempt && d < s.cfg.BackoffMax; i++ {
+	d := backoffBase
+	for i := 0; i < st.attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
-	return d + time.Duration(st.rng.Range(0, s.cfg.BackoffJitter*float64(d)))
+	return d + time.Duration(st.rng.Range(0, backoffJitter*float64(d)))
 }
 
 // restart issues one restart attempt: the replacement process boots,
@@ -364,18 +342,4 @@ func (s *Supervisor) recovered(st *nodeState) {
 	if s.rec != nil {
 		s.rec.OnOutageClose(st.policy.Node, now, st.restored, st.restoredAge, recheckpointed)
 	}
-}
-
-// Nodes returns the supervised node names in policy order.
-func (s *Supervisor) Nodes() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// Down reports whether a supervised node is currently considered down
-// (or mid-probe).
-func (s *Supervisor) Down(node string) bool {
-	st := s.states[node]
-	return st != nil && st.phase != phaseHealthy
 }

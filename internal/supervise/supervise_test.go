@@ -115,14 +115,10 @@ func (r *rig) pump(n int, period time.Duration) {
 	}
 }
 
-// fastConfig keeps the recovery loop quick for short test runs.
-func fastConfig(seed uint64) Config {
+// checkpointed supervises the rig's node with checkpoints.
+func checkpointed(seed uint64) Config {
 	return Config{
-		Seed:            seed,
-		Period:          50 * time.Millisecond,
-		CheckpointEvery: 200 * time.Millisecond,
-		BackoffBase:     100 * time.Millisecond,
-		BackoffMax:      400 * time.Millisecond,
+		Seed: seed,
 		Policies: []Policy{{
 			Node:       "n",
 			Checkpoint: &statefulNode{}, // replaced with the rig's node
@@ -130,11 +126,22 @@ func fastConfig(seed uint64) Config {
 	}
 }
 
+// inputPeriod is the spacing of the rig's /in frames.
+const inputPeriod = 10 * time.Millisecond
+
+// maxBackoff is the longest restart delay: the capped backoff plus its
+// full jitter.
+const maxBackoff = time.Duration(float64(backoffMax) * (1 + backoffJitter))
+
 func TestCrashDetectRestartRestore(t *testing.T) {
 	const crashStart, crashEnd = time.Second, 1800 * time.Millisecond
-	r := newRig(t, fastConfig(7), crashStart, crashEnd)
-	r.pump(300, 10*time.Millisecond)
-	r.sim.Run(4 * time.Second)
+	// The last failed probe falls inside the window, and the restart
+	// after it takes at most maxBackoff and then one input to confirm.
+	const recoverBy = crashEnd + maxBackoff + 2*inputPeriod
+	const horizon = recoverBy + time.Second
+	r := newRig(t, checkpointed(7), crashStart, crashEnd)
+	r.pump(int(horizon/inputPeriod), inputPeriod)
+	r.sim.Run(horizon + time.Second)
 
 	outs := r.rec.Outages()
 	if len(outs) != 1 {
@@ -144,24 +151,22 @@ func TestCrashDetectRestartRestore(t *testing.T) {
 	if o.Node != "n" || o.Cause != CauseCrash {
 		t.Errorf("outage = %+v", o)
 	}
-	// Detection on the first dispatch inside the window (inputs every
-	// 10 ms).
-	if o.Detected < crashStart || o.Detected > crashStart+50*time.Millisecond {
-		t.Errorf("detected at %v, want within 50ms of %v", o.Detected, crashStart)
+	// Detection on the first dispatch inside the window.
+	if o.Detected < crashStart || o.Detected > crashStart+inputPeriod {
+		t.Errorf("detected at %v, want within %v of %v", o.Detected, inputPeriod, crashStart)
 	}
-	// Bounded recovery: the last failed probe before 1.8 s backs off at
-	// most BackoffMax*(1+jitter) = 500 ms, so recovery lands within
-	// ~600 ms of the window end.
-	if o.Recovered <= crashEnd || o.Recovered > crashEnd+600*time.Millisecond {
-		t.Errorf("recovered at %v, want shortly after %v", o.Recovered, crashEnd)
+	if o.Recovered <= crashEnd || o.Recovered > recoverBy {
+		t.Errorf("recovered at %v, want in (%v, %v]", o.Recovered, crashEnd, recoverBy)
 	}
 	if o.Restarts < 2 {
 		t.Errorf("restarts = %d, want >= 2 (probes inside the window must fail)", o.Restarts)
 	}
-	// ~80 inputs land inside the window, plus up to ~60 more during the
-	// final backoff before the post-window probe succeeds.
-	if o.FramesLost < 60 || o.FramesLost > 145 {
-		t.Errorf("frames lost = %d, want ~80-140", o.FramesLost)
+	// Every input inside the window is lost, and so is every input
+	// during the final backoff before the post-window probe succeeds.
+	minLost := int((crashEnd - crashStart) / inputPeriod)
+	maxLost := int((recoverBy-crashStart)/inputPeriod) + 1
+	if o.FramesLost < minLost || o.FramesLost > maxLost {
+		t.Errorf("frames lost = %d, want %d-%d", o.FramesLost, minLost, maxLost)
 	}
 	if !o.Restored || o.CheckpointAge <= 0 {
 		t.Errorf("restored=%t age=%v, want a restored checkpoint", o.Restored, o.CheckpointAge)
@@ -171,34 +176,37 @@ func TestCrashDetectRestartRestore(t *testing.T) {
 	}
 
 	// State loss semantics: every restore rolled the counter back to the
-	// last pre-crash checkpoint (taken at or before 1 s ≈ 100 inputs),
-	// and the restored value never exceeds the count at crash time.
+	// last pre-crash checkpoint, and the restored value never exceeds
+	// the count at crash time.
 	if len(r.node.restores) != o.Restarts {
 		t.Errorf("restores = %v, want one per restart (%d)", r.node.restores, o.Restarts)
 	}
+	atCrash := int(crashStart / inputPeriod)
 	for _, v := range r.node.restores {
-		if v <= 0 || v > 100 {
-			t.Errorf("restored counter to %d, want a pre-crash checkpoint in (0, 100]", v)
+		if v <= 0 || v > atCrash {
+			t.Errorf("restored counter to %d, want a pre-crash checkpoint in (0, %d]", v, atCrash)
 		}
 	}
-	if r.sup.Down("n") {
-		t.Error("node still considered down after recovery")
+	if st := r.sup.states["n"]; st.phase != phaseHealthy {
+		t.Errorf("node in phase %d after recovery, want healthy", st.phase)
 	}
 
 	// The pipeline kept flowing after recovery: total processed = all
-	// inputs minus the lost frames.
-	if want := 300 - o.FramesLost; r.node.count > want {
+	// inputs minus the lost frames, less the checkpoint rollback, and
+	// the node processed every input after the restore.
+	if want := int(horizon/inputPeriod) - o.FramesLost; r.node.count > want {
 		t.Errorf("count = %d, want <= %d after checkpoint rollback", r.node.count, want)
 	}
-	if r.node.count < 150 {
-		t.Errorf("count = %d, node did not resume processing", r.node.count)
+	last := r.node.restores[len(r.node.restores)-1]
+	if after, want := r.node.count-last, int((horizon-o.Recovered)/inputPeriod); after < want {
+		t.Errorf("processed %d inputs after the restore, want >= %d", after, want)
 	}
 }
 
 func TestCrashBeforeFirstCheckpointIsColdRestart(t *testing.T) {
 	// The crash window opens at 0: the node is declared down on its
 	// first dispatch, before any checkpoint tick ran.
-	r := newRig(t, fastConfig(7), 1*time.Millisecond, 300*time.Millisecond)
+	r := newRig(t, checkpointed(7), 1*time.Millisecond, 300*time.Millisecond)
 	r.pump(100, 10*time.Millisecond)
 	r.sim.Run(2 * time.Second)
 
@@ -215,12 +223,12 @@ func TestCrashBeforeFirstCheckpointIsColdRestart(t *testing.T) {
 }
 
 func TestStaleOutputLivenessDetection(t *testing.T) {
-	cfg := fastConfig(11)
+	const muteAfter = time.Second
+	cfg := checkpointed(11)
 	cfg.Policies[0].Topic = "/out"
-	cfg.Policies[0].LivenessTimeout = 300 * time.Millisecond
 	r := newRig(t, cfg, 0, 0) // no crash window
-	r.node.muteAfter = time.Second
-	r.pump(300, 10*time.Millisecond)
+	r.node.muteAfter = muteAfter
+	r.pump(300, inputPeriod)
 	r.sim.Run(3 * time.Second)
 
 	outs := r.rec.Outages()
@@ -231,10 +239,11 @@ func TestStaleOutputLivenessDetection(t *testing.T) {
 	if o.Cause != CauseStaleOutput {
 		t.Errorf("cause = %q, want %q", o.Cause, CauseStaleOutput)
 	}
-	// Staleness accrues from the last output (~1 s): detection within
-	// timeout + one check period + slack.
-	if o.Detected < 1300*time.Millisecond || o.Detected > 1500*time.Millisecond {
-		t.Errorf("detected at %v, want ~1.35s", o.Detected)
+	// Staleness accrues from the last output, one input before the
+	// mute: detection past the timeout, within one check period.
+	lo, hi := muteAfter-inputPeriod+livenessTimeout, muteAfter+livenessTimeout+checkPeriod
+	if o.Detected <= lo || o.Detected > hi {
+		t.Errorf("detected at %v, want in (%v, %v]", o.Detected, lo, hi)
 	}
 	// The restarted node still completes callbacks, so the probe
 	// succeeds and the outage closes.
@@ -245,7 +254,7 @@ func TestStaleOutputLivenessDetection(t *testing.T) {
 
 func TestSupervisorDeterminism(t *testing.T) {
 	run := func() ([]trace.Outage, int, []int) {
-		r := newRig(t, fastConfig(42), time.Second, 1800*time.Millisecond)
+		r := newRig(t, checkpointed(42), time.Second, 1800*time.Millisecond)
 		r.pump(300, 10*time.Millisecond)
 		r.sim.Run(4 * time.Second)
 		return r.rec.Outages(), r.node.count, r.node.restores
@@ -260,7 +269,7 @@ func TestSupervisorDeterminism(t *testing.T) {
 	}
 
 	// A different seed shifts the jittered restart timeline.
-	r3 := newRig(t, fastConfig(43), time.Second, 1800*time.Millisecond)
+	r3 := newRig(t, checkpointed(43), time.Second, 1800*time.Millisecond)
 	r3.pump(300, 10*time.Millisecond)
 	r3.sim.Run(4 * time.Second)
 	o3 := r3.rec.Outages()
@@ -270,7 +279,7 @@ func TestSupervisorDeterminism(t *testing.T) {
 }
 
 func TestHealthyRunRecordsNothing(t *testing.T) {
-	r := newRig(t, fastConfig(5), 0, 0)
+	r := newRig(t, checkpointed(5), 0, 0)
 	r.pump(100, 10*time.Millisecond)
 	r.sim.Run(2 * time.Second)
 	if outs := r.rec.Outages(); len(outs) != 0 {
@@ -289,7 +298,6 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Policies: []Policy{{Node: ""}}},
 		{Policies: []Policy{{Node: "a"}, {Node: "a"}}},
-		{Policies: []Policy{{Node: "a", LivenessTimeout: time.Second}}}, // liveness needs topic
 	}
 	for i, c := range bad {
 		if _, err := New(c); err == nil {
@@ -298,18 +306,5 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := New(Config{Policies: []Policy{{Node: "a"}}}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
-	}
-}
-
-func TestNodesAccessor(t *testing.T) {
-	s, err := New(Config{Policies: []Policy{{Node: "a"}, {Node: "b"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Nodes(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("Nodes() = %v", got)
-	}
-	if s.Down("a") || s.Down("missing") {
-		t.Error("unattached supervisor considers nodes down")
 	}
 }

@@ -82,9 +82,6 @@ type ChainLog struct {
 	// fill), mirroring Recorder.Warmup. Spans are still recorded — a
 	// post-warmup chain may reach back into the warmup window.
 	Warmup time.Duration
-	// MaxChains, when positive, stops capturing after this many chains
-	// (profiling runs need a few hundred, not every frame of a soak).
-	MaxChains int
 }
 
 // NewChainLog creates an empty log closing chains on the given paths.
@@ -142,9 +139,6 @@ func (l *ChainLog) OnDone(d platform.DoneInfo) {
 		stamp, ok := originStamp(d, p.Origin)
 		if !ok {
 			continue
-		}
-		if l.MaxChains > 0 && len(l.chains) >= l.MaxChains {
-			return
 		}
 		l.chains = append(l.chains, l.capture(p.Name, p.Origin, stamp, idx, d.Finished))
 	}

@@ -142,12 +142,12 @@ type IntegrityEvent struct {
 type integrityKey struct{ topic, cause, point string }
 
 // DegradedInterval is one window during which a watchdog substituted
-// for (or silenced) a faulty node — the degraded-operation record the
+// for a faulty node — the degraded-operation record the
 // chaos reports surface alongside latency distributions.
 type DegradedInterval struct {
 	// Node is the node whose output went stale.
 	Node string
-	// Policy names the fallback applied (last-good, skip-frame, degrade).
+	// Policy names the fallback applied; the watchdog's is last-good.
 	Policy string
 	// Start is when staleness was detected; End when fresh output
 	// resumed (zero while still degraded).
