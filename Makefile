@@ -39,7 +39,8 @@ bench-check:
 # Short fuzzing pass over the repo's codecs: rosbag, ring, guard
 # payloads, the scenario-params line, the journal's frames, and the
 # fleet's replay of journal entries (seed corpora are checked in under
-# each package's testdata/fuzz). Go allows one -fuzz target per
+# each package's testdata/fuzz), and over the NDT grid's lookups against
+# its reference build (seeds in the test). Go allows one -fuzz target per
 # invocation, so each target gets its own ~10s run. Go minimizes each
 # new interesting input for up to -fuzzminimizetime (60s by default)
 # without counting it toward -fuzztime, so it is capped at 1s to leave
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzScenarioParams -fuzztime=10s -fuzzminimizetime=1s ./internal/world/
 	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/journal/
 	$(GO) test -run=NONE -fuzz=FuzzFleetReplay -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet/
+	$(GO) test -run=NONE -fuzz=FuzzVoxelGridLookup -fuzztime=10s -fuzzminimizetime=1s ./internal/pointcloud/
 
 # Paper-table smoke: regenerate every table and figure, then the
 # findings, at -workers 1 and -workers 2, and fail unless the two

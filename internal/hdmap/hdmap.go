@@ -165,22 +165,7 @@ func (m *Map) VoxelAt(p geom.Vec3) *pointcloud.VoxelStats {
 // accumulates its score over. Passing a reused slice avoids allocation
 // in the matching hot loop.
 func (m *Map) Direct7(p geom.Vec3, out []*pointcloud.VoxelStats) []*pointcloud.VoxelStats {
-	base := pointcloud.KeyFor(p, m.NDTLeaf)
-	keys := [7]pointcloud.VoxelKey{
-		base,
-		{X: base.X - 1, Y: base.Y, Z: base.Z},
-		{X: base.X + 1, Y: base.Y, Z: base.Z},
-		{X: base.X, Y: base.Y - 1, Z: base.Z},
-		{X: base.X, Y: base.Y + 1, Z: base.Z},
-		{X: base.X, Y: base.Y, Z: base.Z - 1},
-		{X: base.X, Y: base.Y, Z: base.Z + 1},
-	}
-	for _, k := range keys {
-		if vs := m.NDT.Lookup(k); vs != nil {
-			out = append(out, vs)
-		}
-	}
-	return out
+	return m.NDT.Direct7(pointcloud.KeyFor(p, m.NDTLeaf), out)
 }
 
 // NeighborVoxels returns the usable voxels in the 3x3x3 neighborhood of

@@ -2,9 +2,11 @@ package hdmap
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -43,26 +45,38 @@ func sharedSweep(t testing.TB) *Sweep {
 }
 
 // gridFingerprint hashes a map's NDT grid: a header, then every voxel in
-// Voxels order as the hex bits of its mean, its full inverse covariance
-// row by row, each lower term read from its upper mirror, and its
-// population, the sweep's points in its key.
+// key order (x, then y, then z) as its key, the hex bits of its mean,
+// its full inverse covariance row by row, each lower term read from its
+// upper mirror, and its population, the sweep's points in its key.
 func gridFingerprint(sw *Sweep, m *Map) (header, sum string) {
 	header = fmt.Sprintf("scans=%d points=%d usable=%d\n", m.Scans, sw.Cloud.Len(), m.NDT.Len())
 	population := map[pointcloud.VoxelKey]int{}
 	for _, p := range sw.Cloud.Points {
 		population[pointcloud.KeyFor(p.Pos, sw.NDTLeaf)]++
 	}
+	type keyed struct {
+		k  pointcloud.VoxelKey
+		vs *pointcloud.VoxelStats
+	}
+	var voxels []keyed
+	m.NDT.ForEach(func(k pointcloud.VoxelKey, vs *pointcloud.VoxelStats) {
+		voxels = append(voxels, keyed{k, vs})
+	})
+	slices.SortFunc(voxels, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(a.k.X, b.k.X), cmp.Compare(a.k.Y, b.k.Y), cmp.Compare(a.k.Z, b.k.Z))
+	})
 	h := sha256.New()
 	h.Write([]byte(header))
 	upper := [3][3]int{{0, 1, 2}, {1, 3, 4}, {2, 4, 5}}
-	for _, vs := range m.NDT.Voxels {
-		fmt.Fprintf(h, "%x %x %x", vs.Mean.X, vs.Mean.Y, vs.Mean.Z)
+	for _, v := range voxels {
+		k, vs := v.k, v.vs
+		fmt.Fprintf(h, "%d %d %d %x %x %x", k.X, k.Y, k.Z, vs.Mean.X, vs.Mean.Y, vs.Mean.Z)
 		for _, row := range upper {
-			for _, k := range row {
-				fmt.Fprintf(h, " %x", vs.InvCov[k])
+			for _, i := range row {
+				fmt.Fprintf(h, " %x", vs.InvCov[i])
 			}
 		}
-		fmt.Fprintf(h, " %d\n", population[vs.Key()])
+		fmt.Fprintf(h, " %d\n", population[k])
 	}
 	return header, fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -86,12 +100,13 @@ func requireSameGrid(t *testing.T, got, want *Map) {
 }
 
 // TestNDTGridPinned pins the shared map's grid bits: every usable
-// voxel's mean, inverse covariance and population, in first-touch order.
+// voxel's key, mean, inverse covariance and population, in key order,
+// so the pin holds for any record layout.
 func TestNDTGridPinned(t *testing.T) {
 	m, _ := sharedMap(t)
 	header, sum := gridFingerprint(sharedSweep(t), m)
 	const wantHeader = "scans=239 points=553274 usable=46643\n"
-	const wantSum = "c749bbd5e3c418895c73c19d0adf39a09515706e04d1ee9e3a01be73e9f7ea2e"
+	const wantSum = "19ff4594278f5fe8365b97b97178ba3889e513f47e8ec3e81f483f25d492914c"
 	if header != wantHeader || sum != wantSum {
 		t.Errorf("NDT grid %q %s, want %q %s", header, sum, wantHeader, wantSum)
 	}
@@ -289,6 +304,32 @@ func BenchmarkDirect7(b *testing.B) {
 	for t := 0.0; t < 60; t += 0.25 {
 		pose, _ := s.EgoRoute.At(t)
 		probes = append(probes, pose.Pos.Add(geom.V3(3, 1, 0.5)), pose.Pos.Add(geom.V3(-6, 2, 1.5)))
+	}
+	buf := make([]*pointcloud.VoxelStats, 0, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = m.Direct7(probes[i%len(probes)], buf[:0])
+	}
+}
+
+// BenchmarkDirect7Drive measures DIRECT7 lookups where ndt_matching
+// makes them: its probes are the world-frame points of the scripted
+// drive's filtered scans, each taken at the true pose, from 64 scans
+// spread evenly along the route, so the working set spans the map
+// instead of fitting in cache as BenchmarkDirect7's does. One op is one
+// Direct7 call; the probes cycle in scan order.
+func BenchmarkDirect7Drive(b *testing.B) {
+	m, s := sharedMap(b)
+	lidar := sensor.NewLiDAR(sensor.DefaultLiDARConfig(), s.City)
+	const scans = 64
+	var probes []geom.Vec3
+	for i := 0; i < scans; i++ {
+		snap := s.At(s.Duration() * float64(i) / scans)
+		filtered, _ := pointcloud.VoxelDownsample(lidar.Scan(&snap), 2.0)
+		for _, p := range filtered.Transform(snap.Ego.Pose).Points {
+			probes = append(probes, p.Pos)
+		}
 	}
 	buf := make([]*pointcloud.VoxelStats, 0, 7)
 	b.ReportAllocs()

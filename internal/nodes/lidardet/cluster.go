@@ -51,7 +51,7 @@ func DefaultConfig() Config {
 type Cluster struct {
 	cfg Config
 	// lastTraversal is the k-d tree traversal count of the last run,
-	// used by the µarch trace generator.
+	// which Process's work model reads.
 	lastTraversal int
 
 	// Per-frame scratch, reused across callbacks: the range-gated
@@ -84,9 +84,6 @@ func (c *Cluster) Name() string { return "euclidean_cluster" }
 func (c *Cluster) Subscribes() []ros.SubSpec {
 	return []ros.SubSpec{{Topic: filters.TopicPointsNoGround, Depth: c.cfg.QueueDepth}}
 }
-
-// LastTraversalSteps returns the k-d tree node visits of the last run.
-func (c *Cluster) LastTraversalSteps() int { return c.lastTraversal }
 
 // Extract runs clustering on a cloud (ego frame) and returns the
 // detected objects; exported for tests and examples.

@@ -1,6 +1,7 @@
 package lidardet
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -118,8 +119,13 @@ func TestProcessOnRealScan(t *testing.T) {
 	if len(res.Work.Kernels) != 1 {
 		t.Errorf("GPU-assist kernel missing: %+v", res.Work.Kernels)
 	}
-	if n.LastTraversalSteps() == 0 {
-		t.Error("traversal counter not captured")
+	// The k-d tree's node visits drive the work model: past the
+	// per-point and per-object terms, IntOps carries 14 and
+	// BytesTouched 72 per visit.
+	pts := float64(noGround.Len())
+	trav := (res.Work.IntOps - 30*pts) / 14
+	if trav < 1 || trav != math.Trunc(trav) || res.Work.BytesTouched != 72*trav+48*pts+2048*float64(len(arr.Objects)) {
+		t.Errorf("work %+v does not carry a traversal count (%v visits)", res.Work, trav)
 	}
 }
 

@@ -144,11 +144,12 @@ func TestBuildVoxelStats(t *testing.T) {
 		population[KeyFor(p.Pos, 10.0)]++
 	}
 	var main *VoxelStats
-	for i := range stats.Voxels {
-		if vs := &stats.Voxels[i]; main == nil || population[vs.Key()] > population[main.Key()] {
-			main = vs
+	mainPop := 0
+	stats.ForEach(func(k VoxelKey, vs *VoxelStats) {
+		if main == nil || population[k] > mainPop {
+			main, mainPop = vs, population[k]
 		}
-	}
+	})
 	if stats.Lookup(KeyFor(geom.V3(5, 5, 0.5), 10.0)) != main {
 		t.Fatal("the blob's voxel should be usable and indexed")
 	}

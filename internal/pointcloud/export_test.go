@@ -1,16 +1,16 @@
 package pointcloud
 
+import "unsafe"
+
 // Exports for the external test package, which builds the shared HD map
 // and so cannot be this package.
 
-// TableOf returns g's slot table: the voxel numbers and their tags.
-func TableOf(g *VoxelGrid) ([]int32, []uint8) { return g.slots, g.tags }
-
-// HomeAndTag returns the slot k's probe starts at in a table of size
-// slots, and k's tag.
-func HomeAndTag(k VoxelKey, size int) (uint32, uint8) {
-	h := hashKey(k)
-	return h & uint32(size-1), tagOf(h)
+// GridLayout returns the number of g's tiles and the bytes of one,
+// and the number of its directory slots and the bytes of one: a tile
+// key and a tile index.
+func GridLayout(g *VoxelGrid) (tiles, tileBytes, slots, slotBytes int) {
+	return len(g.tiles), int(unsafe.Sizeof(voxelTile{})),
+		len(g.dirKeys), int(unsafe.Sizeof(g.dirKeys[0]) + unsafe.Sizeof(g.dirTiles[0]))
 }
 
 // RefVoxelStats, ReferenceVoxelStats and SameVoxelBits expose the

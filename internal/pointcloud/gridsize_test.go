@@ -9,24 +9,28 @@ import (
 )
 
 // TestGridSizePinned pins the layout that keeps the run-time HD map
-// small: an 80-byte voxel record (packed key, mean, the inverse
-// covariance's upper triangle), 5-byte table slots (a 4-byte voxel
-// number and a 1-byte tag), and for the shared scripted map 46,643
-// records behind 65,536 slots, 4.06 MB in all.
+// small: a keyless 72-byte voxel record (mean, the inverse
+// covariance's upper triangle), 72-byte tiles (a 512-bit occupancy
+// bitmap and the index of the tile's first record) and 12-byte
+// directory slots (a packed tile key and a tile index), and for the
+// shared scripted map 46,643 records in 1,395 tiles behind 2,048
+// slots, 3,483,312 bytes in all.
 func TestGridSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(pointcloud.VoxelStats{}); got != 80 {
-		t.Errorf("VoxelStats is %d bytes, want 80", got)
+	if got := unsafe.Sizeof(pointcloud.VoxelStats{}); got != 72 {
+		t.Errorf("VoxelStats is %d bytes, want 72", got)
 	}
 	g := testenv.Map().NDT
-	slots, tags := pointcloud.TableOf(g)
-	slot := int(unsafe.Sizeof(slots[0]) + unsafe.Sizeof(tags[0]))
-	if slot != 5 || len(tags) != len(slots) {
-		t.Errorf("table slots are %d bytes, %d voxel numbers and %d tags; want 5 bytes, one tag per voxel number", slot, len(slots), len(tags))
+	tiles, tileBytes, slots, slotBytes := pointcloud.GridLayout(g)
+	if tileBytes != 72 || slotBytes != 12 {
+		t.Errorf("tiles are %d bytes and directory slots %d, want 72 and 12", tileBytes, slotBytes)
 	}
-	const voxels, size = 46643, 65536
-	bytes := len(g.Voxels)*int(unsafe.Sizeof(g.Voxels[0])) + len(slots)*slot
-	if len(g.Voxels) != voxels || len(slots) != size || bytes != voxels*80+size*5 {
-		t.Errorf("grid holds %d voxels behind %d slots, %d bytes; want %d behind %d, %d bytes",
-			len(g.Voxels), len(slots), bytes, voxels, size, voxels*80+size*5)
+	const voxels, wantTiles, wantSlots, want = 46643, 1395, 2048, 46643*72 + 1395*72 + 2048*12
+	bytes := len(g.Voxels)*int(unsafe.Sizeof(g.Voxels[0])) + tiles*tileBytes + slots*slotBytes
+	if len(g.Voxels) != voxels || tiles != wantTiles || slots != wantSlots || bytes != want {
+		t.Errorf("grid holds %d voxels in %d tiles behind %d slots, %d bytes; want %d in %d behind %d, %d bytes",
+			len(g.Voxels), tiles, slots, bytes, voxels, wantTiles, wantSlots, want)
+	}
+	if bytes > 3_500_000 {
+		t.Errorf("grid is %d bytes, want at most 3.50 MB", bytes)
 	}
 }

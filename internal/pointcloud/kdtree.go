@@ -206,44 +206,6 @@ func (t *KDTree) Radius(q geom.Vec3, r float64, out []int32) []int32 {
 	return out
 }
 
-// Nearest returns the index of the closest point to q and its squared
-// distance; (-1, 0) for an empty tree.
-func (t *KDTree) Nearest(q geom.Vec3) (int32, float64) {
-	if t.root < 0 {
-		return -1, 0
-	}
-	best := int32(-1)
-	bestD2 := 0.0
-	first := true
-	t.nearest(t.root, q, &best, &bestD2, &first)
-	return best, bestD2
-}
-
-func (t *KDTree) nearest(node int32, q geom.Vec3, best *int32, bestD2 *float64, first *bool) {
-	n := &t.nodes[node]
-	t.TraversalSteps++
-	p := n.pos
-	d2 := p.DistSq(q)
-	if *first || d2 < *bestD2 {
-		*best = n.idx
-		*bestD2 = d2
-		*first = false
-	}
-	delta := coord(q, int(n.axis)) - coord(p, int(n.axis))
-	var near, far int32
-	if delta < 0 {
-		near, far = n.left, n.right
-	} else {
-		near, far = n.right, n.left
-	}
-	if near >= 0 {
-		t.nearest(near, q, best, bestD2, first)
-	}
-	if far >= 0 && delta*delta < *bestD2 {
-		t.nearest(far, q, best, bestD2, first)
-	}
-}
-
 // Len returns the number of indexed points.
 func (t *KDTree) Len() int { return len(t.pts) }
 

@@ -1,6 +1,8 @@
 package pointcloud
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -47,9 +49,6 @@ func TestKDTreeEmpty(t *testing.T) {
 	if got := tree.Radius(geom.V3(0, 0, 0), 1, nil); len(got) != 0 {
 		t.Errorf("empty radius = %v", got)
 	}
-	if idx, _ := tree.Nearest(geom.V3(0, 0, 0)); idx != -1 {
-		t.Errorf("empty nearest = %d", idx)
-	}
 	if tree.Len() != 0 {
 		t.Errorf("len = %d", tree.Len())
 	}
@@ -70,31 +69,36 @@ func TestKDTreeRadiusMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestKDTreeNearestMatchesBruteForce(t *testing.T) {
+// TestKDTreeRadiusFindsNearest queries at the distance of each query's
+// nearest point, the tightest radius that finds anything, and requires
+// the brute-force answer, the nearest point among it.
+func TestKDTreeRadiusFindsNearest(t *testing.T) {
 	rng := mathx.NewRNG(17)
 	pts := randomPoints(rng, 300, 15)
 	tree := NewKDTree(pts)
 	for trial := 0; trial < 50; trial++ {
 		q := geom.V3(rng.Range(-15, 15), rng.Range(-15, 15), rng.Range(-15, 15))
-		gotIdx, gotD2 := tree.Nearest(q)
-		bestIdx, bestD2 := -1, 0.0
+		best, bestD2 := int32(-1), 0.0
 		for i, p := range pts {
-			d2 := p.DistSq(q)
-			if bestIdx < 0 || d2 < bestD2 {
-				bestIdx, bestD2 = i, d2
+			if d2 := p.DistSq(q); best < 0 || d2 < bestD2 {
+				best, bestD2 = int32(i), d2
 			}
 		}
-		if gotD2 != bestD2 {
-			t.Fatalf("nearest dist mismatch: got (%d,%v), want (%d,%v)", gotIdx, gotD2, bestIdx, bestD2)
+		r := math.Nextafter(math.Sqrt(bestD2), math.Inf(1))
+		got, want := tree.Radius(q, r, nil), bruteRadius(pts, q, r)
+		if !slices.Contains(got, best) || !sortedEq(got, want) {
+			t.Fatalf("trial %d: radius %v = %v, want %v holding nearest point %d", trial, r, got, want, best)
 		}
 	}
 }
 
 func TestKDTreeSinglePoint(t *testing.T) {
 	tree := NewKDTree([]geom.Vec3{geom.V3(1, 2, 3)})
-	idx, d2 := tree.Nearest(geom.V3(1, 2, 4))
-	if idx != 0 || d2 != 1 {
-		t.Errorf("nearest = %d, %v", idx, d2)
+	if got := tree.Radius(geom.V3(1, 2, 4), 1, nil); len(got) != 1 || got[0] != 0 {
+		t.Errorf("radius 1 at distance 1 = %v", got)
+	}
+	if got := tree.Radius(geom.V3(1, 2, 4), 0.99, nil); len(got) != 0 {
+		t.Errorf("radius 0.99 at distance 1 = %v", got)
 	}
 	got := tree.Radius(geom.V3(1, 2, 3), 0.5, nil)
 	if len(got) != 1 || got[0] != 0 {

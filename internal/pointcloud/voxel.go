@@ -1,7 +1,9 @@
 package pointcloud
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -155,13 +157,11 @@ func VoxelDownsampleInto(c *Cloud, leaf float64, dst *Cloud) (*Cloud, int) {
 }
 
 // VoxelStats holds the Gaussian statistics of the points inside one
-// usable voxel: its packed key, mean and inverse covariance. This is
-// the per-cell model of the Normal Distributions Transform used by
-// ndt_matching and built by the hdmap package. The key comes first, so
-// a probe's key compare and the mean it then reads share a cache line.
+// usable voxel: its mean and inverse covariance. This is the per-cell
+// model of the Normal Distributions Transform used by ndt_matching and
+// built by the hdmap package. The record carries no key: a VoxelGrid
+// implies it from where the record sits.
 type VoxelStats struct {
-	// key is the voxel's key packed by packKey.
-	key  uint64
 	Mean geom.Vec3
 	// InvCov is the inverse covariance's upper triangle, row by row:
 	// (0,0) (0,1) (0,2) (1,1) (1,2) (2,2). BuildVoxelStats inverts an
@@ -170,71 +170,89 @@ type VoxelStats struct {
 	InvCov [6]float64
 }
 
-// Key returns the voxel's key.
-func (vs *VoxelStats) Key() VoxelKey {
-	const mask = 1<<keyBits - 1
-	return VoxelKey{
-		X: int32(vs.key>>(2*keyBits)&mask) - keyBias,
-		Y: int32(vs.key>>keyBits&mask) - keyBias,
-		Z: int32(vs.key&mask) - keyBias,
-	}
-}
-
-// keyBits is the width of one axis of a packed key, and keyBias the
-// bias added to each coordinate before packing.
+// keyBits is the width of one axis of a biased key, and keyBias the
+// bias added to each coordinate.
 const (
 	keyBits = 21
 	keyBias = 1 << (keyBits - 1)
 )
 
-// packKey packs k into one uint64, each coordinate biased by 2^20 into
-// 21 bits. ok is false when a coordinate lies outside the packable
-// range (-2^20, 2^20), about a million cells either side of the origin
+// biasKey returns k's coordinates biased by 2^20 into 1 .. 2^21-1. ok
+// is false when a coordinate lies outside the packable range
+// (-2^20, 2^20), about a million cells either side of the origin
 // (2,100 km at a 2 m leaf); a NaN point's key (math.MinInt32 on amd64)
 // is outside it.
-func packKey(k VoxelKey) (packed uint64, ok bool) {
+func biasKey(k VoxelKey) (x, y, z uint32, ok bool) {
 	// A packable coordinate biases to 1 .. 2^21-1, so x, y and z, one
 	// less and wrapped, fall below span exactly when all three pack.
 	const span = 2*keyBias - 1
-	x, y, z := uint32(k.X)+keyBias-1, uint32(k.Y)+keyBias-1, uint32(k.Z)+keyBias-1
+	x, y, z = uint32(k.X)+keyBias-1, uint32(k.Y)+keyBias-1, uint32(k.Z)+keyBias-1
 	if x >= span || y >= span || z >= span {
-		return 0, false
+		return 0, 0, 0, false
 	}
-	return uint64(x+1)<<(2*keyBits) | uint64(y+1)<<keyBits | uint64(z+1), true
+	return x + 1, y + 1, z + 1, true
 }
+
+// A tile is a cube of 8x8x8 voxels. keyBias is a multiple of the tile
+// size, so a biased coordinate splits into its tile (the high
+// tileAxisBits bits) and its place in the tile (the low tileBits).
+const (
+	tileBits     = 3
+	tileDim      = 1 << tileBits
+	tileMask     = tileDim - 1
+	tileAxisBits = keyBits - tileBits
+	// tileCells is the number of voxels in a tile, and so the span of
+	// the local part of a rank key.
+	tileCells = tileDim * tileDim * tileDim
+)
+
+// tileKey packs the tile of biased coordinates into 54 bits, x then y
+// then z.
+func tileKey(x, y, z uint32) uint64 {
+	return uint64(x>>tileBits)<<(2*tileAxisBits) | uint64(y>>tileBits)<<tileAxisBits | uint64(z>>tileBits)
+}
+
+// voxelTile is one tile's occupancy: a 512-bit bitmap, one word per z
+// layer with bit y*8+x set for each usable voxel, and the Voxels index
+// of the tile's first record. The tile's records follow in bit order.
+type voxelTile struct {
+	occ   [tileDim]uint64
+	first int32
+}
+
+// emptyTile marks an empty directory slot; tile keys use 54 bits.
+const emptyTile = ^uint64(0)
+
+// dirMul is the Fibonacci-hashing multiplier that places a tile key in
+// the directory: neighbouring tiles differ in one packed field, and
+// the product's top bits spread them.
+const dirMul = 0x9E3779B97F4A7C15
+
+// minDirSize is the smallest directory a grid gets, so a probe of an
+// empty grid meets an empty slot.
+const minDirSize = 8
 
 // VoxelGrid is an NDT statistics grid: the Gaussians of a cloud's
-// usable voxels stored by value in first-touch order, behind an
-// open-addressed, linearly probed table. Each slot holds a voxel number
-// and a one-byte tag from the key's hash, so a probe reads one tag byte
-// per slot and reads a voxel number and a record only when the tag
-// matches; lookups neither hash through the runtime nor chase a pointer
-// per voxel, and iteration order is a pure function of the input cloud.
+// usable voxels stored by value, grouped by tile, and a directory of
+// the occupied tiles. A voxel's key is implied by its record's place:
+// Lookup finds the key's tile with one directory probe, tests the
+// voxel's bit in the tile's bitmap, and counts the bits before it to
+// reach the record. A key with no usable voxel never reads a record,
+// lookups neither hash through the runtime nor chase a pointer per
+// voxel, and the layout is a pure function of the input cloud.
 type VoxelGrid struct {
-	// Voxels holds every usable voxel in the order the cloud first
-	// touched it.
+	// Voxels holds every usable voxel: tile by tile in tile-key order,
+	// and within a tile by z, then y, then x.
 	Voxels []VoxelStats
-	// slots holds the Voxels index of each occupied slot, and tags its
-	// tag, zero marking an empty slot. Their length is a power of two
-	// that keeps the load at or below three quarters.
-	slots []int32
-	tags  []uint8
-	mask  uint32
+	tiles  []voxelTile
+	// dirKeys and dirTiles are the directory, an open-addressed,
+	// linearly probed table of tile keys and their tiles' indices at
+	// load at most three quarters; emptyTile marks a free slot. shift
+	// turns a key's hash into a slot.
+	dirKeys  []uint64
+	dirTiles []int32
+	shift    uint
 }
-
-// gridTableSize returns the slot count of a grid of n voxels: the
-// smallest power of two, and at least minIndexSize, that keeps the load
-// at or below three quarters.
-func gridTableSize(n int) int {
-	size := minIndexSize
-	for 4*n > 3*size {
-		size <<= 1
-	}
-	return size
-}
-
-// tagOf returns the slot tag of a key hash: its top byte, never zero.
-func tagOf(h uint32) uint8 { return max(uint8(h>>24), 1) }
 
 // Len returns the number of usable voxels.
 func (g *VoxelGrid) Len() int { return len(g.Voxels) }
@@ -242,19 +260,129 @@ func (g *VoxelGrid) Len() int { return len(g.Voxels) }
 // Lookup returns the voxel with key k, or nil when it is unoccupied,
 // unusable or outside the packable range.
 func (g *VoxelGrid) Lookup(k VoxelKey) *VoxelStats {
-	packed, ok := packKey(k)
-	if !ok || len(g.Voxels) == 0 {
+	x, y, z, ok := biasKey(k)
+	if !ok {
 		return nil
 	}
-	h := hashKey(k)
-	tag := tagOf(h)
-	for i := h & g.mask; ; i = (i + 1) & g.mask {
-		switch g.tags[i] {
-		case 0:
+	t := g.tile(tileKey(x, y, z))
+	if t == nil {
+		return nil
+	}
+	z &= tileMask
+	return g.inLayer(t.occ[z], t.layerFirst(z), x&tileMask, y&tileMask)
+}
+
+// tile returns the tile with key tk, or nil when no usable voxel lies
+// in it.
+func (g *VoxelGrid) tile(tk uint64) *voxelTile {
+	if len(g.tiles) == 0 {
+		return nil
+	}
+	mask := uint32(len(g.dirKeys) - 1)
+	for i := uint32(tk * dirMul >> g.shift); ; i = (i + 1) & mask {
+		switch g.dirKeys[i] {
+		case tk:
+			return &g.tiles[g.dirTiles[i]]
+		case emptyTile:
 			return nil
-		case tag:
-			if vs := &g.Voxels[g.slots[i]]; vs.key == packed {
-				return vs
+		}
+	}
+}
+
+// layerFirst returns the Voxels index of the first record of layer z,
+// below tileDim, of tile t.
+func (t *voxelTile) layerFirst(z uint32) int {
+	i := int(t.first)
+	for _, below := range t.occ[:z&tileMask] {
+		i += bits.OnesCount64(below)
+	}
+	return i
+}
+
+// inLayer returns the voxel at (x, y) of a tile layer whose occupancy
+// word is w and whose first record is Voxels[first], or nil when its
+// bit is clear.
+func (g *VoxelGrid) inLayer(w uint64, first int, x, y uint32) *VoxelStats {
+	bit := uint64(1) << (y<<tileBits | x)
+	if w&bit == 0 {
+		return nil
+	}
+	return &g.Voxels[first+bits.OnesCount64(w&(bit-1))]
+}
+
+// direct7 holds the offsets of the DIRECT7 neighbourhood: the cell
+// itself, then its face neighbours along x, y and z.
+var direct7 = [7]VoxelKey{{}, {X: -1}, {X: 1}, {Y: -1}, {Y: 1}, {Z: -1}, {Z: 1}}
+
+// Direct7 appends to out the usable voxels among k and its six face
+// neighbours, in the order k, -x, +x, -y, +y, -z, +z. It finds k's tile
+// and the first record of k's layer once: the four neighbours in k's
+// layer share its occupancy word, the two across z read the adjacent
+// words, and only a neighbour across a tile face is looked up on its
+// own.
+func (g *VoxelGrid) Direct7(k VoxelKey, out []*VoxelStats) []*VoxelStats {
+	x, y, z, ok := biasKey(k)
+	var t *voxelTile
+	if ok {
+		t = g.tile(tileKey(x, y, z))
+	}
+	x, y, z = x&tileMask, y&tileMask, z&tileMask
+	// Layers z-1, z and z+1 of k's tile; all clear when it has none.
+	var occ [3]uint64
+	var first [3]int
+	if t != nil {
+		first[1] = t.layerFirst(z)
+		occ[1] = t.occ[z]
+		if z > 0 {
+			occ[0] = t.occ[z-1]
+			first[0] = first[1] - bits.OnesCount64(occ[0])
+		}
+		if z < tileMask {
+			occ[2] = t.occ[z+1]
+			first[2] = first[1] + bits.OnesCount64(occ[1])
+		}
+	}
+	// Which of the seven lie in k's tile; none does when k does not
+	// pack, though a neighbour may.
+	in := [7]bool{ok, ok && x > 0, ok && x < tileMask, ok && y > 0, ok && y < tileMask, ok && z > 0, ok && z < tileMask}
+	for i, d := range direct7 {
+		var vs *VoxelStats
+		if in[i] {
+			vs = g.inLayer(occ[1+d.Z], first[1+d.Z], uint32(int32(x)+d.X), uint32(int32(y)+d.Y))
+		} else {
+			vs = g.Lookup(VoxelKey{X: k.X + d.X, Y: k.Y + d.Y, Z: k.Z + d.Z})
+		}
+		if vs != nil {
+			out = append(out, vs)
+		}
+	}
+	return out
+}
+
+// ForEach calls fn for every voxel with its key, in Voxels order.
+func (g *VoxelGrid) ForEach(fn func(k VoxelKey, vs *VoxelStats)) {
+	keys := make([]uint64, len(g.tiles))
+	for i, tk := range g.dirKeys {
+		if tk != emptyTile {
+			keys[g.dirTiles[i]] = tk
+		}
+	}
+	const axis = 1<<tileAxisBits - 1
+	for ti := range g.tiles {
+		t := &g.tiles[ti]
+		tx := uint32(keys[ti]>>(2*tileAxisBits)&axis) << tileBits
+		ty := uint32(keys[ti]>>tileAxisBits&axis) << tileBits
+		tz := uint32(keys[ti]&axis) << tileBits
+		i := int(t.first)
+		for z, w := range t.occ {
+			for ; w != 0; w &= w - 1 {
+				b := uint32(bits.TrailingZeros64(w))
+				fn(VoxelKey{
+					X: int32(tx|b&tileMask) - keyBias,
+					Y: int32(ty|b>>tileBits) - keyBias,
+					Z: int32(tz|uint32(z)) - keyBias,
+				}, &g.Voxels[i])
+				i++
 			}
 		}
 	}
@@ -295,10 +423,17 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 		a.zz += v.Z * v.Z
 		a.n++
 	}
+	// ranked pairs a usable voxel's rank key (its tile key, then its
+	// place in the tile) with the index of its record in voxels.
+	type ranked struct {
+		rank uint64
+		i    int32
+	}
 	voxels := make([]VoxelStats, 0, len(cells))
+	order := make([]ranked, 0, len(cells))
 	for i := range cells {
 		a := &cells[i]
-		packed, ok := packKey(a.key)
+		x, y, z, ok := biasKey(a.key)
 		if a.n < minPoints || !ok {
 			continue
 		}
@@ -322,29 +457,49 @@ func BuildVoxelStats(c *Cloud, leaf float64, minPoints int) *VoxelGrid {
 		if !ok {
 			continue
 		}
+		local := (z&tileMask)<<(2*tileBits) | (y&tileMask)<<tileBits | x&tileMask
+		order = append(order, ranked{rank: tileKey(x, y, z)*tileCells + uint64(local), i: int32(len(voxels))})
 		voxels = append(voxels, VoxelStats{
-			key:    packed,
 			Mean:   m,
 			InvCov: [6]float64{ic[0][0], ic[0][1], ic[0][2], ic[1][1], ic[1][2], ic[2][2]},
 		})
 	}
-	// The cells and their index die here. The grid keeps an exactly
-	// sized copy of the usable voxels and a table sized for them. Keys
-	// are distinct, so each goes to the first empty slot of its probe
-	// sequence.
-	g := &VoxelGrid{Voxels: slices.Clone(voxels)}
-	size := gridTableSize(len(g.Voxels))
-	g.slots = make([]int32, size)
-	g.tags = make([]uint8, size)
-	g.mask = uint32(size - 1)
-	for i := range g.Voxels {
-		h := hashKey(g.Voxels[i].Key())
-		j := h & g.mask
-		for g.tags[j] != 0 {
-			j = (j + 1) & g.mask
+	// The cells and their index die here. The grid keeps the usable
+	// voxels in rank order, exactly sized, one tile per run of equal
+	// tile keys, and a directory sized for the tiles. Rank keys are
+	// distinct, so the order is total.
+	slices.SortFunc(order, func(a, b ranked) int { return cmp.Compare(a.rank, b.rank) })
+	tiles := 0
+	for j := range order {
+		if j == 0 || order[j].rank/tileCells != order[j-1].rank/tileCells {
+			tiles++
 		}
-		g.slots[j] = int32(i)
-		g.tags[j] = tagOf(h)
+	}
+	g := &VoxelGrid{Voxels: make([]VoxelStats, len(order)), tiles: make([]voxelTile, 0, tiles)}
+	size := minDirSize
+	for 4*tiles > 3*size {
+		size <<= 1
+	}
+	g.dirKeys = make([]uint64, size)
+	g.dirTiles = make([]int32, size)
+	for i := range g.dirKeys {
+		g.dirKeys[i] = emptyTile
+	}
+	g.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint32(size - 1)
+	for j, o := range order {
+		g.Voxels[j] = voxels[o.i]
+		tk, local := o.rank/tileCells, o.rank%tileCells
+		if j == 0 || tk != order[j-1].rank/tileCells {
+			d := uint32(tk * dirMul >> g.shift)
+			for g.dirKeys[d] != emptyTile {
+				d = (d + 1) & mask
+			}
+			g.dirKeys[d] = tk
+			g.dirTiles[d] = int32(len(g.tiles))
+			g.tiles = append(g.tiles, voxelTile{first: int32(j)})
+		}
+		g.tiles[len(g.tiles)-1].occ[local/64] |= 1 << (local % 64)
 	}
 	return g
 }

@@ -6,8 +6,8 @@ package pointcloud
 // build: a probe hashes three int32s with one multiply and compares
 // keys inline, and reset clears only the prefix of the table the next
 // pass will use, so a pooled index that once held a large cloud stays
-// cheap for small ones. A built VoxelGrid keeps a leaner table of voxel
-// numbers and tags.
+// cheap for small ones. A built VoxelGrid keeps no keys: it finds a
+// voxel through its tile's occupancy bitmap.
 type voxelIndex struct {
 	slots []indexSlot
 	mask  uint32

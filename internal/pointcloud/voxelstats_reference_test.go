@@ -86,12 +86,9 @@ func referenceVoxelStats(c *Cloud, leaf float64, minPoints int) []refVoxelStats 
 var upper = [3][3]int{{0, 1, 2}, {1, 3, 4}, {2, 4, 5}}
 
 // sameVoxelBits reports whether a lean voxel carries the reference
-// voxel's key and mean, and whether its six inverse-covariance terms
-// equal the reference's full inverse in both triangles, bit for bit.
+// voxel's mean, and whether its six inverse-covariance terms equal the
+// reference's full inverse in both triangles, bit for bit.
 func sameVoxelBits(got VoxelStats, want refVoxelStats) bool {
-	if got.Key() != want.Key {
-		return false
-	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	if !same(got.Mean.X, want.Mean.X) || !same(got.Mean.Y, want.Mean.Y) || !same(got.Mean.Z, want.Mean.Z) {
 		return false

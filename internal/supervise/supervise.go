@@ -144,7 +144,9 @@ type nodeState struct {
 	policy Policy
 	rng    *mathx.RNG
 
-	phase   int
+	phase int
+	// attempt counts the restarts since the last crash was detected or
+	// the node last published fresh output, and sets the backoff.
 	attempt int
 
 	// Checkpoint bookkeeping.
@@ -240,6 +242,9 @@ func (s *Supervisor) observe(ev platform.Event) {
 			if st := s.states[name]; st.policy.Topic == ev.Topic {
 				st.seenOut = true
 				st.lastFresh = ev.Stamp
+				if st.phase == phaseHealthy {
+					st.attempt = 0
+				}
 			}
 		}
 	case platform.Done:
@@ -270,10 +275,17 @@ func (s *Supervisor) tick() {
 	s.sim.After(checkPeriod, s.tick)
 }
 
-// declareDown opens an outage and schedules the first restart attempt.
+// declareDown opens an outage and schedules its first restart. A
+// crash outage backs off from backoffBase. A stale-output outage
+// continues the backoff where the node's last outage left it unless
+// the node has published fresh output since: a node that runs its
+// callbacks but stays silent is restarted at growing intervals, not
+// every liveness timeout.
 func (s *Supervisor) declareDown(st *nodeState, cause string, now time.Duration) {
 	st.phase = phaseDown
-	st.attempt = 0
+	if cause == CauseCrash {
+		st.attempt = 0
+	}
 	st.restored = false
 	st.restoredAge = 0
 	if s.rec != nil {
@@ -329,10 +341,12 @@ func (s *Supervisor) restart(st *nodeState) {
 
 // recovered closes the outage after a restarted node completed its
 // first callback, and immediately re-checkpoints the restored state.
+// The node gets a full liveness timeout from now to publish; its
+// attempt count stands until it does.
 func (s *Supervisor) recovered(st *nodeState) {
 	now := s.sim.Now()
 	st.phase = phaseHealthy
-	st.attempt = 0
+	st.lastFresh = now
 	recheckpointed := false
 	if cp := st.policy.Checkpoint; cp != nil {
 		st.snapshot = cp.Snapshot()

@@ -222,33 +222,60 @@ func TestCrashBeforeFirstCheckpointIsColdRestart(t *testing.T) {
 	}
 }
 
+// TestStaleOutputLivenessDetection mutes the node's output at 1 s while
+// its callbacks keep running. The first outage opens one liveness
+// timeout after the last output and closes on the restarted node's
+// first callback. The node stays silent, so outages repeat, but each
+// recovered node gets a full liveness timeout to publish and the
+// restart backoff carries over from outage to outage, so one outage is
+// open by 3 s and the gaps between outages grow.
 func TestStaleOutputLivenessDetection(t *testing.T) {
-	const muteAfter = time.Second
+	const muteAfter, horizon = time.Second, 10 * time.Second
 	cfg := checkpointed(11)
 	cfg.Policies[0].Topic = "/out"
 	r := newRig(t, cfg, 0, 0) // no crash window
 	r.node.muteAfter = muteAfter
-	r.pump(300, inputPeriod)
-	r.sim.Run(3 * time.Second)
+	r.pump(int(horizon/inputPeriod), inputPeriod)
+	r.sim.Run(horizon)
 
 	outs := r.rec.Outages()
 	if len(outs) == 0 {
 		t.Fatal("mute node triggered no stale-output outage")
 	}
 	o := outs[0]
-	if o.Cause != CauseStaleOutput {
-		t.Errorf("cause = %q, want %q", o.Cause, CauseStaleOutput)
-	}
 	// Staleness accrues from the last output, one input before the
 	// mute: detection past the timeout, within one check period.
 	lo, hi := muteAfter-inputPeriod+livenessTimeout, muteAfter+livenessTimeout+checkPeriod
 	if o.Detected <= lo || o.Detected > hi {
 		t.Errorf("detected at %v, want in (%v, %v]", o.Detected, lo, hi)
 	}
-	// The restarted node still completes callbacks, so the probe
-	// succeeds and the outage closes.
-	if o.Recovered == 0 {
-		t.Errorf("outage never recovered: %+v", o)
+	opened := 0
+	for i, o := range outs {
+		if o.Cause != CauseStaleOutput {
+			t.Errorf("outage %d cause = %q, want %q", i, o.Cause, CauseStaleOutput)
+		}
+		// The restarted node still completes callbacks, so the probe
+		// succeeds and the outage closes.
+		if o.Recovered == 0 && i < len(outs)-1 {
+			t.Errorf("outage %d never recovered: %+v", i, o)
+		}
+		if o.Detected <= 3*time.Second {
+			opened++
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := outs[i-1]; o.Detected-prev.Recovered <= livenessTimeout {
+			t.Errorf("outage %d opened at %v, %v after outage %d recovered; want more than the liveness timeout",
+				i, o.Detected, o.Detected-prev.Recovered, i-1)
+		}
+		if i >= 2 && o.Detected-outs[i-1].Detected <= outs[i-1].Detected-outs[i-2].Detected {
+			t.Errorf("outage %d opened %v after outage %d, no later than the gap before it (%v)",
+				i, o.Detected-outs[i-1].Detected, i-1, outs[i-1].Detected-outs[i-2].Detected)
+		}
+	}
+	if opened != 1 || len(outs) < 4 {
+		t.Errorf("%d outages opened by 3 s and %d by %v, want 1 and at least 4: %+v", opened, len(outs), horizon, outs)
 	}
 }
 
