@@ -215,10 +215,10 @@ docs-lint:
 	if [ -n "$$missing" ]; then echo "missing package comment in:$$missing"; exit 1; fi
 	@echo "docs-lint clean"
 
-# Transport stress: race-run the executor's reference-accounting table
+# Transport stress: race-run the executor's frame-accounting table
 # (FIFO and EDF dispatch under no verdict, deadline shed, crash-drop and
-# stall — the pool must drain to zero and every frame be accounted for),
+# stall — every queue must drain and every frame be accounted for),
 # then the queue-burst chaos scenario end to end.
 bus-stress:
-	$(GO) test -race -count=1 -run='TestExecutorPoolDrainsToZero' ./internal/platform/
+	$(GO) test -race -count=1 -run='TestExecutorAccountsEveryFrame' ./internal/platform/
 	$(GO) run ./cmd/characterize -faults queue-burst -duration 12s -out /dev/null

@@ -213,16 +213,6 @@ type TopicStats = ros.TopicStats
 // Topics returns per-topic rate and bandwidth statistics.
 func (s *System) Topics() []TopicStats { return s.stack.Bus.TopicStats() }
 
-// PoolStats is the message pool's reference-count ledger.
-type PoolStats = ros.PoolStats
-
-// Pool returns the transport's envelope-pool statistics: envelopes
-// ever acquired, currently live (with their outstanding references),
-// and idle on the free list. LiveRefs minus queued messages bounds the
-// envelopes held by in-flight callbacks and fusion caches — useful for
-// leak detection in long soak runs.
-func (s *System) Pool() PoolStats { return s.stack.Bus.PoolStats() }
-
 // Pose returns the current localization estimate; ok is false before
 // initialization.
 func (s *System) Pose() (geom.Pose, bool) {

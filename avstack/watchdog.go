@@ -72,8 +72,8 @@ func attachWatchdog(stack *autoware.Stack, policies []WatchPolicy) error {
 }
 
 // observe tracks fresh publications on watched topics, ignoring the
-// watchdog's own substituted publications. Payloads are never pooled,
-// so lastGood stays valid past the event.
+// watchdog's own substituted publications. Payloads are shared and
+// never reused, so lastGood stays valid past the event.
 func (w *watchdog) observe(ev platform.Event) {
 	if ev.Kind != platform.Published {
 		return

@@ -18,12 +18,10 @@
 // scheduler), so a fault is always upstream of every mitigation that
 // might answer it.
 //
-// Ownership. Filter hooks borrow the message for the duration of the
-// call: corruption faults substitute a freshly cloned payload rather
-// than mutating the original, the burst pump republishes retained
-// *payload* pointers (never pooled envelopes), and a drop verdict
-// leaves the release to the executor — the injector itself never
-// touches the transport's reference ledger.
+// Ownership. Published messages and payloads are read-only and shared:
+// corruption faults substitute a freshly cloned payload rather than
+// mutating the original, and the burst pump republishes the newest
+// payload it saw on its topic as a new publication.
 package faults
 
 import (

@@ -187,7 +187,8 @@ func (in *Injector) filterCallback(node string, _ *ros.Message, now time.Duratio
 }
 
 // observe caches the newest payload published on each burst topic.
-// Payloads are never pooled, so holding one past the event is safe.
+// Payloads are shared and never reused, so holding one past the event
+// is safe.
 func (in *Injector) observe(ev platform.Event) {
 	if _, burst := in.lastPayload[ev.Topic]; burst && ev.Kind == platform.Published {
 		in.lastPayload[ev.Topic] = ev.Payload

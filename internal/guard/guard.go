@@ -14,11 +14,9 @@
 // Guard.Attach installs Inspect as the ingress filter, the executor's
 // only one.
 //
-// Ownership. The ingress hook borrows the message for the call only;
-// a quarantine verdict hands the envelope's ingress reference back to
-// the bus for release, and an accept passes it through untouched — the
-// guard retains nothing and the transport's refcount ledger balances
-// identically with or without it.
+// Ownership. The ingress hook reads the arrival's stamp and payload
+// and retains neither; a quarantined frame never reaches a subscriber
+// queue, so it takes no envelope and no sequence number.
 //
 // The guard is deterministic and side-effect-free on clean input: it
 // draws no randomness, schedules no events, and its accept path

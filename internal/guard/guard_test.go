@@ -10,6 +10,7 @@ import (
 	"repro/internal/nodes/filters"
 	"repro/internal/platform"
 	"repro/internal/pointcloud"
+	"repro/internal/ros"
 )
 
 // cloudMsg builds a clean n-point cloud payload.
@@ -236,5 +237,31 @@ func TestGuardDupWindowBounded(t *testing.T) {
 	// The newest stamp is still remembered.
 	if v := g.Inspect("/t", base+dupWindow*time.Millisecond, nil, now); !v.Quarantine || v.Cause != CauseDuplicate {
 		t.Errorf("in-window duplicate not flagged: %+v", v)
+	}
+}
+
+// TestGuardQuarantinedFrameNeverQueued drives the guard through the
+// executor's ingress: of two arrivals with one stamp the first is
+// accepted and queued, and the second is quarantined as a duplicate and
+// never reaches the subscriber's queue.
+func TestGuardQuarantinedFrameNeverQueued(t *testing.T) {
+	sim := platform.NewSim()
+	ex := platform.NewExecutor(sim,
+		platform.NewCPU(platform.DefaultCPUConfig(), sim),
+		platform.NewGPU(platform.DefaultGPUConfig(), sim),
+		ros.NewBus(), nil)
+	sub := ex.Bus.Subscribe("probe", ros.SubSpec{Topic: "/t", Depth: 0})
+	g := New(Config{})
+	g.Attach(ex)
+
+	ex.Publish("/t", 7)
+	ex.Publish("/t", 7)
+	sim.Run(time.Second)
+
+	if q := g.Quarantined(); q != 1 {
+		t.Fatalf("quarantined = %d, want 1 (counts %+v)", q, g.Counts())
+	}
+	if sub.Queue.Len() != 1 {
+		t.Fatalf("queued = %d, want 1", sub.Queue.Len())
 	}
 }

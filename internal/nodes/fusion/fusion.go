@@ -48,7 +48,6 @@ type Node struct {
 	cy  float64
 
 	lastVision    *ros.Message
-	lastPose      *ros.Message
 	visionObjects []msgs.DetectedObject
 	egoPose       geom.Pose
 	havePose      bool
@@ -89,23 +88,10 @@ func (n *Node) Process(in *ros.Message, _ time.Duration) ros.Result {
 	case *msgs.PoseStamped:
 		n.egoPose = payload.Pose
 		n.havePose = true
-		// Cache the input past this callback: retain our own reference
-		// before the executor releases its (pooled envelopes recycle
-		// once unreferenced), dropping the reference on the displaced
-		// previous cache entry.
-		in.Retain()
-		if n.lastPose != nil {
-			n.lastPose.Release()
-		}
-		n.lastPose = in
 		return ros.Result{Work: work.Work{IntOps: 120, LoadOps: 60, StoreOps: 30, BranchOps: 20, BytesTouched: 256}}
 	case *msgs.DetectedObjectArray:
 		if in.Topic == visiondet.TopicObjects {
 			n.visionObjects = payload.Objects
-			in.Retain()
-			if n.lastVision != nil {
-				n.lastVision.Release()
-			}
 			n.lastVision = in
 			return ros.Result{Work: work.Work{
 				IntOps: 300, LoadOps: 150, StoreOps: 80, BranchOps: 50,

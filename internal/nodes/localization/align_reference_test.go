@@ -9,12 +9,18 @@ import (
 	"repro/internal/pointcloud"
 )
 
+// direct7Offsets is the DIRECT7 neighbourhood in the order align reads
+// it: the point's voxel, then -x, +x, -y, +y, -z, +z.
+var direct7Offsets = [7]pointcloud.VoxelKey{{}, {X: -1}, {X: 1}, {Y: -1}, {Y: 1}, {Z: -1}, {Z: 1}}
+
 // referenceAlign is align as it stood while voxel records held the full
 // 3x3 inverse covariance, with Sigma^-1 d as a loop over its rows. The
 // records now hold the upper triangle, so the full matrix is rebuilt
 // here with each lower term read from its upper mirror, which
 // TestVoxelGridMatchesMapReference shows holds the reference build's
-// bits.
+// bits. Each point's neighbourhood comes from seven Lookups, not from
+// the Direct7 that align calls, so a Direct7 that returns the wrong
+// voxels fails the comparison.
 func referenceAlign(n *NDTMatching, cloud *pointcloud.Cloud, init geom.Pose) (pose geom.Pose, fitness float64, iters, matched, lookups int) {
 	pose = init
 	var buf []*pointcloud.VoxelStats
@@ -30,7 +36,13 @@ func referenceAlign(n *NDTMatching, cloud *pointcloud.Cloud, init geom.Pose) (po
 			lp := cloud.Points[i].Pos
 			wp := pose.Transform(lp)
 			lk += 7
-			buf = n.m.Direct7(wp, buf[:0])
+			k := pointcloud.KeyFor(wp, n.m.NDTLeaf)
+			buf = buf[:0]
+			for _, d := range direct7Offsets {
+				if vs := n.m.NDT.Lookup(pointcloud.VoxelKey{X: k.X + d.X, Y: k.Y + d.Y, Z: k.Z + d.Z}); vs != nil {
+					buf = append(buf, vs)
+				}
+			}
 			pointHit := false
 			for _, vs := range buf {
 				ic := vs.InvCov

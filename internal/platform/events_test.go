@@ -8,8 +8,8 @@ import (
 	"repro/internal/ros"
 )
 
-// seenEvent is an observer's copy of one event: the borrowed parts are
-// cloned or reduced to what the checks need.
+// seenEvent is an observer's copy of one event, reduced to what the
+// checks need.
 type seenEvent struct {
 	kind     EventKind
 	topic    string

@@ -29,8 +29,7 @@ type nodeRuntime struct {
 // DoneInfo describes one completed node callback for observers.
 type DoneInfo struct {
 	Node string
-	// Input is the message that triggered the callback. Borrowed: valid
-	// only for the duration of the observer call.
+	// Input is the message that triggered the callback (read-only).
 	Input *ros.Message
 	// Arrived is when the input reached the node's queue.
 	Arrived time.Duration
@@ -50,8 +49,8 @@ type DoneInfo struct {
 	// later consumes it (see trace.ChainLog).
 	Published []string
 	// FusedInputs lists previously cached messages whose origins were
-	// merged into the outputs' lineage (fusion's latest-input caches).
-	// Borrowed: valid only for the duration of the observer call.
+	// merged into the outputs' lineage (fusion's latest-input caches),
+	// read-only like Input.
 	FusedInputs []*ros.Message
 }
 
@@ -149,9 +148,9 @@ const (
 type Event struct {
 	Kind EventKind
 	// Topic, Stamp (the frame's header stamp), Origins and Payload
-	// describe a Published or Quarantined frame. Origins is borrowed:
-	// valid only for the duration of the observer call. Payload is the
-	// delivered one, after any PublishFilter substitution.
+	// describe a Published or Quarantined frame; all are read-only.
+	// Payload is the delivered one, after any PublishFilter
+	// substitution.
 	Topic   string
 	Stamp   time.Duration
 	Origins []ros.Origin
@@ -334,23 +333,20 @@ func skewSelfOrigin(origins []ros.Origin, topic string, stamp time.Duration) []r
 	return out
 }
 
-// enqueue materializes the arrival as a pooled envelope, runs the
-// ingress integrity filter on it and, on accept, publishes it into the
-// subscriber queues. It reports whether the frame was delivered (false
-// when quarantined). A quarantined frame never reaches a queue: its
-// envelope is released straight back to the pool.
+// enqueue runs the ingress integrity filter on an arrival and, on
+// accept, publishes it into the subscriber queues. It reports whether
+// the frame was delivered (false when quarantined). A quarantined frame
+// never reaches a subscriber queue and takes no sequence number.
 func (e *Executor) enqueue(topic string, stamp time.Duration, payload any, origins []ros.Origin) bool {
-	m := e.Bus.NewMessage(topic, stamp, payload, origins)
 	if e.IngressFilter != nil {
 		v := e.IngressFilter(topic, stamp, payload, e.Sim.Now())
 		if v.Quarantine {
 			e.Bus.RecordQuarantine(topic)
 			e.emit(Event{Kind: Quarantined, Topic: topic, Stamp: stamp, Origins: origins, Payload: payload, Cause: v.Cause})
-			m.Release()
 			return false
 		}
 	}
-	e.Bus.PublishMessage(m)
+	e.Bus.Publish(topic, stamp, payload, origins)
 	e.emit(Event{Kind: Published, Topic: topic, Stamp: stamp, Origins: origins, Payload: payload})
 	return true
 }
@@ -473,22 +469,18 @@ func (e *Executor) tryDispatch(rt *nodeRuntime) {
 // start is the dispatch tail both dispatchers share, run on an input
 // just popped for an idle node: the deadline shed check against
 // ShedBudget, then the callback filter's crash-drop and stall
-// verdicts, then the callback. The popped message carries the queue's
-// reference, and every path ends in exactly one Release: here for shed
-// and crash-drop verdicts, which leave the node idle, in
-// completeCallback once a callback ran. A stall marks the node busy
-// until the callback runs.
+// verdicts, then the callback. Shed and crash-drop verdicts consume
+// the input and leave the node idle; a stall marks the node busy until
+// the callback runs.
 func (e *Executor) start(rt *nodeRuntime, msg *ros.Message) {
 	name := rt.node.Name()
 	if e.ShedBudget > 0 && e.overBudget(msg) {
 		e.Bus.RecordShed(msg.Topic)
-		msg.Release()
 		return
 	}
 	if e.CallbackFilter != nil {
 		v := e.CallbackFilter(name, msg, e.Sim.Now())
 		if v.Drop {
-			msg.Release()
 			return
 		}
 		if v.Stall > 0 {
@@ -587,10 +579,6 @@ func (e *Executor) completeCallback(rt *nodeRuntime, msg *ros.Message, started, 
 		}
 	}
 	rt.busy = false
-	// The callback (and its observers) are done with the input; return
-	// our reference. A node that cached the message (fusion's last-good
-	// buffers) holds its own retained reference past this point.
-	msg.Release()
 	if e.Sched != nil {
 		e.schedDispatch()
 		return

@@ -27,11 +27,10 @@ type Subscription struct {
 // timing-free; the platform layer decides *when* publishes happen and
 // models the transport/serialization delay.
 //
-// Delivery is zero-copy: one pooled envelope per publication, shared
-// by pointer across every subscriber queue with one reference each
-// (see Pool). A Bus is owned by one goroutine — the single-threaded
-// simulator that publishes into it and drains it — so neither the bus
-// nor its queues synchronize.
+// Delivery is zero-copy: one envelope per publication, shared by
+// pointer across every subscriber queue. A Bus is owned by one
+// goroutine — the single-threaded simulator that publishes into it and
+// drains it — so neither the bus nor its queues synchronize.
 type Bus struct {
 	topics map[string]*topicState
 	// subsByNode indexes subscriptions per subscriber for executors.
@@ -40,8 +39,6 @@ type Bus struct {
 	onDeliver func(sub *Subscription, m *Message)
 	// stats, when enabled, accumulates per-topic traffic counters.
 	stats *statsCollector
-
-	pool *Pool
 }
 
 type topicState struct {
@@ -55,7 +52,6 @@ func NewBus() *Bus {
 	return &Bus{
 		topics:     make(map[string]*topicState),
 		subsByNode: make(map[string][]*Subscription),
-		pool:       NewPool(),
 	}
 }
 
@@ -82,41 +78,24 @@ func (b *Bus) topic(name string) *topicState {
 	return ts
 }
 
-// NewMessage acquires a pooled envelope for a publication, holding one
-// reference on behalf of the caller. PublishMessage converts that
-// reference into the subscribers'; a caller that abandons the message
-// instead (e.g. the ingress guard quarantining it before it reaches
-// any queue) must Release it back to the pool.
-func (b *Bus) NewMessage(topic string, stamp time.Duration, payload any, origins []Origin) *Message {
-	return b.pool.get(topic, stamp, payload, origins)
-}
-
-// Publish stamps the message and delivers it to every subscriber queue.
-// It returns the number of subscribers reached.
+// Publish assigns the topic's next sequence number and fans the
+// publication out zero-copy: one envelope, holding its own copy of the
+// origins, goes to every subscriber queue, and the payload is shared,
+// never copied. It returns the number of subscribers reached.
 func (b *Bus) Publish(topic string, stamp time.Duration, payload any, origins []Origin) int {
-	return b.PublishMessage(b.NewMessage(topic, stamp, payload, origins))
-}
-
-// PublishMessage assigns the topic sequence number and fans the
-// envelope out zero-copy: the payload is allocated (by the caller)
-// once, and each subscriber queue holds one reference to the shared
-// envelope. The caller's reference from NewMessage is consumed.
-func (b *Bus) PublishMessage(m *Message) int {
-	b.pool.advance()
-	ts := b.topic(m.Topic)
+	ts := b.topic(topic)
 	ts.seq++
-	m.Header.Seq = ts.seq
-	b.recordPublish(ts, m.Header.Stamp, m.Payload)
+	b.recordPublish(ts, stamp, payload)
 	if len(ts.subs) == 0 {
-		m.Release()
 		return 0
 	}
-	// Convert the caller's single reference into one per queue.
-	m.addRefs(len(ts.subs) - 1)
+	m := &Message{
+		Topic:   topic,
+		Header:  Header{Seq: ts.seq, Stamp: stamp, Origins: append([]Origin(nil), origins...)},
+		Payload: payload,
+	}
 	for _, sub := range ts.subs {
-		if evicted := sub.Queue.Push(m); evicted != nil {
-			evicted.Release()
-		}
+		sub.Queue.Push(m)
 		if b.onDeliver != nil {
 			b.onDeliver(sub, m)
 		}
@@ -124,15 +103,8 @@ func (b *Bus) PublishMessage(m *Message) int {
 	return len(ts.subs)
 }
 
-// PoolStats exposes the envelope pool's accounting — the leak-check
-// surface: after a drained run, Live and LiveRefs must equal exactly
-// the references still legitimately held (queued messages plus any
-// node-retained caches).
-func (b *Bus) PoolStats() PoolStats { return b.pool.Stats() }
-
 // QueuedMessages counts messages currently sitting in subscriber
-// queues across all topics — the transport's own outstanding
-// references.
+// queues across all topics.
 func (b *Bus) QueuedMessages() int {
 	n := 0
 	for _, ts := range b.topics {
@@ -144,9 +116,9 @@ func (b *Bus) QueuedMessages() int {
 }
 
 // Tap installs the bus's one delivery observer, which fires once per
-// (message, subscription) pair and borrows the message for the call.
-// onDrop must be nil. Its only user is cmd/bench; a later benchmark
-// change moves it onto platform.Executor.Observe and deletes Tap.
+// (message, subscription) pair. onDrop must be nil. Its only user is
+// cmd/bench; a later benchmark change moves it onto
+// platform.Executor.Observe and deletes Tap.
 func (b *Bus) Tap(onDeliver func(*Subscription, *Message), onDrop func(*Subscription, *Message)) {
 	if onDrop != nil || b.onDeliver != nil {
 		panic("ros: Bus.Tap takes one delivery observer and no drop observer")

@@ -13,17 +13,10 @@
 // scheduler picks last, peeking queue heads without popping. Observers
 // (taps, drop hooks) chain and never veto.
 //
-// Ownership. Message envelopes are pooled and reference-counted: one
-// writer per topic publishes the same envelope to every subscriber
-// queue (zero copies), each consumption point — queue eviction,
-// quarantine, deadline shed, callback-filter drop, callback completion
-// — returns exactly one reference, and long-lived holders (fusion's
-// latest-input caches) must Retain/Release explicitly. Hook borrowers
-// may read an envelope only for the duration of the call; epoch-based
-// reclamation keeps a just-released envelope stable until two further
-// publications pass. Payloads are never pooled and may be retained
-// indefinitely. Double release and retain-after-free panic, naming the
-// topic.
+// Ownership. A publication is one envelope, shared by pointer with
+// every subscriber queue: the header and its origins are read-only once
+// published, and payloads are shared across subscribers and never
+// copied.
 package ros
 
 import (
@@ -52,76 +45,18 @@ type Header struct {
 	Origins []Origin
 }
 
-// Message is one datum flowing through the graph.
-//
-// Messages published through a Bus are pooled envelopes: the payload
-// is shared zero-copy across every subscriber, and the envelope is
-// reference-counted — one reference per subscriber queue, transferred
-// to the consumer by Pop and returned with Release. Messages
-// constructed directly (tests, tools) have no pool and ignore the
-// reference operations entirely.
+// Message is one datum flowing through the graph. A message the bus
+// delivered is shared by every subscriber queue that took it, so it is
+// read-only.
 type Message struct {
 	Topic   string
 	Header  Header
 	Payload any
-
-	// pool and refs implement pooled-envelope lifetime; both are nil /
-	// unused for directly constructed messages.
-	pool *Pool
-	refs int32
 }
 
 // String implements fmt.Stringer.
 func (m *Message) String() string {
 	return fmt.Sprintf("msg{%s seq=%d t=%v}", m.Topic, m.Header.Seq, m.Header.Stamp)
-}
-
-// Retain adds a reference to a pooled message. A layer that stores a
-// message across callbacks (e.g. the fusion node's last-good caches)
-// must retain it, or the envelope will be recycled out from under it.
-// No-op for unpooled messages.
-func (m *Message) Retain() {
-	p := m.pool
-	if p == nil {
-		return
-	}
-	if m.refs <= 0 {
-		panic(fmt.Sprintf("ros: retain of already-released message on topic %q (seq %d)", m.Topic, m.Header.Seq))
-	}
-	m.refs++
-	p.liveRefs++
-}
-
-// Release drops one reference to a pooled message; at zero the
-// envelope retires to the pool's limbo for epoch-based reuse.
-// Releasing more times than retained panics, naming the topic — a
-// lifetime bug in a transport layer must be loud, not a silent
-// use-after-recycle. No-op for unpooled messages.
-func (m *Message) Release() {
-	p := m.pool
-	if p == nil {
-		return
-	}
-	if m.refs <= 0 {
-		panic(fmt.Sprintf("ros: double release of message on topic %q (seq %d)", m.Topic, m.Header.Seq))
-	}
-	m.refs--
-	p.liveRefs--
-	if m.refs == 0 {
-		p.retire(m)
-	}
-}
-
-// addRefs adds n references in one step — the bus's fan-out path
-// converting its single acquisition reference into one per subscriber
-// queue.
-func (m *Message) addRefs(n int) {
-	p := m.pool
-	if p == nil || n == 0 {
-		return
-	}
-	m.refs += int32(n)
-	p.liveRefs += int64(n)
 }
 
 // MergeOrigins returns the union of the origins of several input

@@ -45,9 +45,7 @@ func NewQueue(depth int) *Queue {
 
 // Push enqueues m in stamp order, evicting the oldest message when
 // full. It returns the evicted message (nil when nothing was dropped,
-// always nil for unbounded queues). The caller owns any reference held
-// by the evicted message; the bus releases it after the drop observers
-// have run.
+// always nil for unbounded queues).
 func (q *Queue) Push(m *Message) *Message {
 	q.arrived++
 	var evicted *Message
@@ -69,9 +67,7 @@ func (q *Queue) Push(m *Message) *Message {
 	return evicted
 }
 
-// Pop removes and returns the oldest message, or nil when empty. The
-// queue's reference to a pooled message transfers to the caller, who
-// must Release it when done.
+// Pop removes and returns the oldest message, or nil when empty.
 func (q *Queue) Pop() *Message {
 	m := q.r.pop()
 	if m != nil {
@@ -80,8 +76,7 @@ func (q *Queue) Pop() *Message {
 	return m
 }
 
-// Peek returns the oldest message without removing it, or nil. The
-// queue keeps its reference; the returned message is a borrow.
+// Peek returns the oldest message without removing it, or nil.
 func (q *Queue) Peek() *Message { return q.r.peek() }
 
 // Len returns the number of queued messages.

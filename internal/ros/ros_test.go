@@ -144,6 +144,26 @@ func TestBusPublishNoSubscribers(t *testing.T) {
 	if n := b.Publish("/nothing", 0, "x", nil); n != 0 {
 		t.Errorf("reached %d", n)
 	}
+	// A publication nobody hears still takes its sequence number.
+	s := b.Subscribe("late", SubSpec{Topic: "/nothing", Depth: 1})
+	b.Publish("/nothing", 1, "y", nil)
+	if got := s.Queue.Pop().Header.Seq; got != 2 {
+		t.Errorf("seq after an unheard publication = %d, want 2", got)
+	}
+}
+
+// TestBusCopiesOrigins: the envelope owns its origin list, so a caller
+// that reuses its slice after publishing cannot reach a queued message.
+func TestBusCopiesOrigins(t *testing.T) {
+	b := NewBus()
+	s := b.Subscribe("n", SubSpec{Topic: "/t", Depth: 1})
+	origins := []Origin{{Topic: "/points_raw", Stamp: 5}}
+	b.Publish("/t", 10, "x", origins)
+	origins[0].Stamp = 999
+	m := s.Queue.Pop()
+	if len(m.Header.Origins) != 1 || m.Header.Origins[0].Stamp != 5 {
+		t.Fatalf("origins aliased the caller slice: %+v", m.Header.Origins)
+	}
 }
 
 // TestBusObservers pins Tap's contract: one delivery observer, called

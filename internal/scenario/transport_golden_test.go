@@ -48,34 +48,14 @@ func runTransportScenario(t *testing.T, legs *cleanMemo, spec Spec, scen *world.
 	return res, faulted
 }
 
-// checkPoolBalance asserts the pool's reference ledger closes at the
-// simulation cutoff: every live reference is either sitting in a
-// subscriber queue, held by a callback that was mid-flight when the
-// clock stopped (at most one per node), or pinned by the fusion node's
-// latest-vision/latest-pose caches (at most two). Anything beyond that
-// bound is a leaked envelope; a negative balance means a queue holds a
-// message the pool thinks is dead — a double release.
-func checkPoolBalance(t *testing.T, name string, stack *autoware.Stack) {
-	t.Helper()
-	ps := stack.Bus.PoolStats()
-	queued := int64(stack.Bus.QueuedMessages())
-	held := ps.LiveRefs - queued
-	maxHeld := int64(len(stack.Executor.NodeNames())) + 2
-	if held < 0 || held > maxHeld {
-		t.Errorf("%s: pool out of balance at cutoff: %d live refs, %d queued (held %d, allowed 0..%d); stats %+v",
-			name, ps.LiveRefs, queued, held, maxHeld, ps)
-	}
-}
-
 func TestTransportGoldenReports(t *testing.T) {
 	t.Parallel()
 	var got bytes.Buffer
 	for _, spec := range builtins() {
-		res, faulted := runTransportScenario(t, &cleanLegs, spec, testenv.Scenario(), testenv.Map())
+		res, _ := runTransportScenario(t, &cleanLegs, spec, testenv.Scenario(), testenv.Map())
 		var rep bytes.Buffer
 		res.WriteReport(&rep)
 		fmt.Fprintf(&got, "%-14s sha256=%x\n", spec.Name, sha256.Sum256(rep.Bytes()))
-		checkPoolBalance(t, spec.Name, faulted)
 	}
 
 	// The pinned search winners run over their own generated worlds:
@@ -92,11 +72,10 @@ func TestTransportGoldenReports(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		res, faulted := runTransportScenario(t, &cleanLegs, spec, scen, m)
+		res, _ := runTransportScenario(t, &cleanLegs, spec, scen, m)
 		var rep bytes.Buffer
 		res.WriteReport(&rep)
 		fmt.Fprintf(&got, "%-14s sha256=%x\n", spec.Name, sha256.Sum256(rep.Bytes()))
-		checkPoolBalance(t, spec.Name, faulted)
 		// A pinned search winner earned its place by breaking the
 		// end-to-end budget; if the violation ever heals on its own, the
 		// pin is stale and the search should be re-run.

@@ -11,9 +11,9 @@ import (
 // zero-copy transport: two runs of the queue-burst scenario (guard and
 // supervisor on, faults active), each on a fresh clean-leg memo, must
 // produce a bit-exact trace — every node and path latency sample — and
-// the same rendered report. Rings and refcounting live on the
-// single-threaded simulation spine, so nothing but the scenario's
-// inputs may reach a simulated observable.
+// the same rendered report. The rings live on the single-threaded
+// simulation spine, so nothing but the scenario's inputs may reach a
+// simulated observable.
 func TestTransportRepeatable(t *testing.T) {
 	t.Parallel()
 	spec, err := ByName(NameQueueBurst)

@@ -29,11 +29,9 @@
 // never schedulable, and the scheduler never resurrects anything a
 // layer above rejected.
 //
-// Ownership. The policy borrows nothing: it reads queue heads via Peek
-// during the pick and never retains a message reference — popping,
-// shedding and releasing stay entirely inside the executor, so the
-// transport's refcount ledger is unchanged whether the scheduler is on
-// or off. Everything the policy consults is virtual-time state, so a
+// Ownership. The policy reads queue heads via Peek during the pick and
+// keeps no message: popping and shedding stay inside the executor.
+// Everything the policy consults is virtual-time state, so a
 // scheduled run is bit-identical across host worker counts; with
 // Executor.Sched nil the seed FIFO dispatch is preserved byte for byte.
 package sched

@@ -31,11 +31,9 @@
 // quarantine is never mistaken for a crash — and the scheduler's pick
 // runs last, choosing only among dispatches the supervisor let stand.
 //
-// Ownership. The callback filter borrows the dispatched message for
-// the call; a Drop verdict for a down node leaves the release to the
-// executor. Checkpoints are deep copies on both sides of the
-// Checkpointer contract — the supervisor retains no live node state
-// and no bus envelopes.
+// Ownership. The callback filter reads the dispatched message and
+// keeps none. Checkpoints are deep copies on both sides of the
+// Checkpointer contract — the supervisor retains no live node state.
 package supervise
 
 import (
