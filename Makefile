@@ -39,8 +39,9 @@ bench-check:
 # Short fuzzing pass over the repo's codecs: rosbag, ring, guard
 # payloads, the scenario-params line, the journal's frames, and the
 # fleet's replay of journal entries (seed corpora are checked in under
-# each package's testdata/fuzz), and over the NDT grid's lookups against
-# its reference build (seeds in the test). Go allows one -fuzz target per
+# each package's testdata/fuzz), and over the NDT grid's lookups and
+# euclidean clustering against their reference implementations (seeds
+# in the tests). Go allows one -fuzz target per
 # invocation, so each target gets its own ~10s run. Go minimizes each
 # new interesting input for up to -fuzzminimizetime (60s by default)
 # without counting it toward -fuzztime, so it is capped at 1s to leave
@@ -54,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/journal/
 	$(GO) test -run=NONE -fuzz=FuzzFleetReplay -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet/
 	$(GO) test -run=NONE -fuzz=FuzzVoxelGridLookup -fuzztime=10s -fuzzminimizetime=1s ./internal/pointcloud/
+	$(GO) test -run=NONE -fuzz=FuzzExtractMatchesReference -fuzztime=10s -fuzzminimizetime=1s ./internal/nodes/lidardet/
 
 # Paper-table smoke: regenerate every table and figure, then the
 # findings, at -workers 1 and -workers 2, and fail unless the two
@@ -107,7 +109,7 @@ corruption-smoke:
 # Quick allocation/latency smoke over the hot-path micro-benches.
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkVoxelGrid|BenchmarkKDTreeBuild|BenchmarkKDTreeRadius' -benchmem -benchtime=10x ./internal/pointcloud/
-	$(GO) test -run=NONE -bench='BenchmarkCluster' -benchmem -benchtime=10x ./internal/nodes/lidardet/
+	$(GO) test -run=NONE -bench='BenchmarkCluster|BenchmarkExtractDrive' -benchmem -benchtime=10x ./internal/nodes/lidardet/
 	$(GO) test -run=NONE -bench='BenchmarkCastRay' -benchmem -benchtime=1000x ./internal/world/
 	$(GO) test -run=NONE -bench='BenchmarkLiDARScan' -benchmem -benchtime=10x ./internal/sensor/
 	$(GO) test -run=NONE -bench='BenchmarkTrackerStep' -benchmem -benchtime=100x ./internal/nodes/tracking/
@@ -118,9 +120,14 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkBusPublishFanout|BenchmarkQueuePush|BenchmarkRingSteadyState' -benchmem -benchtime=10x ./internal/ros/
 
 # Middleware perf trajectory: measure the transport benches against the
-# committed pre-rewrite baselines and refresh BENCH_middleware.json.
+# committed pre-rewrite baselines, print them and write the record to a
+# temporary file, so a run never rewrites the committed
+# BENCH_middleware.json. A deliberate refresh of the committed record
+# runs:
+#   go run ./cmd/benchmw -out BENCH_middleware.json
 bench-middleware:
-	$(GO) run ./cmd/benchmw -out BENCH_middleware.json
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/benchmw -out "$$dir/middleware.json"
 
 # Scheduler tail-latency closure: run the auto-tuner against the
 # contention scenario (characterize exits non-zero if the elected

@@ -1,14 +1,16 @@
 // Command benchmw runs the middleware micro-benchmarks (bus fan-out,
-// bus-edge queue push/pop) against the public transport API and writes
-// BENCH_middleware.json: the measured numbers next to the pre-rewrite
-// baselines recorded from the seed transport (mutex queue, one envelope
-// allocation per publish). `make bench-middleware` is the canonical
-// invocation; the JSON is committed so the perf trajectory of the
-// transport layer is part of the repo's history.
+// bus-edge queue push/pop) against the public transport API and prints
+// the measured numbers next to the pre-rewrite baselines recorded from
+// the seed transport (mutex queue, one envelope allocation per
+// publish). With -out it also writes them as a JSON record; without it
+// nothing is written. The committed BENCH_middleware.json is such a
+// record, so the perf trajectory of the transport layer is part of the
+// repo's history; `make bench-middleware` writes to a temporary file
+// and leaves it as it is.
 //
 // Usage:
 //
-//	benchmw [-out BENCH_middleware.json] [-benchtime 1s]
+//	benchmw [-out FILE] [-benchtime 1s]
 package main
 
 import (
@@ -94,7 +96,7 @@ func benchQueuePush(b *testing.B) {
 
 func main() {
 	testing.Init() // registers test.benchtime before we set it
-	out := flag.String("out", "BENCH_middleware.json", "output JSON path")
+	out := flag.String("out", "", "write the JSON record to this file (default: none)")
 	benchtime := flag.Duration("benchtime", time.Second, "per-benchmark measuring time")
 	flag.Parse()
 
@@ -135,6 +137,9 @@ func main() {
 			after.NsPerOp, after.BytesPerOp, after.AllocsPerOp)
 	}
 
+	if *out == "" {
+		return
+	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchmw:", err)

@@ -34,3 +34,20 @@ func BenchmarkCluster(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExtractDrive measures steady-state Extract over the ground
+// filter's output for the first 25 s of the scripted drive, one cloud
+// per iteration in drive order, reusing one node as the stack does.
+// The synthetic BenchmarkCluster scene does not stand for these clouds.
+func BenchmarkExtractDrive(b *testing.B) {
+	clouds := noGroundDrive()
+	n := New(DefaultConfig())
+	for _, c := range clouds {
+		n.Extract(c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Extract(clouds[i%len(clouds)])
+	}
+}

@@ -6,6 +6,7 @@
 package lidardet
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/geom"
@@ -50,25 +51,27 @@ func DefaultConfig() Config {
 // Cluster is the euclidean_cluster node.
 type Cluster struct {
 	cfg Config
-	// lastTraversal is the k-d tree traversal count of the last run,
-	// which Process's work model reads.
+	// lastTraversal is the k-d tree traversal count of the last run:
+	// the steps of the radius queries the per-point region growing
+	// makes, which Process's work model reads.
 	lastTraversal int
 
 	// Per-frame scratch, reused across callbacks: the range-gated
-	// positions, the k-d tree (rebuilt in place each frame), and the
-	// region-growing working sets.
+	// positions, the k-d tree (rebuilt in place each frame), the grid of
+	// unvisited points, and the region-growing working sets.
 	pts      []geom.Vec3
 	tree     *pointcloud.KDTree
-	visited  []bool
+	cols     columns
 	frontier []int32
-	neigh    []int32
+	found    []uint64
+	queried  []int32
 	member   []int32
 	hullBuf  []geom.Vec2
 }
 
 // New builds the node.
 func New(cfg Config) *Cluster {
-	if cfg.Tolerance <= 0 || cfg.MinPoints < 1 {
+	if !(cfg.Tolerance > 0 && cfg.Tolerance <= math.MaxFloat64) || cfg.MinPoints < 1 {
 		panic("lidardet: invalid config")
 	}
 	if cfg.QueueDepth <= 0 {
@@ -87,6 +90,15 @@ func (c *Cluster) Subscribes() []ros.SubSpec {
 
 // Extract runs clustering on a cloud (ego frame) and returns the
 // detected objects; exported for tests and examples.
+//
+// The clusters, and lastTraversal, are those of region growing that
+// runs one k-d radius query per popped point and pushes the query's
+// unvisited matches in the order it returns them; but no query runs.
+// A query's unvisited matches are the unvisited points within the
+// tolerance that its pruned walk reaches: they are taken from the grid
+// of unvisited points and pushed in OrderKey order. lastTraversal is
+// the tree's bulk step count over the queried points, which are all
+// but those a MaxPoints break leaves unpopped or pops past the cap.
 func (c *Cluster) Extract(cloud *pointcloud.Cloud) []msgs.DetectedObject {
 	// Range gate into the reused position buffer.
 	pts := c.pts[:0]
@@ -105,22 +117,15 @@ func (c *Cluster) Extract(cloud *pointcloud.Cloud) []msgs.DetectedObject {
 	} else {
 		c.tree.Rebuild(pts)
 	}
-	tree := c.tree
-	tree.ResetCounters()
-	if cap(c.visited) < len(pts) {
-		c.visited = make([]bool, len(pts))
-	}
-	visited := c.visited[:len(pts)]
-	for i := range visited {
-		visited[i] = false
-	}
+	c.cols.reset(pts, c.cfg.Tolerance)
+	c.queried = c.queried[:0]
 	var out []msgs.DetectedObject
 	id := 0
 	for seed := range pts {
-		if visited[seed] {
+		if c.cols.visited(int32(seed)) {
 			continue
 		}
-		visited[seed] = true
+		c.cols.remove(int32(seed))
 		c.frontier = append(c.frontier[:0], int32(seed))
 		member := c.member[:0]
 		for len(c.frontier) > 0 {
@@ -130,12 +135,10 @@ func (c *Cluster) Extract(cloud *pointcloud.Cloud) []msgs.DetectedObject {
 			if len(member) > c.cfg.MaxPoints {
 				break
 			}
-			c.neigh = tree.Radius(pts[cur], c.cfg.Tolerance, c.neigh[:0])
-			for _, nb := range c.neigh {
-				if !visited[nb] {
-					visited[nb] = true
-					c.frontier = append(c.frontier, nb)
-				}
+			c.queried = append(c.queried, cur)
+			c.found = c.cols.take(c.tree, pts[cur], c.cfg.Tolerance, c.found[:0])
+			for _, f := range c.found {
+				c.frontier = append(c.frontier, int32(uint32(f)))
 			}
 		}
 		c.member = member
@@ -144,7 +147,7 @@ func (c *Cluster) Extract(cloud *pointcloud.Cloud) []msgs.DetectedObject {
 		}
 		out = append(out, c.summarize(pts, member, &id))
 	}
-	c.lastTraversal = tree.TraversalSteps
+	c.lastTraversal = c.tree.SumRadiusSteps(c.queried, c.cfg.Tolerance)
 	return out
 }
 
@@ -187,6 +190,10 @@ func (c *Cluster) Process(in *ros.Message, _ time.Duration) ros.Result {
 	n := float64(pc.Cloud.Len())
 	trav := float64(c.lastTraversal)
 	nObj := float64(len(objects))
+	// trav is the node visits of the search Autoware's region growing
+	// runs, one k-d radius query per popped point. Virtual time charges
+	// that reference search, not the bulk count and grid that Extract
+	// runs on the host to reproduce its result and its count.
 	w := work.Work{
 		// Tree build: n log n; growth: traversal-dominated pointer
 		// chasing — the source of this node's worst-in-table L1 miss

@@ -130,10 +130,164 @@ func TestProcessOnRealScan(t *testing.T) {
 }
 
 func TestPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+	for _, cfg := range []Config{
+		{Tolerance: 0, MinPoints: 1},
+		{Tolerance: -1, MinPoints: 1},
+		{Tolerance: math.NaN(), MinPoints: 1},
+		{Tolerance: math.Inf(1), MinPoints: 1},
+		{Tolerance: 0.8, MinPoints: 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+}
+
+// TestGridCellsBounded checks that the grid of unvisited points never
+// has more cells than the cloud has points, however small the
+// tolerance against the cloud's extent, and that its cells stay wider
+// than the tolerance.
+func TestGridCellsBounded(t *testing.T) {
+	rng := mathx.NewRNG(5)
+	cloud := pointcloud.New(0)
+	for i := 0; i < 500; i++ {
+		cloud.Append(pointcloud.Point{Pos: geom.V3(rng.Range(-1e6, 1e6), rng.Range(-1e6, 1e6), 1)})
+	}
+	for _, tol := range []float64{1e-300, 1e-9, 0.8, 1e5, 1e200} {
+		cfg := DefaultConfig()
+		cfg.Tolerance, cfg.MaxRange = tol, math.Inf(1)
+		c := New(cfg)
+		c.Extract(cloud)
+		g := &c.cols
+		if cells := g.nx * g.ny; cells > cloud.Len() {
+			t.Errorf("tolerance %g: %d×%d cells for %d points", tol, g.nx, g.ny, cloud.Len())
 		}
-	}()
-	New(Config{Tolerance: 0, MinPoints: 1})
+		if g.inv != 0 && !(1/g.inv > tol) {
+			t.Errorf("tolerance %g: cells %g wide", tol, 1/g.inv)
+		}
+	}
+}
+
+// TestExtractMatchesReference runs Extract and the per-query reference
+// over every 0.1 s no-ground cloud of the scripted drive's first 25 s,
+// at three tolerances and three cluster caps, the smaller two of which
+// break region growing early. The objects must be equal bit for bit and
+// lastTraversal must equal the reference queries' steps.
+func TestExtractMatchesReference(t *testing.T) {
+	clouds := noGroundDrive()
+	for _, tol := range []float64{0.3, 0.8, 2.5} {
+		for _, maxPoints := range []int{4000, 50, 7} {
+			cfg := DefaultConfig()
+			cfg.Tolerance, cfg.MaxPoints = tol, maxPoints
+			node := New(cfg)
+			for f, cloud := range clouds {
+				want, steps := referenceExtract(cfg, cloud)
+				got := node.Extract(cloud)
+				if diff := sameObjects(got, want); diff != "" || node.lastTraversal != steps {
+					t.Fatalf("tolerance %v, MaxPoints %d, cloud %d: %q differs; %d traversal steps, want %d",
+						tol, maxPoints, f, diff, node.lastTraversal, steps)
+				}
+			}
+		}
+	}
+}
+
+// fuzzCloud decodes a fuzz input as points of three little-endian int16
+// coordinates each, in units of unit meters. A Z of -32768, 32767 or
+// -32767 reads as NaN, +Inf or -Inf.
+func fuzzCloud(data []byte, unit float64) *pointcloud.Cloud {
+	c := pointcloud.New(len(data) / 6)
+	for ; len(data) >= 6; data = data[6:] {
+		v := func(k int) int16 { return int16(uint16(data[2*k]) | uint16(data[2*k+1])<<8) }
+		z := float64(v(2)) * unit
+		switch v(2) {
+		case math.MinInt16:
+			z = math.NaN()
+		case math.MaxInt16:
+			z = math.Inf(1)
+		case math.MinInt16 + 1:
+			z = math.Inf(-1)
+		}
+		c.Append(pointcloud.Point{Pos: geom.V3(float64(v(0))*unit, float64(v(1))*unit, z)})
+	}
+	return c
+}
+
+// fuzzPoints encodes points for fuzzCloud.
+func fuzzPoints(pts ...[3]int16) []byte {
+	var b []byte
+	for _, p := range pts {
+		for _, v := range p {
+			b = append(b, byte(v), byte(uint16(v)>>8))
+		}
+	}
+	return b
+}
+
+// FuzzExtractMatchesReference checks Extract against the per-query
+// reference on arbitrary clouds, tolerances, cluster bounds and ranges,
+// twice on one node so that no scratch state carries between calls.
+func FuzzExtractMatchesReference(f *testing.F) {
+	const u = 1.0 / 64
+	// Pairs exactly one tolerance (16 units) apart on each side of a
+	// cell boundary; the cells are 16·(1+2^-16) units wide from the
+	// cloud's minimum, since the duplicates of the origin keep the cell
+	// count within the point count.
+	origin := [3]int16{0, 0, 0}
+	f.Add(fuzzPoints(origin, origin, origin, origin, origin, origin,
+		[3]int16{8, 0, 0}, [3]int16{24, 0, 0}, [3]int16{0, 40, 0}, [3]int16{0, 56, 0}), u, 16*u, uint16(4000), uint8(1), 45.0)
+	// A chain across four boundaries, cut by a Z step; MaxPoints breaks
+	// its longer part.
+	f.Add(fuzzPoints([3]int16{0, 0, 0}, [3]int16{15, 0, 0}, [3]int16{31, 0, 3}, [3]int16{47, 0, 0}, [3]int16{63, 0, 0}, [3]int16{79, 0, 0}), u, 16*u, uint16(2), uint8(2), 45.0)
+	// Branches under a tight MaxPoints: which points get queried, and so
+	// the step count, follows the order matches are pushed in.
+	var star [][3]int16
+	for k := int16(0); k < 5; k++ {
+		star = append(star, [3]int16{100 + 10*k, 100, 0}, [3]int16{100 - 10*k, 100, 1}, [3]int16{100, 100 + 10*k, 2}, [3]int16{100, 100 - 10*k, 3})
+	}
+	f.Add(fuzzPoints(star...), u, 16*u, uint16(4), uint8(1), 45.0)
+	// Duplicate points.
+	f.Add(fuzzPoints([3]int16{5, 5, 5}, [3]int16{5, 5, 5}, [3]int16{5, 5, 5}, [3]int16{6, 5, 5}, [3]int16{300, 5, 5}, [3]int16{300, 5, 5}), u, 2*u, uint16(4000), uint8(1), 45.0)
+	// NaN and ±Inf Z, among points that cluster.
+	nanInf := fuzzPoints([3]int16{0, 0, 0}, [3]int16{1, 0, math.MinInt16}, [3]int16{2, 0, 0}, [3]int16{3, 0, math.MaxInt16},
+		[3]int16{4, 0, 0}, [3]int16{5, 0, math.MinInt16 + 1}, [3]int16{6, 0, 0}, [3]int16{7, 1, math.MinInt16}, [3]int16{8, 1, 0})
+	f.Add(nanInf, u, 3*u, uint16(4000), uint8(1), 45.0)
+	f.Add(nanInf, u, 1e200, uint16(4000), uint8(1), math.Inf(1))
+	// A dense blob in which every third Z is NaN: NaN splits leave some
+	// points within the tolerance where the pruned walk never looks.
+	var blob [][3]int16
+	for k := int16(0); k < 64; k++ {
+		z := k % 4
+		if k%3 == 0 {
+			z = math.MinInt16
+		}
+		blob = append(blob, [3]int16{k % 8, k / 8, z})
+	}
+	f.Add(fuzzPoints(blob...), u, 2*u, uint16(4000), uint8(1), 45.0)
+	// Tolerances far below and far above the cloud's extent.
+	spread := fuzzPoints([3]int16{-900, 300, 10}, [3]int16{-899, 301, 10}, [3]int16{0, 0, 0}, [3]int16{1, 1, 1},
+		[3]int16{700, -700, 5}, [3]int16{702, -700, 5}, [3]int16{32000, -32000, 0})
+	f.Add(spread, 0.1, 1e-9, uint16(4000), uint8(1), 1e9)
+	f.Add(spread, 0.1, 1e6, uint16(4000), uint8(1), 1e9)
+	f.Add(spread, 0.1, 0.15, uint16(1), uint8(1), 1e9)
+	f.Fuzz(func(t *testing.T, data []byte, unit, tol float64, maxPoints uint16, minPoints uint8, maxRange float64) {
+		if !(tol > 0 && tol <= math.MaxFloat64) || minPoints == 0 || len(data) > 6*2000 {
+			t.Skip()
+		}
+		cfg := Config{Tolerance: tol, MinPoints: int(minPoints), MaxPoints: int(maxPoints), MaxRange: maxRange}
+		cloud := fuzzCloud(data, unit)
+		want, steps := referenceExtract(cfg, cloud)
+		node := New(cfg)
+		for run := 0; run < 2; run++ {
+			got := node.Extract(cloud)
+			if diff := sameObjects(got, want); diff != "" || node.lastTraversal != steps {
+				t.Fatalf("run %d: %q differs; %d traversal steps, want %d", run, diff, node.lastTraversal, steps)
+			}
+		}
+	})
 }

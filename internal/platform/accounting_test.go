@@ -104,8 +104,14 @@ func TestExecutorAccountsEveryFrame(t *testing.T) {
 				if p := sim.Pending(); p != 0 {
 					t.Fatalf("simulation did not drain: %d events pending", p)
 				}
-				if got := ex.Bus.QueuedMessages(); got != 0 {
-					t.Fatalf("queued = %d after drain", got)
+				queued := 0
+				for _, node := range []string{"relay", "sink"} {
+					for _, sub := range ex.Bus.SubscriptionsOf(node) {
+						queued += sub.Queue.Len()
+					}
+				}
+				if queued != 0 {
+					t.Fatalf("queued = %d after drain", queued)
 				}
 
 				var shedIn uint64

@@ -44,13 +44,17 @@ func voxelFingerprint(c *Cloud, leaf float64) string {
 	return b.String()
 }
 
-// kdFingerprint renders the built tree's full node array — structure,
-// split axes and point order — with exact bit formatting.
+// kdFingerprint renders the built tree's full state: the point in
+// every slot, which with the slot count fixes the structure and split
+// axes, and the point-to-slot map that OrderKey reads.
 func kdFingerprint(t *KDTree) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "root=%d n=%d\n", t.root, len(t.nodes))
-	for i, n := range t.nodes {
-		fmt.Fprintf(&b, "%d: idx=%d axis=%d l=%d r=%d\n", i, n.idx, n.axis, n.left, n.right)
+	fmt.Fprintf(&b, "n=%d points=%d slots=%d\n", len(t.nodes), len(t.pts), len(t.slot))
+	for s, i := range t.nodes {
+		fmt.Fprintf(&b, "%d: idx=%d\n", s, i)
+	}
+	for i, s := range t.slot {
+		fmt.Fprintf(&b, "point %d: slot=%d\n", i, s)
 	}
 	return b.String()
 }

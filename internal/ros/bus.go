@@ -103,18 +103,6 @@ func (b *Bus) Publish(topic string, stamp time.Duration, payload any, origins []
 	return len(ts.subs)
 }
 
-// QueuedMessages counts messages currently sitting in subscriber
-// queues across all topics.
-func (b *Bus) QueuedMessages() int {
-	n := 0
-	for _, ts := range b.topics {
-		for _, sub := range ts.subs {
-			n += sub.Queue.Len()
-		}
-	}
-	return n
-}
-
 // Tap installs the bus's one delivery observer, which fires once per
 // (message, subscription) pair. onDrop must be nil. Its only user is
 // cmd/bench; a later benchmark change moves it onto

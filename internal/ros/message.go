@@ -10,8 +10,9 @@
 // (upstream of the transport), the guard adjudicates at ingress (after
 // transport, before any subscriber queue — a quarantined frame is
 // never enqueued), the supervisor filters at dispatch, and the
-// scheduler picks last, peeking queue heads without popping. Observers
-// (taps, drop hooks) chain and never veto.
+// scheduler picks last, peeking queue heads without popping. The bus
+// has one delivery observer (Bus.Tap), which never vetoes, and no drop
+// observer.
 //
 // Ownership. A publication is one envelope, shared by pointer with
 // every subscriber queue: the header and its origins are read-only once
