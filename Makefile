@@ -194,7 +194,8 @@ journal-smoke:
 # scan spacing (hdmap.DefaultConfig, the map every run builds) into a
 # temporary directory, then inspect the file. Fails unless both commands
 # exit 0 and info reports the point count the build printed and 100%
-# route coverage.
+# route coverage: every route probe's 3x3x3 voxel neighborhood holds a
+# usable NDT voxel (hdmap.Map.Coverage).
 map-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/mapbuilder" ./cmd/mapbuilder || exit 1; \

@@ -60,10 +60,6 @@ type Options struct {
 	VisionOnly bool
 	// WithPlanning adds the actuation-layer nodes.
 	WithPlanning bool
-	// CameraFPS overrides the camera rate (default 9.9).
-	CameraFPS float64
-	// Warmup overrides the measurement warmup (default 3 s).
-	Warmup time.Duration
 	// MapFile loads a prebuilt HD map (see cmd/mapbuilder) instead of
 	// synthesizing one during construction.
 	MapFile string
@@ -101,12 +97,6 @@ func NewSystemWithOptions(det Detector, opts Options) (*System, error) {
 	}
 	if opts.WithPlanning {
 		cfg.Mode = autoware.ModeFullWithPlanning
-	}
-	if opts.CameraFPS > 0 {
-		cfg.CameraRate = opts.CameraFPS
-	}
-	if opts.Warmup > 0 {
-		cfg.Warmup = opts.Warmup
 	}
 	if opts.Scenario != nil {
 		cfg.Scenario = *opts.Scenario
@@ -185,13 +175,6 @@ type Outage = trace.Outage
 // Outages returns recorded node outages (empty without supervision).
 func (s *System) Outages() []Outage { return s.stack.Recorder.Outages() }
 
-// FaultLoss is one aggregate of fault-induced message losses.
-type FaultLoss = trace.FaultLoss
-
-// FaultLosses returns aggregate fault-induced message losses (empty
-// without injected faults).
-func (s *System) FaultLosses() []FaultLoss { return s.stack.Recorder.FaultLosses() }
-
 // IntegrityEvent is one aggregated quarantine record from the trace.
 type IntegrityEvent = trace.IntegrityEvent
 
@@ -207,10 +190,10 @@ type DropReport = ros.DropReport
 // Drops returns per-subscription message-drop statistics.
 func (s *System) Drops() []DropReport { return s.stack.Bus.DropReports() }
 
-// TopicStats is one topic's traffic summary.
+// TopicStats is one topic's accepted-publication and shed counts.
 type TopicStats = ros.TopicStats
 
-// Topics returns per-topic rate and bandwidth statistics.
+// Topics returns each published or shed topic's counts.
 func (s *System) Topics() []TopicStats { return s.stack.Bus.TopicStats() }
 
 // Pose returns the current localization estimate; ok is false before

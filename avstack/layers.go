@@ -42,8 +42,7 @@ type Layers struct {
 // AttachLayers installs the run-time layers on a stack before it runs.
 // It is the only code that wires them, in this order:
 //
-//  1. the fault injector, recording its message losses in the stack's
-//     trace;
+//  1. the fault injector;
 //  2. supervision, whose callback filter wraps the injector's and so
 //     sees its crash verdicts — the one order that matters, since the
 //     layers' observers each see every event regardless;
@@ -61,7 +60,6 @@ func AttachLayers(stack *autoware.Stack, l Layers) (*faults.Injector, error) {
 		if inj, err = faults.New(l.Faults); err != nil {
 			return nil, err
 		}
-		inj.SetLossRecorder(stack.Recorder)
 		inj.Attach(stack.Executor)
 	}
 	if l.Supervise {

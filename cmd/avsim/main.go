@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"repro/avstack"
+	"repro/internal/faults"
 	"repro/internal/scenario"
 	"repro/internal/world"
 )
@@ -259,13 +260,16 @@ func main() {
 		}
 
 		fmt.Println("\n--- fault-induced message losses ---")
-		losses := sys.FaultLosses()
-		if len(losses) == 0 {
-			fmt.Println("(none)")
+		lost := false
+		for _, e := range evs {
+			if e.Kind == faults.KindDrop || e.Kind == faults.KindCrash {
+				lost = true
+				fmt.Printf("%-10s %-34s count=%-6d window=[%v, %v]\n",
+					e.Kind, e.Target, e.Count, e.First, e.Last)
+			}
 		}
-		for _, l := range losses {
-			fmt.Printf("%-10s %-34s count=%-6d window=[%v, %v]\n",
-				l.Kind, l.Target, l.Count, l.First, l.Last)
+		if !lost {
+			fmt.Println("(none)")
 		}
 	}
 
@@ -310,11 +314,16 @@ func main() {
 			fmt.Printf("%-34s cause=%-18s at=%-8s count=%-6d window=[%v, %v]\n",
 				ev.Topic, ev.Cause, ev.Point, ev.Count, ev.First, ev.Last)
 		}
+		delivered := map[string]uint64{}
 		for _, t := range sys.Topics() {
-			if t.Quarantined == 0 {
-				continue
+			delivered[t.Topic] = t.Messages
+		}
+		for i := 0; i < len(events); {
+			topic, quarantined := events[i].Topic, 0
+			for ; i < len(events) && events[i].Topic == topic; i++ {
+				quarantined += events[i].Count
 			}
-			fmt.Printf("%-34s quarantined=%-6d delivered=%-6d\n", t.Topic, t.Quarantined, t.Messages)
+			fmt.Printf("%-34s quarantined=%-6d delivered=%-6d\n", topic, quarantined, delivered[topic])
 		}
 	}
 }

@@ -113,7 +113,6 @@ func BuildWithMap(cfg Config, scen *world.Scenario, m *hdmap.Map) (*Stack, error
 	cpu := platform.NewCPU(cfg.CPU, sim)
 	gpu := platform.NewGPU(cfg.GPU, sim)
 	bus := ros.NewBus()
-	bus.EnableStats(platform.PayloadBytes)
 	ex := platform.NewExecutor(sim, cpu, gpu, bus, platform.NewJitter(cfg.Jitter))
 
 	s := &Stack{

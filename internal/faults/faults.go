@@ -18,6 +18,11 @@
 // scheduler), so a fault is always upstream of every mitigation that
 // might answer it.
 //
+// Accounting. Injector.Events is the one tally of what the injector
+// did: per fault kind and target, a count and the virtual-time window
+// it spans. Its drop and crash events are the tally of the messages
+// the faults lost.
+//
 // Ownership. Published messages and payloads are read-only and shared:
 // corruption faults substitute a freshly cloned payload rather than
 // mutating the original, and the burst pump republishes the newest
@@ -273,10 +278,14 @@ func (s Schedule) Validate() error {
 }
 
 // Event is one aggregate counter of applied perturbations, for reports.
+// A drop or crash event is the one tally of the messages that fault
+// lost.
 type Event struct {
 	Kind   Kind
 	Target string
 	Count  int
+	// First and Last bound the applied perturbations in virtual time.
+	First, Last time.Duration
 }
 
 // sortEvents orders events deterministically (kind, then target).

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -90,9 +91,44 @@ func TestDropFaultSuppressesMessages(t *testing.T) {
 	if r.node.count != 0 {
 		t.Errorf("p=1 drop window let %d messages through", r.node.count)
 	}
+	// 50 drops 10 ms apart: the event's window spans the first and the
+	// last of them.
+	want := Event{Kind: KindDrop, Target: "/in", Count: 50, First: 0, Last: 490 * time.Millisecond}
+	if evs := r.inj.Events(); len(evs) != 1 || evs[0] != want {
+		t.Errorf("events = %+v, want [%+v]", evs, want)
+	}
+}
+
+// TestInjectorLossAggregation: the injector is the one tally of frames
+// lost to drop and crash faults. Each (kind, target) gets one event
+// with its count and the window between its first and last loss, and
+// events are ordered by kind then target, so the crash comes first.
+func TestInjectorLossAggregation(t *testing.T) {
+	r := newRig(t, Schedule{Seed: 1, Faults: []Fault{
+		{Kind: KindDrop, Topic: "/in", Start: 300 * time.Millisecond, Duration: time.Second, Prob: 1.0},
+		{Kind: KindCrash, Node: "n", Start: 0, Duration: 200 * time.Millisecond},
+	}}, 0)
+	r.pump(50, 10*time.Millisecond)
+	r.sim.Run(2 * time.Second)
 	evs := r.inj.Events()
-	if len(evs) != 1 || evs[0].Kind != KindDrop || evs[0].Count != 50 {
-		t.Errorf("events = %+v", evs)
+	if len(evs) != 2 {
+		t.Fatalf("events = %+v, want a crash and a drop", evs)
+	}
+	// A drop is decided at publication, a crash at dispatch, which trails
+	// publication by the same transport delay for every input.
+	delay := evs[0].First
+	if delay <= 0 || delay >= time.Millisecond {
+		t.Fatalf("crash window opens %v after the first input, want a transport delay", delay)
+	}
+	want := []Event{
+		{Kind: KindCrash, Target: "n", Count: 20, First: delay, Last: 190*time.Millisecond + delay},
+		{Kind: KindDrop, Target: "/in", Count: 20, First: 300 * time.Millisecond, Last: 490 * time.Millisecond},
+	}
+	if !reflect.DeepEqual(evs, want) {
+		t.Errorf("events = %+v, want %+v", evs, want)
+	}
+	if r.node.count != 10 {
+		t.Errorf("processed %d of 50, want the 10 between the windows", r.node.count)
 	}
 }
 

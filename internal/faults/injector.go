@@ -30,18 +30,13 @@ type Injector struct {
 	// seeds a nil entry for each burst topic; only those are cached.
 	lastPayload map[string]any
 
-	counts map[Kind]map[string]int
-
-	// losses, when set, receives every message-losing verdict (drop,
-	// crash) with its timestamp, so traces can distinguish "dropped by
-	// an injected fault" from "never produced".
-	losses LossRecorder
+	// events aggregates the applied perturbations per (kind, target).
+	events map[eventKey]*Event
 }
 
-// LossRecorder receives fault-induced message losses as they happen.
-// trace.Recorder implements it; SetLossRecorder wires it up.
-type LossRecorder interface {
-	OnFaultLoss(kind, target string, at time.Duration)
+type eventKey struct {
+	kind   Kind
+	target string
 }
 
 // New prepares an injector for the schedule. Attach must be called
@@ -53,7 +48,7 @@ func New(sched Schedule) (*Injector, error) {
 	in := &Injector{
 		sched:       sched,
 		lastPayload: make(map[string]any),
-		counts:      make(map[Kind]map[string]int),
+		events:      make(map[eventKey]*Event),
 	}
 	root := mathx.NewRNG(sched.Seed)
 	for range sched.Faults {
@@ -64,10 +59,6 @@ func New(sched Schedule) (*Injector, error) {
 
 // Schedule returns the schedule the injector applies.
 func (in *Injector) Schedule() Schedule { return in.sched }
-
-// SetLossRecorder installs the trace hook for message-losing verdicts.
-// Call any time; nil disables.
-func (in *Injector) SetLossRecorder(r LossRecorder) { in.losses = r }
 
 // Attach wires the injector into a stack's executor and schedules the
 // windowed activities (bursts, contention hogs).
@@ -106,10 +97,7 @@ func (in *Injector) filterPublish(topic string, payload any, now time.Duration) 
 		switch f.Kind {
 		case KindDrop:
 			if rng.Bool(f.Prob) {
-				in.count(f, 1)
-				if in.losses != nil {
-					in.losses.OnFaultLoss(string(KindDrop), f.Target(), now)
-				}
+				in.count(f, 1, now)
 				v.Drop = true
 				return v
 			}
@@ -119,38 +107,38 @@ func (in *Injector) filterPublish(topic string, payload any, now time.Duration) 
 				extra += time.Duration(rng.Range(0, float64(f.Sigma)))
 			}
 			v.Delay += extra
-			in.count(f, 1)
+			in.count(f, 1, now)
 		case KindJitter:
 			n := rng.Norm()
 			if n < 0 {
 				n = -n
 			}
 			v.Delay += time.Duration(n * float64(f.Sigma))
-			in.count(f, 1)
+			in.count(f, 1, now)
 		case KindCorrupt:
 			if rng.Bool(f.Prob) {
 				if mutated := corruptPayload(rng, payload); mutated != nil {
 					v.Payload = mutated
 					payload = mutated
-					in.count(f, 1)
+					in.count(f, 1, now)
 				}
 			}
 		case KindSkew:
 			if rng.Bool(f.Prob) {
 				v.StampSkew += f.Skew
-				in.count(f, 1)
+				in.count(f, 1, now)
 			}
 		case KindDup:
 			if rng.Bool(f.Prob) {
 				v.Copies += f.Copies
-				in.count(f, f.Copies)
+				in.count(f, f.Copies, now)
 			}
 		case KindTruncate:
 			if rng.Bool(f.Prob) {
 				if mutated := truncatePayload(rng, payload, f.Frac); mutated != nil {
 					v.Payload = mutated
 					payload = mutated
-					in.count(f, 1)
+					in.count(f, 1, now)
 				}
 			}
 		}
@@ -168,10 +156,7 @@ func (in *Injector) filterCallback(node string, _ *ros.Message, now time.Duratio
 		}
 		switch f.Kind {
 		case KindCrash:
-			in.count(f, 1)
-			if in.losses != nil {
-				in.losses.OnFaultLoss(string(KindCrash), f.Target(), now)
-			}
+			in.count(f, 1, now)
 			v.Drop = true
 			return v
 		case KindStall:
@@ -180,7 +165,7 @@ func (in *Injector) filterCallback(node string, _ *ros.Message, now time.Duratio
 				extra += time.Duration(in.rngs[i].Range(0, float64(f.Sigma)))
 			}
 			v.Stall += extra
-			in.count(f, 1)
+			in.count(f, 1, now)
 		}
 	}
 	return v
@@ -206,7 +191,7 @@ func (in *Injector) scheduleBurst(f *Fault, rng *mathx.RNG) {
 		}
 		if payload := in.lastPayload[f.Topic]; payload != nil {
 			in.ex.Publish(f.Topic, payload)
-			in.count(f, 1)
+			in.count(f, 1, now)
 		}
 		// A touch of period noise keeps the burst from phase-locking to
 		// the victim's own publication cadence.
@@ -224,10 +209,11 @@ func (in *Injector) scheduleContention(f *Fault) {
 	for w := 0; w < f.Workers; w++ {
 		var submit func()
 		submit = func() {
-			if in.sim.Now() >= f.End() {
+			now := in.sim.Now()
+			if now >= f.End() {
 				return
 			}
-			in.count(f, 1)
+			in.count(f, 1, now)
 			in.ex.CPU.Submit(owner, f.Load, f.Bandwidth, func() {
 				submit()
 			})
@@ -236,24 +222,26 @@ func (in *Injector) scheduleContention(f *Fault) {
 	}
 }
 
-// count bumps the aggregate event counter for a fault.
-func (in *Injector) count(f *Fault, n int) {
-	byTarget := in.counts[f.Kind]
-	if byTarget == nil {
-		byTarget = make(map[string]int)
-		in.counts[f.Kind] = byTarget
+// count adds n perturbations applied at now to a fault's aggregate. The
+// simulation clock never runs backward, so the first call opens the
+// window and every later one extends it.
+func (in *Injector) count(f *Fault, n int, now time.Duration) {
+	k := eventKey{f.Kind, f.Target()}
+	ev := in.events[k]
+	if ev == nil {
+		ev = &Event{Kind: f.Kind, Target: k.target, First: now}
+		in.events[k] = ev
 	}
-	byTarget[f.Target()] += n
+	ev.Count += n
+	ev.Last = now
 }
 
 // Events returns the aggregate perturbation counters, deterministically
 // ordered by kind then target.
 func (in *Injector) Events() []Event {
 	var out []Event
-	for kind, byTarget := range in.counts {
-		for target, n := range byTarget {
-			out = append(out, Event{Kind: kind, Target: target, Count: n})
-		}
+	for _, ev := range in.events {
+		out = append(out, *ev)
 	}
 	sortEvents(out)
 	return out

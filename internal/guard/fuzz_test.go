@@ -114,8 +114,5 @@ func FuzzGuardValidate(f *testing.F) {
 				}
 			}
 		}
-		if g.Accepted()+g.Quarantined() != 3 {
-			t.Fatalf("frames leaked: accepted %d quarantined %d", g.Accepted(), g.Quarantined())
-		}
 	})
 }

@@ -18,6 +18,10 @@
 // and retains neither; a quarantined frame never reaches a subscriber
 // queue, so it takes no envelope and no sequence number.
 //
+// Accounting. The guard only decides; it counts nothing. The executor
+// emits one Quarantined event per rejected frame, and trace.Recorder's
+// IntegrityEvents is the one quarantine tally.
+//
 // The guard is deterministic and side-effect-free on clean input: it
 // draws no randomness, schedules no events, and its accept path
 // allocates nothing, so a guarded run over a clean stream is
@@ -25,7 +29,6 @@
 package guard
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/platform"
@@ -53,8 +56,8 @@ const PointIngress = "ingress"
 // Time-sanitization bounds. Every guarded stack runs with these values.
 const (
 	// holdback bounds tolerated reordering: a stamp within holdback of
-	// the topic's newest accepted stamp is admitted late (counted as
-	// reordered); older than that is quarantined as a rewind.
+	// the topic's newest accepted stamp is admitted late; older than
+	// that is quarantined as a rewind.
 	holdback = 150 * time.Millisecond
 	// futureTolerance bounds how far ahead of arrival time a stamp may
 	// run before it is quarantined.
@@ -97,35 +100,16 @@ func (tc *topicClock) isDuplicate(stamp time.Duration) bool {
 	return false
 }
 
-// CauseCount is one (topic, cause) quarantine counter.
-type CauseCount struct {
-	Topic string
-	Cause string
-	Count int
-}
-
-type causeKey struct {
-	topic, cause string
-}
-
 // Guard inspects every bus arrival and quarantines frames that fail
 // payload validation or time sanitization. Create with New, wire with
 // Attach.
 type Guard struct {
 	clocks map[string]*topicClock
-	counts map[causeKey]int
-
-	accepted    uint64
-	quarantined uint64
-	reordered   uint64
 }
 
 // New creates a guard.
 func New(Config) *Guard {
-	return &Guard{
-		clocks: make(map[string]*topicClock),
-		counts: make(map[causeKey]int),
-	}
+	return &Guard{clocks: make(map[string]*topicClock)}
 }
 
 // Attach installs the guard as the executor's ingress filter.
@@ -138,7 +122,7 @@ func (g *Guard) Attach(ex *platform.Executor) { ex.IngressFilter = g.Inspect }
 func (g *Guard) Inspect(topic string, stamp time.Duration, payload any, now time.Duration) platform.IngressVerdict {
 	if v := validators[topic]; v != nil {
 		if err := v(payload); err != nil {
-			return g.quarantine(topic, CauseMalformed)
+			return quarantine(CauseMalformed)
 		}
 	}
 
@@ -149,55 +133,25 @@ func (g *Guard) Inspect(topic string, stamp time.Duration, payload any, now time
 	}
 
 	if stamp > now+futureTolerance {
-		return g.quarantine(topic, CauseFutureStamp)
+		return quarantine(CauseFutureStamp)
 	}
 	if tc.isDuplicate(stamp) {
-		return g.quarantine(topic, CauseDuplicate)
+		return quarantine(CauseDuplicate)
 	}
 	if tc.seen > 0 && stamp < tc.head {
 		if tc.head-stamp > holdback {
-			return g.quarantine(topic, CauseStampRewind)
+			return quarantine(CauseStampRewind)
 		}
 		// Late but within holdback: admit without advancing the
 		// high-water mark, like a reorder buffer releasing a straggler.
-		g.reordered++
 	} else {
 		tc.head = stamp
 	}
 	tc.seen++
 	tc.remember(stamp)
-	g.accepted++
 	return platform.IngressVerdict{}
 }
 
-func (g *Guard) quarantine(topic, cause string) platform.IngressVerdict {
-	g.quarantined++
-	g.counts[causeKey{topic, cause}]++
+func quarantine(cause string) platform.IngressVerdict {
 	return platform.IngressVerdict{Quarantine: true, Cause: cause}
-}
-
-// Accepted returns how many frames passed inspection.
-func (g *Guard) Accepted() uint64 { return g.accepted }
-
-// Quarantined returns how many frames were rejected.
-func (g *Guard) Quarantined() uint64 { return g.quarantined }
-
-// Reordered returns how many frames were admitted late (within the
-// holdback) without advancing the topic clock.
-func (g *Guard) Reordered() uint64 { return g.reordered }
-
-// Counts returns per-(topic, cause) quarantine counters, sorted by
-// topic then cause.
-func (g *Guard) Counts() []CauseCount {
-	out := make([]CauseCount, 0, len(g.counts))
-	for k, n := range g.counts {
-		out = append(out, CauseCount{Topic: k.topic, Cause: k.cause, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Topic != out[j].Topic {
-			return out[i].Topic < out[j].Topic
-		}
-		return out[i].Cause < out[j].Cause
-	})
-	return out
 }

@@ -23,8 +23,7 @@ func cloudMsg(n int) *msgs.PointCloud {
 }
 
 // TestGuardVerdicts walks one frame through each quarantine cause and
-// the accept paths, pinning the verdict, the cause string and the
-// counter each one lands in.
+// the accept paths, pinning each arrival's verdict and cause string.
 func TestGuardVerdicts(t *testing.T) {
 	nanCloud := cloudMsg(4)
 	nanCloud.Cloud.Points[2].Pos.X = math.NaN()
@@ -126,25 +125,18 @@ func TestGuardVerdicts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := New(Config{})
-			var wantAccepted, wantQuarantined uint64
 			for i, a := range tc.arrivals {
 				v := g.Inspect(filters.TopicPointsRaw, a.stamp, a.payload, a.now)
 				want := tc.want[i]
 				if want == "" {
-					wantAccepted++
 					if v.Quarantine {
 						t.Errorf("arrival %d quarantined (%s), want accept", i, v.Cause)
 					}
 					continue
 				}
-				wantQuarantined++
 				if !v.Quarantine || v.Cause != want {
 					t.Errorf("arrival %d verdict = %+v, want quarantine cause %q", i, v, want)
 				}
-			}
-			if g.Accepted() != wantAccepted || g.Quarantined() != wantQuarantined {
-				t.Errorf("counters = accepted %d quarantined %d, want %d, %d",
-					g.Accepted(), g.Quarantined(), wantAccepted, wantQuarantined)
 			}
 		})
 	}
@@ -179,39 +171,6 @@ func TestGuardReorderTolerance(t *testing.T) {
 	if v := inspect(300*time.Millisecond, 305*time.Millisecond); v.Quarantine {
 		t.Fatalf("in-order frame after the straggler quarantined: %s", v.Cause)
 	}
-	if g.Reordered() != 1 {
-		t.Errorf("reordered = %d, want 1", g.Reordered())
-	}
-	if g.Accepted() != 4 {
-		t.Errorf("accepted = %d, want 4", g.Accepted())
-	}
-}
-
-// TestGuardCounts pins the (topic, cause) aggregation and its ordering.
-func TestGuardCounts(t *testing.T) {
-	g := New(Config{})
-	nan := cloudMsg(1)
-	nan.Cloud.Points[0].Intensity = math.Inf(1)
-
-	g.Inspect("/a", 100*time.Millisecond, nil, 100*time.Millisecond) // accept (no validator)
-	g.Inspect("/a", 100*time.Millisecond, nil, 200*time.Millisecond) // dup
-	g.Inspect("/a", 100*time.Millisecond, nil, 300*time.Millisecond) // dup
-	g.Inspect("/a", 10*time.Second, nil, 300*time.Millisecond)       // future
-	g.Inspect(filters.TopicPointsRaw, 0, nan, 10*time.Millisecond)   // malformed
-	want := []CauseCount{
-		{Topic: "/a", Cause: CauseDuplicate, Count: 2},
-		{Topic: "/a", Cause: CauseFutureStamp, Count: 1},
-		{Topic: filters.TopicPointsRaw, Cause: CauseMalformed, Count: 1},
-	}
-	got := g.Counts()
-	if len(got) != len(want) {
-		t.Fatalf("counts = %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("counts[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
 }
 
 // TestGuardDupWindowBounded checks the dup ring forgets: a stamp older
@@ -242,8 +201,8 @@ func TestGuardDupWindowBounded(t *testing.T) {
 
 // TestGuardQuarantinedFrameNeverQueued drives the guard through the
 // executor's ingress: of two arrivals with one stamp the first is
-// accepted and queued, and the second is quarantined as a duplicate and
-// never reaches the subscriber's queue.
+// accepted and queued, and the second is quarantined as a duplicate —
+// one Quarantined event — and never reaches the subscriber's queue.
 func TestGuardQuarantinedFrameNeverQueued(t *testing.T) {
 	sim := platform.NewSim()
 	ex := platform.NewExecutor(sim,
@@ -251,15 +210,20 @@ func TestGuardQuarantinedFrameNeverQueued(t *testing.T) {
 		platform.NewGPU(platform.DefaultGPUConfig(), sim),
 		ros.NewBus(), nil)
 	sub := ex.Bus.Subscribe("probe", ros.SubSpec{Topic: "/t", Depth: 0})
-	g := New(Config{})
-	g.Attach(ex)
+	New(Config{}).Attach(ex)
+	var quarantined []platform.Event
+	ex.Observe(func(ev platform.Event) {
+		if ev.Kind == platform.Quarantined {
+			quarantined = append(quarantined, ev)
+		}
+	})
 
 	ex.Publish("/t", 7)
 	ex.Publish("/t", 7)
 	sim.Run(time.Second)
 
-	if q := g.Quarantined(); q != 1 {
-		t.Fatalf("quarantined = %d, want 1 (counts %+v)", q, g.Counts())
+	if len(quarantined) != 1 || quarantined[0].Topic != "/t" || quarantined[0].Cause != CauseDuplicate {
+		t.Fatalf("quarantined events = %+v, want one %q on /t", quarantined, CauseDuplicate)
 	}
 	if sub.Queue.Len() != 1 {
 		t.Fatalf("queued = %d, want 1", sub.Queue.Len())

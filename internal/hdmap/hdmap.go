@@ -10,7 +10,6 @@ package hdmap
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 	"repro/internal/pointcloud"
@@ -198,7 +197,8 @@ func (m *Map) NeighborVoxels(p geom.Vec3) []*pointcloud.VoxelStats {
 }
 
 // Coverage reports the fraction of route sample points whose NDT voxel
-// neighborhood is usable — a map-quality sanity metric.
+// neighborhood is usable — a map-quality sanity metric: a probe counts
+// when its 3×3×3 voxel neighborhood holds at least one usable voxel.
 func (m *Map) Coverage(s *world.Scenario, samples int) float64 {
 	if samples <= 0 {
 		return 0
@@ -210,19 +210,9 @@ func (m *Map) Coverage(s *world.Scenario, samples int) float64 {
 		pose, _ := s.EgoRoute.At(t)
 		// Probe at sensor height where wall/ground structure lives.
 		probe := pose.Pos.Add(geom.V3(0, 0, 1))
-		if len(m.NeighborVoxels(probe)) > 0 || !math.IsInf(m.nearestVoxelDist(probe), 1) {
+		if len(m.NeighborVoxels(probe)) > 0 {
 			hit++
 		}
 	}
 	return float64(hit) / float64(samples)
-}
-
-func (m *Map) nearestVoxelDist(p geom.Vec3) float64 {
-	best := math.Inf(1)
-	for i := range m.NDT.Voxels {
-		if d := m.NDT.Voxels[i].Mean.Dist(p); d < best {
-			best = d
-		}
-	}
-	return best
 }

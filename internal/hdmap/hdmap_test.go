@@ -222,6 +222,27 @@ func TestCoverageAlongRoute(t *testing.T) {
 	}
 }
 
+// TestCoverageCountsOnlyMappedProbes pins what Coverage counts: every
+// probe along the scripted route has a usable voxel neighborhood, and
+// none along the same route displaced 10 km from the mapped city does.
+func TestCoverageCountsOnlyMappedProbes(t *testing.T) {
+	m, s := sharedMap(t)
+	if cov := m.Coverage(s, 100); cov != 1 {
+		t.Errorf("scripted route coverage = %v, want 1", cov)
+	}
+	start, _ := s.EgoRoute.At(0)
+	off := geom.Vec2{X: 10000}
+	wps := s.EgoRoute.Waypoints()
+	b := world.NewRouteBuilder(wps[0].Add(off), start.Pos.Z)
+	for _, wp := range wps[1:] {
+		b.DriveTo(wp.Add(off), 10)
+	}
+	displaced := &world.Scenario{EgoRoute: b.Build()}
+	if cov := m.Coverage(displaced, 100); cov != 0 {
+		t.Errorf("coverage of the route displaced 10 km = %v, want 0", cov)
+	}
+}
+
 func TestDirect7Neighborhood(t *testing.T) {
 	m, s := sharedMap(t)
 	pose, _ := s.EgoRoute.At(45)

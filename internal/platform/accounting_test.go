@@ -57,7 +57,6 @@ func TestExecutorAccountsEveryFrame(t *testing.T) {
 					NewCPU(DefaultCPUConfig(), sim),
 					NewGPU(DefaultGPUConfig(), sim),
 					ros.NewBus(), nil)
-				ex.Bus.EnableStats(nil)
 				ex.AddNode(relayNode{}, NodeOptions{})
 				ex.AddNode(sinkNode{}, NodeOptions{})
 

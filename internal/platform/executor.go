@@ -176,7 +176,8 @@ func (e *Executor) emit(ev Event) {
 
 // PublishVerdict is a fault-layer decision about one publication.
 type PublishVerdict struct {
-	// Drop suppresses the publication entirely: no subscriber sees it.
+	// Drop suppresses the publication entirely: no subscriber sees it,
+	// and only the filter counts it (the injector's drop events).
 	Drop bool
 	// Delay is extra transport delay added on top of the comm model.
 	Delay time.Duration
@@ -195,8 +196,9 @@ type PublishVerdict struct {
 
 // IngressVerdict is an integrity-layer decision about one arrival.
 type IngressVerdict struct {
-	// Quarantine diverts the frame: it is counted per topic
-	// (TopicStats.Quarantined) but never enqueued or dispatched.
+	// Quarantine diverts the frame: the executor emits a Quarantined
+	// event for it (trace.Recorder counts those) and never enqueues or
+	// dispatches it.
 	Quarantine bool
 	// Cause names why the frame was rejected (see internal/guard).
 	Cause string
@@ -206,6 +208,8 @@ type IngressVerdict struct {
 type CallbackVerdict struct {
 	// Drop consumes the input without running the callback — a crashed
 	// (restarting) node losing the messages delivered while it is down.
+	// The filter counts it: the injector in its crash events, the
+	// supervisor in its outage record (Outage.FramesLost).
 	Drop bool
 	// Stall blocks the node for this long before the callback executes,
 	// holding it busy without consuming CPU — a hung I/O or lock wait.
@@ -246,12 +250,12 @@ const (
 
 // commDelay models message transport for a payload.
 func commDelay(payload any) time.Duration {
-	return commLatency + time.Duration(PayloadBytes(payload)/commBandwidth*float64(time.Second))
+	return commLatency + time.Duration(payloadBytes(payload)/commBandwidth*float64(time.Second))
 }
 
-// PayloadBytes estimates the serialized size of a payload, for the
-// transport-delay model and topic bandwidth accounting.
-func PayloadBytes(payload any) float64 {
+// payloadBytes estimates the serialized size of a payload, for the
+// transport-delay model.
+func payloadBytes(payload any) float64 {
 	switch p := payload.(type) {
 	case *msgs.PointCloud:
 		return float64(p.Cloud.Len())*26 + 64
@@ -341,7 +345,6 @@ func (e *Executor) enqueue(topic string, stamp time.Duration, payload any, origi
 	if e.IngressFilter != nil {
 		v := e.IngressFilter(topic, stamp, payload, e.Sim.Now())
 		if v.Quarantine {
-			e.Bus.RecordQuarantine(topic)
 			e.emit(Event{Kind: Quarantined, Topic: topic, Stamp: stamp, Origins: origins, Payload: payload, Cause: v.Cause})
 			return false
 		}

@@ -471,8 +471,8 @@ func TestPayloadBytesCoversAllTypes(t *testing.T) {
 		"fallback",
 	}
 	for _, c := range cases {
-		if PayloadBytes(c) <= 0 {
-			t.Errorf("payload bytes for %T = %v", c, PayloadBytes(c))
+		if payloadBytes(c) <= 0 {
+			t.Errorf("payload bytes for %T = %v", c, payloadBytes(c))
 		}
 	}
 }

@@ -37,13 +37,15 @@ type Bus struct {
 	subsByNode map[string][]*Subscription
 	// onDeliver, when set, observes every enqueue (see Tap).
 	onDeliver func(sub *Subscription, m *Message)
-	// stats, when enabled, accumulates per-topic traffic counters.
-	stats *statsCollector
 }
 
+// topicState is one topic: its subscriber queues and its two counters,
+// the last sequence number (every accepted publication takes one) and
+// the frames deadline shedding consumed.
 type topicState struct {
 	name string
 	seq  uint64
+	shed uint64
 	subs []*Subscription
 }
 
@@ -85,7 +87,6 @@ func (b *Bus) topic(name string) *topicState {
 func (b *Bus) Publish(topic string, stamp time.Duration, payload any, origins []Origin) int {
 	ts := b.topic(topic)
 	ts.seq++
-	b.recordPublish(ts, stamp, payload)
 	if len(ts.subs) == 0 {
 		return 0
 	}

@@ -18,6 +18,11 @@
 // every subscriber queue: the header and its origins are read-only once
 // published, and payloads are shared across subscribers and never
 // copied.
+//
+// Accounting. The bus counts two frame fates per topic, accepted
+// publications and deadline sheds (Bus.TopicStats), and each subscriber
+// queue counts its drop-oldest evictions (Bus.DropReports). Every other
+// fate is counted by the layer that decides it (DESIGN.md §8).
 package ros
 
 import (

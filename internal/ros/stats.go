@@ -1,130 +1,30 @@
 package ros
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
-// TopicStats summarizes one topic's traffic, the `rostopic hz/bw`
-// style observability used by the bag tool and the stack's reporting.
+// TopicStats counts one topic's accepted publications and the frames
+// deadline shedding consumed from it.
 type TopicStats struct {
-	Topic       string
-	Messages    uint64
-	Subscribers int
-	// First and Last are the stamps of the earliest/latest publication.
-	First, Last time.Duration
-	// Bytes is accumulated payload volume (when a sizer is installed).
-	Bytes float64
+	Topic string
+	// Messages counts accepted publications: the topic's last sequence
+	// number. A quarantined frame takes none, so it is not counted here.
+	Messages uint64
 	// Shed counts frames consumed at dispatch by deadline-aware load
 	// shedding (the executor's ShedBudget) instead of being processed.
 	Shed uint64
-	// Quarantined counts frames diverted at the bus boundary by the
-	// input-integrity guard (see internal/guard) — rejected before they
-	// could enter any subscriber queue, so they are not in Messages.
-	Quarantined uint64
 }
 
-// Rate returns the mean publication rate in Hz over the observed span.
-func (s TopicStats) Rate() float64 {
-	span := (s.Last - s.First).Seconds()
-	if span <= 0 || s.Messages < 2 {
-		return 0
-	}
-	return float64(s.Messages-1) / span
-}
+// RecordShed counts one deadline-shed frame against a topic.
+func (b *Bus) RecordShed(topic string) { b.topic(topic).shed++ }
 
-// Bandwidth returns mean payload bytes/second over the observed span.
-func (s TopicStats) Bandwidth() float64 {
-	span := (s.Last - s.First).Seconds()
-	if span <= 0 {
-		return 0
-	}
-	return s.Bytes / span
-}
-
-// statsCollector accumulates per-topic counters inside the bus.
-type statsCollector struct {
-	byTopic map[string]*TopicStats
-	sizer   func(payload any) float64
-}
-
-// EnableStats turns on per-topic accounting. sizer estimates payload
-// bytes (nil counts zero bytes but still tracks rates).
-func (b *Bus) EnableStats(sizer func(payload any) float64) {
-	b.stats = &statsCollector{
-		byTopic: make(map[string]*TopicStats),
-		sizer:   sizer,
-	}
-}
-
-// recordPublish updates stats for one publication (no-op when disabled).
-func (b *Bus) recordPublish(ts *topicState, stamp time.Duration, payload any) {
-	if b.stats == nil {
-		return
-	}
-	s := b.stats.byTopic[ts.name]
-	if s == nil {
-		s = &TopicStats{Topic: ts.name, First: stamp}
-		b.stats.byTopic[ts.name] = s
-	}
-	// The first observed publication pins both ends of the span: an
-	// entry may predate it (created by a shed or quarantine counter with
-	// a zero First), and non-monotonic stamps from skewed clocks must
-	// widen the span min/max-wise rather than drive it negative.
-	if s.Messages == 0 {
-		s.First, s.Last = stamp, stamp
-	} else {
-		if stamp < s.First {
-			s.First = stamp
-		}
-		if stamp > s.Last {
-			s.Last = stamp
-		}
-	}
-	s.Messages++
-	s.Subscribers = len(ts.subs)
-	if b.stats.sizer != nil {
-		s.Bytes += b.stats.sizer(payload)
-	}
-}
-
-// RecordShed counts one deadline-shed frame against a topic (no-op
-// when stats are disabled).
-func (b *Bus) RecordShed(topic string) {
-	if b.stats == nil {
-		return
-	}
-	s := b.stats.byTopic[topic]
-	if s == nil {
-		s = &TopicStats{Topic: topic}
-		b.stats.byTopic[topic] = s
-	}
-	s.Shed++
-}
-
-// RecordQuarantine counts one guard-quarantined frame against a topic
-// (no-op when stats are disabled).
-func (b *Bus) RecordQuarantine(topic string) {
-	if b.stats == nil {
-		return
-	}
-	s := b.stats.byTopic[topic]
-	if s == nil {
-		s = &TopicStats{Topic: topic}
-		b.stats.byTopic[topic] = s
-	}
-	s.Quarantined++
-}
-
-// TopicStats returns per-topic statistics sorted by topic name; nil
-// when stats were never enabled.
+// TopicStats returns the counters of every topic with at least one
+// publication or shed, sorted by topic name.
 func (b *Bus) TopicStats() []TopicStats {
-	if b.stats == nil {
-		return nil
-	}
-	out := make([]TopicStats, 0, len(b.stats.byTopic))
-	for _, s := range b.stats.byTopic {
-		out = append(out, *s)
+	var out []TopicStats
+	for _, ts := range b.topics {
+		if ts.seq > 0 || ts.shed > 0 {
+			out = append(out, TopicStats{Topic: ts.name, Messages: ts.seq, Shed: ts.shed})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Topic < out[j].Topic })
 	return out

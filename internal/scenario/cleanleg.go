@@ -16,7 +16,7 @@ import (
 
 // cleanLegMemoSize bounds the clean-leg memo. Each entry pins the world
 // and HD map it is keyed on, which autoware.Environment keeps live
-// anyway: one world per params line, one 4.06 MB map per city and ego
+// anyway: one world per params line, one 3.48 MB map per city and ego
 // speed. Fleet traffic shares a handful of worlds.
 const cleanLegMemoSize = 8
 

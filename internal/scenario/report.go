@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/faults"
 )
 
 // WriteReport renders the chaos report. Every quantity derives from the
@@ -82,12 +84,16 @@ func (r *Result) WriteReport(w io.Writer) {
 	}
 
 	fmt.Fprintln(w, "\nfault-induced message losses (faulted run):")
-	if len(r.Losses) == 0 {
-		fmt.Fprintln(w, "  (none)")
+	lost := false
+	for _, e := range r.Events {
+		if e.Kind == faults.KindDrop || e.Kind == faults.KindCrash {
+			lost = true
+			fmt.Fprintf(w, "  %-10s %-34s count=%-6d window=[%v, %v]\n",
+				e.Kind, e.Target, e.Count, e.First, e.Last)
+		}
 	}
-	for _, l := range r.Losses {
-		fmt.Fprintf(w, "  %-10s %-34s count=%-6d window=[%v, %v]\n",
-			l.Kind, l.Target, l.Count, l.First, l.Last)
+	if !lost {
+		fmt.Fprintln(w, "  (none)")
 	}
 
 	shed := false
@@ -116,10 +122,15 @@ func (r *Result) WriteReport(w io.Writer) {
 		fmt.Fprintf(w, "  %-34s cause=%-18s at=%-8s count=%-6d window=[%v, %v]\n",
 			ev.Topic, ev.Cause, ev.Point, ev.Count, ev.First, ev.Last)
 	}
+	delivered := map[string]uint64{}
 	for _, t := range r.Topics {
-		if t.Quarantined == 0 {
-			continue
+		delivered[t.Topic] = t.Messages
+	}
+	for i := 0; i < len(r.Integrity); {
+		topic, quarantined := r.Integrity[i].Topic, 0
+		for ; i < len(r.Integrity) && r.Integrity[i].Topic == topic; i++ {
+			quarantined += r.Integrity[i].Count
 		}
-		fmt.Fprintf(w, "  %-34s quarantined=%-6d delivered=%-6d\n", t.Topic, t.Quarantined, t.Messages)
+		fmt.Fprintf(w, "  %-34s quarantined=%-6d delivered=%-6d\n", topic, quarantined, delivered[topic])
 	}
 }

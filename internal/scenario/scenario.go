@@ -359,7 +359,8 @@ type Result struct {
 
 	Nodes []NodeStat
 	Paths []PathStat
-	// Events counts the perturbations the injector actually applied.
+	// Events counts the perturbations the injector actually applied;
+	// its drop and crash events are the fault-induced message losses.
 	Events []faults.Event
 	// Degraded lists the watchdog's degradation windows (faulted run).
 	Degraded []trace.DegradedInterval
@@ -368,15 +369,11 @@ type Result struct {
 	// Outages lists the supervisor's recorded node outages (faulted run;
 	// empty unless the spec enables supervision).
 	Outages []trace.Outage
-	// Losses aggregates fault-induced message losses (drop/crash
-	// verdicts the injector actually applied), distinguishing "dropped
-	// by a fault" from "never produced".
-	Losses []trace.FaultLoss
-	// Topics is the faulted run's per-topic traffic table, including
-	// deadline-shed and quarantine counts.
+	// Topics is the faulted run's per-topic accepted-publication and
+	// deadline-shed counts.
 	Topics []ros.TopicStats
-	// Integrity aggregates the guard's quarantine record (faulted run;
-	// empty unless the spec enables the guard).
+	// Integrity aggregates the guard's quarantines (faulted run; empty
+	// unless the spec enables the guard).
 	Integrity []trace.IntegrityEvent
 }
 
@@ -494,7 +491,6 @@ func collect(spec Spec, det autoware.Detector, duration time.Duration, clean *cl
 		Degraded:  faulted.Recorder.DegradedIntervals(),
 		Drops:     faulted.Bus.DropReports(),
 		Outages:   faulted.Recorder.Outages(),
-		Losses:    faulted.Recorder.FaultLosses(),
 		Topics:    faulted.Bus.TopicStats(),
 		Integrity: faulted.Recorder.IntegrityEvents(),
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/autoware"
+	"repro/internal/faults"
 	"repro/internal/hdmap"
 	"repro/internal/testenv"
 	"repro/internal/world"
@@ -48,11 +49,61 @@ func runTransportScenario(t *testing.T, legs *cleanMemo, spec Spec, scen *world.
 	return res, faulted
 }
 
+// sensorPublications runs the stock stack fault-free over the goldens'
+// drive and returns how many frames each sensor topic published. With
+// no filter on the path every frame is accepted, so that is each topic's
+// TopicStats.Messages.
+func sensorPublications(t *testing.T) map[string]uint64 {
+	t.Helper()
+	st, err := buildStack(testenv.Scenario(), testenv.Map(), autoware.DetectorSSD300, false, 0, world.DefaultScenarioConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Run(transportGoldenDuration)
+	out := map[string]uint64{}
+	for _, ts := range st.Bus.TopicStats() {
+		out[ts.Topic] = ts.Messages
+	}
+	return out
+}
+
+// checkIngress balances the ingress half of frame conservation on each
+// sensor topic of a faulted run: every frame the sensors published,
+// plus every copy the injector added (dup and burst events), was
+// accepted onto the bus (TopicStats.Messages), quarantined by the guard
+// (the trace's integrity events) or dropped by the injector (its drop
+// events). published holds the fault-free run's per-topic counts.
+func checkIngress(t *testing.T, res *Result, published map[string]uint64) {
+	t.Helper()
+	for _, topic := range []string{"/points_raw", "/image_raw"} {
+		var accepted uint64
+		for _, ts := range res.Topics {
+			if ts.Topic == topic {
+				accepted = ts.Messages
+			}
+		}
+		quarantined := 0
+		for _, ev := range res.Integrity {
+			if ev.Topic == topic {
+				quarantined += ev.Count
+			}
+		}
+		dropped := eventCount(res, faults.KindDrop, topic)
+		added := eventCount(res, faults.KindDup, topic) + eventCount(res, faults.KindBurst, topic)
+		if in, out := accepted+uint64(quarantined+dropped), published[topic]+uint64(added); in != out || out == 0 {
+			t.Errorf("%s %s: accepted %d + quarantined %d + dropped %d = %d, want published %d + added %d = %d",
+				res.Spec.Name, topic, accepted, quarantined, dropped, in, published[topic], added, out)
+		}
+	}
+}
+
 func TestTransportGoldenReports(t *testing.T) {
 	t.Parallel()
+	published := sensorPublications(t)
 	var got bytes.Buffer
 	for _, spec := range builtins() {
 		res, _ := runTransportScenario(t, &cleanLegs, spec, testenv.Scenario(), testenv.Map())
+		checkIngress(t, res, published)
 		var rep bytes.Buffer
 		res.WriteReport(&rep)
 		fmt.Fprintf(&got, "%-14s sha256=%x\n", spec.Name, sha256.Sum256(rep.Bytes()))

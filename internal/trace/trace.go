@@ -5,6 +5,9 @@
 // "longest path" definition of perception latency (Fig. 4/6). Recorder
 // and ChainLog are observers: each subscribes to the executor's event
 // stream (platform.Executor.Observe) and never touches virtual time.
+// Of the frame fates, the Recorder tallies quarantines (from the
+// Quarantined events), supervised outages and degraded intervals;
+// fault losses are the injector's events and queue evictions the bus's.
 package trace
 
 import (
@@ -40,15 +43,15 @@ func StandardPaths() []PathSpec {
 
 // Recorder collects single-node latencies, CPU/GPU phase splits, and
 // end-to-end path samples from the executor's Done and Published
-// events, and quarantines from its Quarantined events. The run-time
-// layers report outages, degradations and fault losses to it directly.
+// events, and quarantines from its Quarantined events: IntegrityEvents
+// is the one quarantine tally. The supervisor and the watchdog report
+// outages and degradations to it directly.
 type Recorder struct {
 	// nodeLatency[node] holds per-callback latencies in seconds.
 	nodeLatency map[string][]float64
 	// cpuSeconds/gpuSeconds accumulate per node phase time.
 	cpuSeconds map[string]float64
 	gpuSeconds map[string]float64
-	callbacks  map[string]int
 	workSum    map[string]work.Work
 
 	paths   []PathSpec
@@ -63,11 +66,6 @@ type Recorder struct {
 	// detected; openOutage indexes the open one per node.
 	outages    []Outage
 	openOutage map[string]int
-
-	// faultLosses accumulates fault-induced message losses keyed by
-	// (kind, target), so reports can distinguish "dropped by an injected
-	// fault" from "never produced".
-	faultLosses map[faultLossKey]*FaultLoss
 
 	// integrity accumulates guard-quarantined frames keyed by
 	// (topic, cause, point), so reports can distinguish
@@ -106,21 +104,6 @@ type Outage struct {
 	// recovery, restoring crash consistency for the next outage.
 	Recheckpointed bool
 }
-
-// FaultLoss aggregates fault-induced losses of one kind on one target
-// (messages dropped in transport, callbacks consumed by a crash).
-type FaultLoss struct {
-	// Kind is the fault kind that caused the loss (e.g. "drop", "crash").
-	Kind string
-	// Target is the topic or node the fault acted on.
-	Target string
-	// Count is the number of messages lost.
-	Count int
-	// First and Last bound the observed losses in virtual time.
-	First, Last time.Duration
-}
-
-type faultLossKey struct{ kind, target string }
 
 // IntegrityEvent aggregates frames the input-integrity guard
 // quarantined on one topic for one cause at one detection point —
@@ -162,13 +145,11 @@ func NewRecorder(paths []PathSpec) *Recorder {
 		nodeLatency:  make(map[string][]float64),
 		cpuSeconds:   make(map[string]float64),
 		gpuSeconds:   make(map[string]float64),
-		callbacks:    make(map[string]int),
 		workSum:      make(map[string]work.Work),
 		paths:        paths,
 		pathLat:      make(map[string][]float64),
 		openDegraded: make(map[string]int),
 		openOutage:   make(map[string]int),
-		faultLosses:  make(map[faultLossKey]*FaultLoss),
 		integrity:    make(map[integrityKey]*IntegrityEvent),
 	}
 }
@@ -252,40 +233,6 @@ func (r *Recorder) Outages() []Outage {
 	return out
 }
 
-// OnFaultLoss records one fault-induced message loss (implements the
-// fault injector's LossRecorder hook).
-func (r *Recorder) OnFaultLoss(kind, target string, at time.Duration) {
-	k := faultLossKey{kind: kind, target: target}
-	fl := r.faultLosses[k]
-	if fl == nil {
-		fl = &FaultLoss{Kind: kind, Target: target, First: at}
-		r.faultLosses[k] = fl
-	}
-	fl.Count++
-	if at < fl.First {
-		fl.First = at
-	}
-	if at > fl.Last {
-		fl.Last = at
-	}
-}
-
-// FaultLosses returns the aggregated fault-induced losses, sorted by
-// kind then target.
-func (r *Recorder) FaultLosses() []FaultLoss {
-	out := make([]FaultLoss, 0, len(r.faultLosses))
-	for _, fl := range r.faultLosses {
-		out = append(out, *fl)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Target < out[j].Target
-	})
-	return out
-}
-
 // OnDegrade opens a degradation interval for a node. A node has at most
 // one open interval; a second OnDegrade before OnRecover is ignored.
 func (r *Recorder) OnDegrade(node, policy string, at time.Duration) {
@@ -355,7 +302,6 @@ func (r *Recorder) OnDone(d platform.DoneInfo) {
 	}
 	r.cpuSeconds[d.Node] += (d.CPUDone - d.Started).Seconds()
 	r.gpuSeconds[d.Node] += (d.Finished - d.CPUDone).Seconds()
-	r.callbacks[d.Node]++
 	ws := r.workSum[d.Node]
 	ws.Add(d.Work)
 	r.workSum[d.Node] = ws
@@ -464,9 +410,6 @@ func (r *Recorder) GPUShare(node string) float64 {
 	}
 	return g / (c + g)
 }
-
-// Callbacks returns how many callbacks a node completed.
-func (r *Recorder) Callbacks(node string) int { return r.callbacks[node] }
 
 // Fingerprint renders every recorded node and path latency sample as
 // an exact hexadecimal float, giving a bit-exact digest of the run for
