@@ -173,10 +173,14 @@ search-smoke:
 # job, and queue saturation answered with an explicit 429 — and exits
 # non-zero if any contract breaks or the service crashes. Then the
 # package's chaos-isolation and retry-determinism tests (unaffected
-# tenants byte-identical to solo runs with crashing/stalling neighbours).
+# tenants byte-identical to solo runs with crashing/stalling
+# neighbours) and its execution-bound test (Workers goroutines run
+# jobs: at most Workers runner calls overlap, a job keeps its worker
+# through its backoff, and Close waits for running jobs and leaves no
+# goroutine behind).
 fleet-smoke:
 	$(GO) run ./cmd/avfleet -smoke
-	$(GO) test -count=1 -run='TestFleetIsolationUnderChaos|TestFleetRetryDeterminism' ./internal/fleet/
+	$(GO) test -count=1 -run='TestFleetIsolationUnderChaos|TestFleetRetryDeterminism|TestFleetWorkersBound' ./internal/fleet/
 
 # Durability smoke: the avfleet kill -9 self-test — spawn a journaled
 # child, load it, SIGKILL it mid-flight, restart it on the same journal,

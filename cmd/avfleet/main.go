@@ -1,13 +1,13 @@
 // Command avfleet serves vehicle simulations as a fleet: a long-running
 // HTTP service that accepts jobs keyed by (scenario, seed, world
-// params, config), runs each as an isolated virtual-time vehicle on the
-// shared worker pool, and aggregates per-tenant results.
+// params, config), runs each as an isolated virtual-time vehicle on one
+// of -workers worker goroutines, and aggregates per-tenant results.
 //
 // Usage:
 //
 //	avfleet [-addr :8373] [-workers N] [-queue 64] [-detector SSD300]
 //	        [-duration 8s] [-retries 2] [-retry-base 50ms] [-retry-seed 1]
-//	        [-attempt-timeout 0] [-target-p99 0] [-cache 256] [-chaos]
+//	        [-attempt-timeout 0] [-cache 256] [-chaos]
 //	        [-journal DIR] [-snapshot-every 512]
 //	        [-tenant-rate 0] [-tenant-burst 8] [-tenant-limit name=rate:burst:weight]...
 //	        [-smoke] [-journal-smoke]
@@ -119,7 +119,6 @@ func main() {
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "first backoff delay (doubles per retry, seeded jitter)")
 	retrySeed := flag.Uint64("retry-seed", 1, "seed for the deterministic backoff jitter")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "wall-clock bound per attempt (0 = job deadline only)")
-	targetP99 := flag.Duration("target-p99", 0, "healthy completion p99; sustained drift past it sheds load (0 = off)")
 	cache := flag.Int("cache", 256, "result cache entries (negative disables)")
 	chaos := flag.Bool("chaos", false, "allow per-job chaos injection (crash/stall attempts)")
 	journalDir := flag.String("journal", "", "write-ahead log directory for crash-safe restarts, on a file system that supports directory fsync (empty = in-memory only)")
@@ -141,7 +140,6 @@ func main() {
 		RetryBase:      *retryBase,
 		RetrySeed:      *retrySeed,
 		AttemptTimeout: *attemptTimeout,
-		TargetP99:      *targetP99,
 		CacheSize:      *cache,
 		AllowChaos:     *chaos,
 		Journal:        *journalDir,

@@ -97,7 +97,7 @@ type Config struct {
 	VisionQueueDepth int
 }
 
-// DefaultConfig mirrors the paper's setup: 10 Hz LiDAR, 12.5 Hz camera,
+// DefaultConfig mirrors the paper's setup: 10 Hz LiDAR, 9.9 Hz camera,
 // one high-end CPU + GPU, full stack.
 func DefaultConfig(det Detector) Config {
 	return Config{

@@ -51,7 +51,7 @@ func Fig5(w io.Writer, runs *Runs) error {
 // Table3 regenerates Table III: dropped messages per (topic,
 // subscriber) for each detector. The default camera rate reproduces the
 // paper's regime ordering (SSD512 drops, the others do not); a second
-// sweep at 12.5 fps shows the saturated-detector dropping regime.
+// sweep at 13.5 fps shows the saturated-detector dropping regime.
 func Table3(w io.Writer, runs *Runs) error {
 	Section(w, "Table III — dropped messages during execution")
 	tbl := &Table{Header: []string{"Config", "Topic", "Subscriber", "Arrived", "Dropped", "Rate"}}

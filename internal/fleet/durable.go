@@ -367,7 +367,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // recover opens the journal and rebuilds service state: the snapshot's
 // entries first, then the WAL tail's, then interrupted jobs are
 // requeued and the replayed state is folded into a fresh snapshot.
-// Runs during New, before the dispatcher starts.
+// Runs during New, before the workers start.
 func (s *Service) recover(dir string) error {
 	l, rec, err := journal.Open(dir)
 	if err != nil {
@@ -467,8 +467,4 @@ func (s *Service) killForTest() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
-	for i := 0; i < cap(s.sem); i++ {
-		s.sem <- struct{}{}
-	}
-	s.pool.Close()
 }

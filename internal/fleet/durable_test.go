@@ -462,7 +462,7 @@ func recordViews(t *testing.T, recs []Record) []string {
 }
 
 // replayedStatus is the part of /fleetz a restart must reproduce: all
-// of it but the journal's own stats and the pool's panic count, which
+// of it but the journal's own stats and the captured-panic count, which
 // belong to the process. Without the door tallies it also drops the
 // refusal counters, which only snapshots carry.
 func replayedStatus(st Status, doors bool) Status {

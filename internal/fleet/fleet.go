@@ -1,10 +1,10 @@
 // Package fleet is the simulation-as-a-service layer: a long-running
 // service that accepts vehicle simulation jobs keyed by (scenario,
-// seed, world params, config), runs each as an isolated vehicle on the
-// internal/parallel pool, and aggregates per-tenant and fleet-wide
-// results. Where the guard/supervise/sched layers harden one vehicle
-// against its own faults, this layer protects vehicles from *each
-// other* — robustness is the headline, not throughput:
+// seed, world params, config), runs each as an isolated vehicle on one
+// of Config.Workers worker goroutines, and aggregates per-tenant and
+// fleet-wide results. Where the guard/supervise/sched layers harden one
+// vehicle against its own faults, this layer protects vehicles from
+// *each other* — robustness is the headline, not throughput:
 //
 //   - Admission is a bounded priority queue, and overload is answered
 //     explicitly, never by unbounded buffering: the degradation ladder
@@ -19,12 +19,12 @@
 //     retry under a seeded exponential-backoff schedule with a bounded
 //     budget; exhaustion lands the job in the dead-letter record, never
 //     in a crash loop.
-//   - Panic isolation rides the pool's capture contract: one corrupt
-//     scenario costs exactly its own job (a *parallel.PanicError in the
-//     job record), never the service.
+//   - Panic isolation rides parallel.Tasks' capture contract: one
+//     corrupt scenario costs exactly its own job (a *parallel.PanicError
+//     in the job record), never the service.
 //   - A load-aware degradation ladder (nominal → shed low-priority →
-//     drain-and-reject) driven by queue depth and completion-latency
-//     drift keeps the service answering under overload.
+//     drain-and-reject) driven by queue depth and per-family
+//     virtual-time drift keeps the service answering under overload.
 //   - Results are cached by job key, and determinism is preserved: the
 //     same job key yields a byte-identical report whether run solo,
 //     under contention, or after a retry — every vehicle is its own
@@ -51,6 +51,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/autoware"
@@ -94,7 +95,7 @@ var (
 
 // Chaos is test-only attempt perturbation, reusing the fault-kind
 // vocabulary of internal/faults at the fleet layer: KindCrash panics
-// inside the attempt (captured by the pool as a *parallel.PanicError),
+// inside the attempt (captured as a *parallel.PanicError),
 // KindStall blocks the attempt until its context expires. It models
 // infrastructure failures — the vehicle's own faults belong in the
 // scenario's fault schedule. Ignored unless Config.AllowChaos.
@@ -211,7 +212,8 @@ func (r *Record) Report() []byte { return r.report }
 
 // Config parameterizes a Service.
 type Config struct {
-	// Workers bounds concurrently simulating vehicles (default
+	// Workers is how many worker goroutines run jobs, and so the bound
+	// on concurrently simulating vehicles (default
 	// parallel.MaxWorkers()).
 	Workers int
 	// QueueDepth bounds the admission queue (default 64). The ladder's
@@ -240,11 +242,6 @@ type Config struct {
 	// CacheSize bounds the result cache (default 256 entries; 0 keeps
 	// the default, negative disables caching).
 	CacheSize int
-	// TargetP99 is the completion wall-time the ladder considers
-	// healthy; observed p99 above twice TargetP99 trips the shedding
-	// state. 0 disables drift detection (queue depth alone drives the
-	// ladder).
-	TargetP99 time.Duration
 	// ShedHighWater is the queue occupancy (0..1) entering the shedding
 	// state (default 0.75); DrainHighWater the occupancy entering
 	// draining (default 0.95); LowWater the occupancy returning to
@@ -341,7 +338,7 @@ const (
 )
 
 const (
-	// driftFactor scales a latency target or baseline into the drift
+	// driftFactor scales a family's virtual-time baseline into the drift
 	// threshold that trips shedding.
 	driftFactor = 2
 	// shedPriority is the admission floor while shedding: submissions
@@ -354,15 +351,13 @@ const (
 
 // Service is the fleet server. Create with New, stop with Close.
 type Service struct {
-	cfg  Config
-	pool *parallel.Pool
-	sem  chan struct{}
+	cfg Config
 
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue *admitQueue
 	// Durable state: what applyLocked builds from journal entries.
-	// Beside it, Submit counts door tallies live, dispatch marks records
+	// Beside it, Submit counts door tallies live, a worker marks records
 	// running and recovery marks them resumed.
 	records    map[int64]*Record
 	nextID     int64
@@ -373,11 +368,12 @@ type Service struct {
 	cache      map[string]cacheEntry
 	cacheOrder []string
 	// Live-only state.
-	state      LadderState
-	buckets    map[string]*bucket
-	recentWall []float64
-	inFlight   int
-	closed     bool
+	state    LadderState
+	buckets  map[string]*bucket
+	inFlight int
+	closed   bool
+	// panics counts attempts that ended in a captured panic.
+	panics atomic.Int64
 
 	// Durability state (nil/zero without Config.Journal).
 	jl              *journal.Log
@@ -389,6 +385,7 @@ type Service struct {
 	// deterministic.
 	now func() time.Time
 
+	// wg tracks the worker goroutines.
 	wg sync.WaitGroup
 }
 
@@ -398,16 +395,15 @@ type cacheEntry struct {
 	e2e    float64
 }
 
-// New starts a fleet service. With Config.Journal set it opens (or
-// creates) the write-ahead log, replays any prior state — salvaging a
-// torn tail the way BagReader does — and resumes interrupted jobs
-// before accepting new ones.
+// New starts a fleet service and its Config.Workers worker goroutines.
+// With Config.Journal set it first opens (or creates) the write-ahead
+// log, replays any prior state — salvaging a torn tail the way
+// BagReader does — and requeues interrupted jobs, which the workers
+// take before new ones.
 func New(cfg Config) (*Service, error) {
 	cfg.fill()
 	s := &Service{
 		cfg:       cfg,
-		pool:      parallel.NewPool(cfg.Workers),
-		sem:       make(chan struct{}, cfg.Workers),
 		records:   make(map[int64]*Record),
 		state:     LadderNominal,
 		limits:    make(map[string]TenantLimit),
@@ -427,12 +423,13 @@ func New(cfg Config) (*Service, error) {
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.Journal != "" {
 		if err := s.recover(cfg.Journal); err != nil {
-			s.pool.Close()
 			return nil, err
 		}
 	}
-	s.wg.Add(1)
-	go s.dispatch()
+	s.wg.Add(cfg.Workers)
+	for range cfg.Workers {
+		go s.work()
+	}
 	return s, nil
 }
 
@@ -477,9 +474,9 @@ func (s *Service) SetTenantLimit(tenant string, limit TenantLimit) error {
 	return nil
 }
 
-// Close stops admission, waits for in-flight vehicles to finish, and
-// tears the pool down. Without a journal, whatever is still queued is
-// failed explicitly; with one, queued jobs stay journaled and resume
+// Close stops admission and waits for the workers to finish their
+// running jobs and return. Without a journal, whatever is still queued
+// is failed explicitly; with one, queued jobs stay journaled and resume
 // when a new service opens the same log.
 func (s *Service) Close() {
 	s.mu.Lock()
@@ -496,11 +493,6 @@ func (s *Service) Close() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
-	// Every dispatcher-launched job holds a sem slot until done; taking
-	// them all back waits for in-flight work.
-	for i := 0; i < cap(s.sem); i++ {
-		s.sem <- struct{}{}
-	}
 	s.mu.Lock()
 	if s.jl != nil {
 		// Fold the final state into a snapshot so the next open replays
@@ -510,7 +502,6 @@ func (s *Service) Close() {
 		s.jl = nil
 	}
 	s.mu.Unlock()
-	s.pool.Close()
 }
 
 // doorLocked returns (creating) a tenant's door tally. Callers hold
@@ -682,13 +673,14 @@ func (s *Service) Wait(ctx context.Context, id int64) (Record, error) {
 	return snapshotLocked(rec), nil
 }
 
-// dispatch pulls admitted jobs off the admission queue in fair-share
-// deficit-round-robin order and runs each on its own execution slot;
-// slots bound concurrently simulating vehicles to Config.Workers.
-func (s *Service) dispatch() {
+// work is one of the Config.Workers goroutines that run jobs, the
+// fleet's one execution bound. It takes the next admitted job in
+// fair-share deficit-round-robin order and runs it to a terminal state
+// before taking another, holding the job through its backoff sleeps, so
+// retries never add concurrency.
+func (s *Service) work() {
 	defer s.wg.Done()
 	for {
-		s.sem <- struct{}{}
 		s.mu.Lock()
 		for !s.closed && s.queue.Len() == 0 {
 			s.cond.Wait()
@@ -697,7 +689,6 @@ func (s *Service) dispatch() {
 			// A journaled service leaves its queue in the log for the
 			// next incarnation; a plain one already drained it in Close.
 			s.mu.Unlock()
-			<-s.sem
 			return
 		}
 		rec := s.queue.pop()
@@ -705,14 +696,11 @@ func (s *Service) dispatch() {
 		s.inFlight++
 		s.reladderLocked()
 		s.mu.Unlock()
-		go func() {
-			defer func() { <-s.sem }()
-			s.execute(rec)
-		}()
+		s.execute(rec)
 	}
 }
 
-// execute runs one job to a terminal state: attempts on the pool,
+// execute runs one job to a terminal state on the calling worker:
 // transient failures retried on the planned backoff schedule, the
 // deadline enforced as context cancellation throughout.
 func (s *Service) execute(rec *Record) {
@@ -764,9 +752,10 @@ func (s *Service) execute(rec *Record) {
 	}
 }
 
-// attempt submits one execution attempt to the pool and waits for it.
-// The pool's capture contract turns a panicking vehicle into this
-// attempt's *parallel.PanicError — isolation, not a dead service.
+// attempt runs attempt n of a job on the calling worker. Tasks' capture
+// contract turns a panicking vehicle into this attempt's
+// *parallel.PanicError — isolation, not a dead service — and the
+// service counts it.
 func (s *Service) attempt(ctx context.Context, rec *Record, n int) (*RunResult, error) {
 	actx := ctx
 	cancel := func() {}
@@ -776,33 +765,35 @@ func (s *Service) attempt(ctx context.Context, rec *Record, n int) (*RunResult, 
 	defer cancel()
 
 	var res *RunResult
-	done, err := s.pool.Submit(func() error {
-		if c := rec.Job.Chaos; c != nil && s.cfg.AllowChaos && n < c.Attempts {
-			switch c.Kind {
-			case faults.KindCrash:
-				panic(fmt.Sprintf("fleet: injected %s (tenant %s, attempt %d)", c.Kind, rec.Tenant, n))
-			case faults.KindStall:
-				<-actx.Done()
-				return fmt.Errorf("fleet: injected %s (tenant %s, attempt %d): %w", c.Kind, rec.Tenant, n, actx.Err())
-			}
-		}
-		r, err := s.run(actx, rec.Job)
-		res = r
+	panicked := true
+	err := parallel.Tasks(1, 1, func(int) error {
+		r, err := s.run(actx, rec, n)
+		res, panicked = r, false
 		return err
-	})
-	if err != nil {
-		return nil, err
+	})[0]
+	if panicked {
+		s.panics.Add(1)
 	}
-	return res, <-done
+	return res, err
 }
 
-// run resolves and executes the job's simulation.
-func (s *Service) run(ctx context.Context, job Job) (*RunResult, error) {
-	spec, err := resolveSpec(job, s.cfg.Resolve)
+// run resolves and executes attempt n of the job's simulation, or the
+// failure its chaos injects into that attempt.
+func (s *Service) run(ctx context.Context, rec *Record, n int) (*RunResult, error) {
+	if c := rec.Job.Chaos; c != nil && s.cfg.AllowChaos && n < c.Attempts {
+		switch c.Kind {
+		case faults.KindCrash:
+			panic(fmt.Sprintf("fleet: injected %s (tenant %s, attempt %d)", c.Kind, rec.Tenant, n))
+		case faults.KindStall:
+			<-ctx.Done()
+			return nil, fmt.Errorf("fleet: injected %s (tenant %s, attempt %d): %w", c.Kind, rec.Tenant, n, ctx.Err())
+		}
+	}
+	spec, err := resolveSpec(rec.Job, s.cfg.Resolve)
 	if err != nil {
 		return nil, err
 	}
-	return s.cfg.Runner.Run(ctx, spec, s.cfg.Detector, job.Duration)
+	return s.cfg.Runner.Run(ctx, spec, s.cfg.Detector, rec.Job.Duration)
 }
 
 // classify names an attempt outcome for the record.
@@ -837,15 +828,12 @@ func endEntry(rec *Record, op string, try *Attempt, err error) walEntry {
 
 // finish commits a running job's terminal entry (fsynced; a done entry
 // carries the report's content hash so replay can verify it), then
-// frees its slot: the ladder is re-evaluated and the WAL compacted
-// when due.
+// counts the job out of flight: the ladder is re-evaluated and the WAL
+// compacted when due.
 func (s *Service) finish(e walEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.commitLocked(e, true)
-	if e.Op == opDone {
-		s.observeWallLocked(e.Wall)
-	}
 	s.inFlight--
 	s.reladderLocked()
 	s.maybeCompactLocked()
@@ -867,38 +855,15 @@ func (s *Service) cacheInsertLocked(key string, report []byte, hash string, e2e 
 	}
 }
 
-// observeWallLocked feeds the drift detector's sliding window.
-func (s *Service) observeWallLocked(ms float64) {
-	const window = 64
-	s.recentWall = append(s.recentWall, ms)
-	if len(s.recentWall) > window {
-		s.recentWall = s.recentWall[len(s.recentWall)-window:]
-	}
-}
-
-// drifting reports whether completion latency has drifted past
-// tolerance: wall-clock p99 against the configured target, or any
-// scenario family's virtual-time p99 against its own established
-// baseline (see drift.go). Callers hold s.mu.
-func (s *Service) driftingLocked() bool {
-	if s.cfg.TargetP99 > 0 && len(s.recentWall) >= 8 {
-		p99 := mathx.Quantile(s.recentWall, 0.99)
-		if p99 > driftFactor*float64(s.cfg.TargetP99)/1e6 {
-			return true
-		}
-	}
-	return len(s.driftedVirtualLocked()) > 0
-}
-
 // reladderLocked re-evaluates the degradation ladder from queue
-// occupancy and latency drift, with hysteresis, and applies the
-// shedding state's queue eviction. An eviction changes occupancy, so
-// the ladder is evaluated once more after it: a queue the eviction
-// emptied leaves shedding unless drift still holds it there. Callers
-// hold s.mu.
+// occupancy and the scenario families' virtual-time drift (drift.go),
+// with hysteresis, and applies the shedding state's queue eviction. An
+// eviction changes occupancy, so the ladder is evaluated once more
+// after it: a queue the eviction emptied leaves shedding unless drift
+// still holds it there. Callers hold s.mu.
 func (s *Service) reladderLocked() {
 	occ := float64(s.queue.Len()) / float64(s.cfg.QueueDepth)
-	drift := s.driftingLocked()
+	drift := len(s.driftedVirtualLocked()) > 0
 	switch {
 	case occ >= s.cfg.DrainHighWater:
 		s.state = LadderDraining
@@ -1008,8 +973,10 @@ type Status struct {
 	Limits      []TenantLimitStatus `json:"limits,omitempty"`
 	DeadLetters []DeadLetter        `json:"dead_letters,omitempty"`
 	CacheSize   int                 `json:"cache_size"`
-	PoolPanics  int64               `json:"pool_panics"`
-	Journal     *JournalStatus      `json:"journal,omitempty"`
+	// PoolPanics counts attempts that ended in a captured panic since
+	// the service started.
+	PoolPanics int64          `json:"pool_panics"`
+	Journal    *JournalStatus `json:"journal,omitempty"`
 }
 
 // tenantSum adds up a tenant's /fleetz status from its records and
@@ -1067,7 +1034,7 @@ func (s *Service) Fleetz() Status {
 		InFlight:   s.inFlight,
 		Drifting:   s.driftedVirtualLocked(),
 		CacheSize:  len(s.cache),
-		PoolPanics: s.pool.Panicked(),
+		PoolPanics: s.panics.Load(),
 	}
 	var fleet tenantSum
 	tenants := make(map[string]*tenantSum)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -333,6 +335,140 @@ func TestFleetPanicIsolation(t *testing.T) {
 	}
 	if got := svc.Fleetz().PoolPanics; got != 2 {
 		t.Errorf("pool recorded %d panics, want 2 (evil's two attempts)", got)
+	}
+}
+
+// TestFleetWorkersBound pins the fleet's one execution bound: Workers
+// goroutines run jobs. With one worker, a job that fails transiently
+// keeps its worker through its backoff, so the job queued behind it
+// starts only after the retried attempt returns. With two workers and
+// six jobs, at most two runner calls overlap, two do, and /fleetz never
+// counts more than two jobs in flight. Close returns only after the
+// in-flight runner calls return, and leaves no goroutine behind.
+func TestFleetWorkersBound(t *testing.T) {
+	before := runtime.NumGoroutine()
+	within := func(what string, ch <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never happened", what)
+		}
+	}
+
+	var mu sync.Mutex
+	var events []string
+	logEvent := func(e string) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}
+	var flakyCalls atomic.Int64
+	one := mustNew(t, Config{
+		Workers: 1, QueueDepth: 4, RetryBudget: 1, RetryBase: 30 * time.Millisecond,
+		Resolve: passResolve,
+		Runner: runnerFunc(func(ctx context.Context, spec scenario.Spec, det autoware.Detector, d time.Duration) (*RunResult, error) {
+			name := spec.Name
+			if name == "flaky" {
+				name = fmt.Sprintf("flaky#%d", flakyCalls.Add(1))
+			}
+			logEvent(name + " start")
+			defer logEvent(name + " end")
+			if name == "flaky#1" {
+				panic("transient crash")
+			}
+			return &RunResult{Report: []byte("ok\n")}, nil
+		}),
+	})
+	flaky := submit(t, one, Job{Tenant: "t", Scenario: "flaky"})
+	next := submit(t, one, Job{Tenant: "t", Scenario: "next"})
+	if rec := waitDone(t, one, flaky.ID); rec.State != StateDone || rec.Retries != 1 {
+		t.Errorf("flaky job: state %s after %d retries, want done after 1", rec.State, rec.Retries)
+	}
+	waitDone(t, one, next.ID)
+	one.Close()
+	want := []string{"flaky#1 start", "flaky#1 end", "flaky#2 start", "flaky#2 end", "next start", "next end"}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Errorf("one worker ran %v, want %v", events, want)
+	}
+
+	// Jobs named j* and c* wait for their gate; a c* job then takes a
+	// little longer before it counts its return, so a Close that did not
+	// wait for it would return first.
+	gates := map[string]chan struct{}{"j": make(chan struct{}), "c": make(chan struct{})}
+	started := make(chan struct{}, 8) // one per job
+	var running, maxRunning, maxInFlight, returned atomic.Int64
+	raise := func(peak *atomic.Int64, v int64) {
+		for old := peak.Load(); v > old && !peak.CompareAndSwap(old, v); old = peak.Load() {
+		}
+	}
+	var two *Service
+	two = mustNew(t, Config{
+		Workers: 2, QueueDepth: 16, Resolve: passResolve,
+		Runner: runnerFunc(func(ctx context.Context, spec scenario.Spec, det autoware.Detector, d time.Duration) (*RunResult, error) {
+			raise(&maxRunning, running.Add(1))
+			defer running.Add(-1)
+			raise(&maxInFlight, int64(two.Fleetz().InFlight))
+			started <- struct{}{}
+			<-gates[spec.Name[:1]]
+			if spec.Name[0] == 'c' {
+				time.Sleep(20 * time.Millisecond)
+				returned.Add(1)
+			}
+			return &RunResult{Report: []byte("ok:" + spec.Name + "\n")}, nil
+		}),
+	})
+	var ids []int64
+	for i := 0; i < 6; i++ {
+		ids = append(ids, submit(t, two, Job{Tenant: "t", Priority: 1, Scenario: fmt.Sprintf("j%d", i)}).ID)
+	}
+	within("the first runner call", started)
+	within("a second overlapping runner call", started)
+	time.Sleep(50 * time.Millisecond) // room for a third call to start
+	if st := two.Fleetz(); st.InFlight != 2 || st.QueueDepth != 4 {
+		t.Errorf("both workers held: %d in flight and %d queued, want 2 and 4", st.InFlight, st.QueueDepth)
+	}
+	close(gates["j"])
+	for _, id := range ids {
+		if rec := waitDone(t, two, id); rec.State != StateDone {
+			t.Errorf("job %d: state %s, want done", id, rec.State)
+		}
+	}
+	for range 4 { // the other four j* starts
+		<-started
+	}
+	if got := maxRunning.Load(); got != 2 {
+		t.Errorf("at most %d runner calls overlapped on two workers, want 2", got)
+	}
+	if got := maxInFlight.Load(); got > 2 {
+		t.Errorf("/fleetz counted %d jobs in flight on two workers", got)
+	}
+
+	submit(t, two, Job{Tenant: "t", Priority: 1, Scenario: "c0"})
+	submit(t, two, Job{Tenant: "t", Priority: 1, Scenario: "c1"})
+	within("the first held runner call", started)
+	within("the second held runner call", started)
+	closed := make(chan struct{})
+	go func() {
+		two.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Error("Close returned while two runner calls were held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gates["c"])
+	within("Close", closed)
+	if got := returned.Load(); got != 2 {
+		t.Errorf("Close returned after %d of the 2 in-flight runner calls returned", got)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

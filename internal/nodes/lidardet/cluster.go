@@ -100,11 +100,13 @@ func (c *Cluster) Subscribes() []ros.SubSpec {
 // the tree's bulk step count over the queried points, which are all
 // but those a MaxPoints break leaves unpopped or pops past the cap.
 func (c *Cluster) Extract(cloud *pointcloud.Cloud) []msgs.DetectedObject {
-	// Range gate into the reused position buffer.
+	// Range gate into the reused position buffer. A NaN X or Y fails the
+	// range test; a NaN Z is dropped too, since the k-d tree needs
+	// NaN-free points.
 	pts := c.pts[:0]
 	maxR2 := c.cfg.MaxRange * c.cfg.MaxRange
 	for _, p := range cloud.Points {
-		if p.Pos.XY().NormSq() <= maxR2 {
+		if p.Pos.XY().NormSq() <= maxR2 && !math.IsNaN(p.Pos.Z) {
 			pts = append(pts, p.Pos)
 		}
 	}

@@ -75,6 +75,26 @@ func TestExtractRangeGate(t *testing.T) {
 	if objs := n.Extract(cloud); len(objs) != 0 {
 		t.Errorf("far blob should be gated out, got %d clusters", len(objs))
 	}
+
+	// The gate drops points with a NaN Z too: a cloud with some gives
+	// exactly the objects of the same cloud without them.
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := mathx.NewRNG(seed)
+		withNaN, finite := pointcloud.New(300), pointcloud.New(300)
+		for i := 0; i < 300; i++ {
+			p := pointcloud.Point{Pos: geom.V3(rng.Range(-10, 10), rng.Range(-10, 10), rng.Range(0, 2))}
+			if i%10 == 0 {
+				p.Pos.Z = math.NaN()
+			} else {
+				finite.Append(p)
+			}
+			withNaN.Append(p)
+		}
+		want := New(DefaultConfig()).Extract(finite)
+		if diff := sameObjects(n.Extract(withNaN), want); diff != "" {
+			t.Fatalf("seed %d: the cloud with NaN-Z points differs from the cloud without them in %s", seed, diff)
+		}
+	}
 }
 
 func TestExtractEmptyCloud(t *testing.T) {
@@ -258,8 +278,9 @@ func FuzzExtractMatchesReference(f *testing.F) {
 		[3]int16{4, 0, 0}, [3]int16{5, 0, math.MinInt16 + 1}, [3]int16{6, 0, 0}, [3]int16{7, 1, math.MinInt16}, [3]int16{8, 1, 0})
 	f.Add(nanInf, u, 3*u, uint16(4000), uint8(1), 45.0)
 	f.Add(nanInf, u, 1e200, uint16(4000), uint8(1), math.Inf(1))
-	// A dense blob in which every third Z is NaN: NaN splits leave some
-	// points within the tolerance where the pruned walk never looks.
+	// A dense blob in which every third Z is NaN: the range gate drops
+	// those points, whose NaN splits would leave points within the
+	// tolerance where the pruned walk never looks.
 	var blob [][3]int16
 	for k := int16(0); k < 64; k++ {
 		z := k % 4

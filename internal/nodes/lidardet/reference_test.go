@@ -21,7 +21,7 @@ func referenceExtract(cfg Config, cloud *pointcloud.Cloud) ([]msgs.DetectedObjec
 	var pts []geom.Vec3
 	maxR2 := cfg.MaxRange * cfg.MaxRange
 	for _, p := range cloud.Points {
-		if p.Pos.XY().NormSq() <= maxR2 {
+		if p.Pos.XY().NormSq() <= maxR2 && !math.IsNaN(p.Pos.Z) {
 			pts = append(pts, p.Pos)
 		}
 	}

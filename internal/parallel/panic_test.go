@@ -65,61 +65,3 @@ func TestFirstErrorSurfacesPanicDeterministically(t *testing.T) {
 		t.Fatalf("FirstError = %v, want *PanicError at index 2", err)
 	}
 }
-
-// TestPoolSurvivesPanickingTask submits a panicking task among healthy
-// ones to a live pool: the panic arrives as that task's error, the
-// workers stay up for later submissions, and the panic counter ticks.
-func TestPoolSurvivesPanickingTask(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-
-	var dones []<-chan error
-	for i := 0; i < 4; i++ {
-		i := i
-		done, err := p.Submit(func() error {
-			if i == 1 {
-				panic("vehicle corrupted")
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		dones = append(dones, done)
-	}
-	for i, done := range dones {
-		err := <-done
-		if i == 1 {
-			var pe *PanicError
-			if !errors.As(err, &pe) || pe.Value != "vehicle corrupted" {
-				t.Fatalf("task 1 error = %v, want captured panic", err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("healthy task %d: %v", i, err)
-		}
-	}
-	if p.Panicked() != 1 {
-		t.Fatalf("Panicked = %d, want 1", p.Panicked())
-	}
-
-	// The pool still serves work after the panic.
-	done, err := p.Submit(func() error { return nil })
-	if err != nil {
-		t.Fatalf("post-panic submit: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("post-panic task: %v", err)
-	}
-}
-
-// TestPoolCloseRejectsNewWork pins the post-Close contract.
-func TestPoolCloseRejectsNewWork(t *testing.T) {
-	p := NewPool(1)
-	p.Close()
-	if _, err := p.Submit(func() error { return nil }); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrPoolClosed", err)
-	}
-	p.Close() // idempotent
-}

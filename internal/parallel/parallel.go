@@ -1,7 +1,6 @@
 // Package parallel provides the host-parallelism substrate the
 // reproduction engine runs on: a bounded task runner with deterministic
-// by-index result collection, and a long-lived worker pool for
-// services.
+// by-index result collection and panic capture.
 //
 // Results are always collected by index, never by completion order, so
 // concurrent execution cannot reorder anything an experiment renders
@@ -20,11 +19,10 @@ import (
 	"sync/atomic"
 )
 
-// PanicError is a task panic captured by the runner or the pool: the
-// panicking task's index, the recovered value, and the goroutine stack
-// at the panic site. It is delivered as the task's error, so a panic
-// never escapes a worker goroutine (which would kill the whole
-// process).
+// PanicError is a task panic captured by Tasks: the panicking task's
+// index, the recovered value, and the goroutine stack at the panic
+// site. It is delivered as the task's error, so a panic never escapes
+// a worker goroutine (which would kill the whole process).
 type PanicError struct {
 	// Index is the task index that panicked.
 	Index int
@@ -55,9 +53,9 @@ func init() {
 	maxWorkers.Store(int64(runtime.NumCPU()))
 }
 
-// SetMaxWorkers bounds the number of goroutines Tasks and NewPool may
-// use. n < 1 resets to runtime.NumCPU(). It only affects wall-clock
-// speed: every result is bit-identical under any setting.
+// SetMaxWorkers bounds the number of goroutines Tasks may use. n < 1
+// resets to runtime.NumCPU(). It only affects wall-clock speed: every
+// result is bit-identical under any setting.
 func SetMaxWorkers(n int) {
 	if n < 1 {
 		n = runtime.NumCPU()

@@ -10,7 +10,9 @@ import (
 // KDTree is a 3-dimensional k-d tree over cloud point indices. It backs
 // radius queries for euclidean clustering. Construction is O(n log n);
 // the tree refers to the positions slice it was built from and must not
-// outlive it.
+// outlive it. Its points must be NaN-free: a NaN coordinate leaves
+// kdLess without a total order, the tree is then laid out
+// inconsistently, and Radius misses points within r.
 //
 // The tree is laid out implicitly in pre-order: slot s roots the subtree
 // over slots [s, s+size), nodes[s] is the index of its median point, its
